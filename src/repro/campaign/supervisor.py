@@ -46,6 +46,7 @@ import hashlib
 import heapq
 import importlib
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -246,22 +247,50 @@ class _Unit:
 # ---------------------------------------------------------------------------
 
 
+#: Seconds an idle worker waits between checks that its parent lives.
+PARENT_POLL_S = 0.5
+
+
 def _worker_main(task_q, result_q, chaos_spec: Optional[dict]) -> None:
     """Worker loop: take a batch, report one result message per unit.
 
     SIGINT is ignored so a terminal ctrl-C reaches only the supervisor,
-    which then drains or cancels us deliberately.
+    which then drains or cancels us deliberately.  The worker also
+    exits when the process that started it dies (its sentinel becomes
+    readable, or the worker is reparented), checked between units and
+    every ``PARENT_POLL_S`` while idle: a SIGKILLed supervisor or
+    daemon leaves no orphans waiting forever for the next batch.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    # imported here, not at module level: the serial in-process path
+    # never needs it
+    from multiprocessing.connection import wait as wait_ready
+
     chaos = ChaosConfig(**chaos_spec) if chaos_spec else None
+    parent = multiprocessing.parent_process()
+    sentinels = [] if parent is None else [parent.sentinel]
+    ppid = os.getppid()
+
+    def orphaned() -> bool:
+        # A forked sibling may hold our sentinel pipe open, so the
+        # reparenting check backs the sentinel up.
+        return os.getppid() != ppid or bool(wait_ready(sentinels, 0))
+
     while True:
+        wait_ready([task_q._reader, *sentinels], PARENT_POLL_S)
+        if orphaned():
+            return
+        if not wait_ready([task_q._reader], 0):
+            continue
         batch = task_q.get()
         if batch is None:
             return
         for index, attempt, fn_ref, spec, rng_seed in batch:
+            if orphaned():
+                return
             try:
                 payload = run_attempt(fn_ref, spec, rng_seed, attempt,
                                       chaos)

@@ -229,26 +229,51 @@ class CheckerEngine:
             self._step_skip()
 
     def advance(self, horizon: Optional[int] = None,
-                max_actions: int = 256) -> int:
+                max_actions: int = 256, *, park: bool = False) -> bool:
         """Run a batch of checker actions between co-sim sync points.
 
         Takes at least one action (the co-simulation's progress
         guarantee), then keeps going while the checker's local clock
         stays below ``horizon`` — the point where another core would
         become the event-ordering minimum — and there is conceivably
-        work left.  Returns the number of actions taken.
+        work left.
+
+        By default every idle cycle is one action, as the ``loop``
+        oracle requires.  With ``park`` (the heap scheduler), a pure
+        wait (a step that only idled because nothing new is visible in
+        the channel) is not repeated: every further step would be the
+        same one-cycle wait until the next buffered packet becomes
+        visible (:meth:`Channel.next_visible`), so the clock jumps
+        straight there, even past ``horizon``, and the skipped cycles
+        are charged as idle.  If no buffered packet can end the wait,
+        the batch ends and True is returned: only a push from the main
+        can wake the checker.
         """
+        stats = self.stats
+        core_stats = self.core.stats
         done = 0
         while True:
+            idle = stats.idle_cycles
             self.step()
             done += 1
+            if park and stats.idle_cycles != idle:
+                wake = self.channel.next_visible(core_stats.cycles)
+                if wake is None:
+                    return True
+                self.idle_until(wake)
             if done >= max_actions:
                 break
             if self.state is CheckerState.IDLE or self.drained:
                 break
-            if horizon is not None and self.core.stats.cycles >= horizon:
+            if horizon is not None and core_stats.cycles >= horizon:
                 break
-        return done
+        return False
+
+    def idle_until(self, cycle: int) -> None:
+        """Charge the cycles up to ``cycle`` as idle (a skipped wait)."""
+        behind = cycle - self.core.stats.cycles
+        if behind > 0:
+            self._idle(behind)
 
     # -- WAIT_SCP -------------------------------------------------------
 

@@ -48,6 +48,9 @@ class Channel:
         self._queue: Deque[Packet] = deque()
         #: Observers called on every successful push (fault injection).
         self._push_taps: list[Callable[[Packet], Packet]] = []
+        #: One-shot callback fired by the next successful push, after the
+        #: taps (the heap co-sim wakes a parked checker with it).
+        self.waiter: Optional[Callable[[Packet], None]] = None
 
     def add_push_tap(self, tap: Callable[[Packet], Packet]) -> None:
         """Register a function applied to each pushed packet; it may
@@ -73,6 +76,10 @@ class Channel:
         self.stats.entries_pushed += packet.entries
         self.stats.max_occupancy = max(self.stats.max_occupancy,
                                        self.occupancy)
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            waiter(packet)
         return True
 
     def head(self, now: Optional[int] = None) -> Optional[Packet]:
@@ -84,6 +91,23 @@ class Channel:
         if now is not None and now < packet.push_cycle + self.latency:
             return None
         return packet
+
+    def next_visible(self, now: int) -> Optional[int]:
+        """The first cycle ``>= now`` at which a buffered packet becomes
+        visible to the checker, or None if every packet already is.
+
+        Pushes happen in main-clock order, so visibility cycles never
+        decrease along the queue; the scan walks back from the tail and
+        stops at the first packet visible before ``now``.
+        """
+        latency = self.latency
+        found = None
+        for packet in reversed(self._queue):
+            cycle = packet.push_cycle + latency
+            if cycle < now:
+                break
+            found = cycle
+        return found
 
     def pop(self, now: Optional[int] = None) -> Packet:
         packet = self.head(now)

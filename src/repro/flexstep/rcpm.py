@@ -85,6 +85,10 @@ class MainCoreAdapter:
         # outbound staging (the main core's own FIFO contents)
         self._outbox: Deque[Packet] = deque()
         self._hooked = False
+        #: Core cycle at which the latest SoC-loop step of the (not yet
+        #: halted) core began; the heap co-sim wakes parked checkers
+        #: relative to it.
+        self.step_cycle = 0
 
     # ------------------------------------------------------------------
     # configuration (driven by the FlexStep ISA facade)

@@ -13,9 +13,18 @@ Two interchangeable, bit-identical schedulers drive that arbitration:
   min-scans it (O(cores) per round).
 * ``heap`` — the default: candidates live in a
   :class:`~repro.sim.engine.EventQueue` keyed by local clock, the
-  horizon is the heap's next entry (top-2 after the pop), halted cores
-  and drained checkers leave the heap instead of being rescanned, and
-  checker drains are batched per horizon window.
+  horizon is the heap's next entry (top-2 after the pop), and halted
+  cores and drained checkers leave the heap instead of being
+  rescanned.  A waiting checker is event-driven (the conservative
+  rule of Chandy & Misra: a process blocked on an input channel does
+  not advance until a message could arrive).  After a pure wait it
+  jumps to the next cycle a buffered packet becomes visible; with
+  nothing buffered it *parks* off the heap until its main pushes,
+  which keys it at ``max(parked clock, start of the pushing main
+  step, push_cycle + latency)`` and ends the main's round; a main
+  that retires catches its parked checkers up to the start of its
+  last step.  The skipped cycles are charged as idle, so every
+  simulated counter matches the oracle's (see :meth:`_run_heap`).
 
 Selection mirrors the sched-backend convention: an explicit argument
 (``FlexStepSoC.run(sched=...)`` / ``SoCConfig.soc_sched`` /
@@ -216,6 +225,8 @@ class FlexStepSoC:
             [CoreAttr.COMPUTE] * self.config.num_cores)
         self._adapters: dict[int, MainCoreAdapter] = {}
         self._engines: dict[int, CheckerEngine] = {}
+        #: Set when a push woke a parked checker (heap scheduler only).
+        self._woke = False
         self.control = FlexStepControl(self)
 
     # ------------------------------------------------------------------
@@ -408,8 +419,8 @@ class FlexStepSoC:
                   max_cycles: Optional[int]) -> int:
         """Event-driven arbitration on :class:`EventQueue`.
 
-        Every candidate owns one heap event keyed ``(local clock,
-        rank)`` with rank = core id for main/compute cores and
+        Every candidate owns at most one heap event keyed ``(local
+        clock, rank)`` with rank = core id for main/compute cores and
         ``num_cores + binding index`` for checkers — exactly the
         oracle's canonical candidate order, so clock ties pop in the
         same sequence the loop's min-scan would select.  A pop is one
@@ -418,6 +429,34 @@ class FlexStepSoC:
         candidate batch-advances to it, and is re-pushed at its new
         clock.  Halted mains and terminally drained checkers simply
         leave the heap instead of being rescanned every round.
+
+        A waiting checker is event-driven rather than stepped one idle
+        cycle at a time (``CheckerEngine.advance(park=True)``).  Its
+        waits change nothing any other core can see, and in the oracle
+        it sits at ``max(its clock, s)`` whenever its main starts a
+        SoC-loop step at cycle ``s`` (it idles up to the main's clock,
+        and ties go main-first).  That fixes the sequence points:
+
+        * **jump** — after a pure wait the checker's clock moves to the
+          next cycle a packet already in its channel becomes visible;
+        * **park** — if no such packet exists and its main is still
+          active, the checker leaves the heap and arms its channel's
+          one-shot ``waiter``;
+        * **wake** — the main's next push keys it at ``max(parked
+          clock, s, push_cycle + latency)``, where ``s`` is the start
+          of the pushing step (``MainCoreAdapter.step_cycle``); the
+          main ends its round after that step, so the new event is
+          ordered against everyone else's before anything moves on;
+        * **retire** — when the main leaves the candidate set, a still
+          parked checker is caught up to ``max(parked clock, start of
+          the main's last step)``; it goes back on the heap only if it
+          still has work (or the outbox is stuck), like the drained
+          checkers ``_discard_main`` drops.
+
+        The skipped cycles are charged as idle, so every simulated
+        counter matches the oracle's.  Bounded runs (``max_cycles``)
+        neither jump nor park: there the oracle stops on whichever
+        clocks have reached the bound, which depends on each idle cycle.
 
         Bookkeeping the oracle performs eagerly each round happens here
         at the equivalent sequence points, so the two schedulers are
@@ -436,6 +475,7 @@ class FlexStepSoC:
         """
         cores = self.cores
         engines = self._engines
+        adapters = self._adapters
         interconnect = self.interconnect
         num_cores = self.config.num_cores
         batch = self.COSIM_BATCH
@@ -443,6 +483,8 @@ class FlexStepSoC:
         events: dict[int, Event] = {}
         active = self._initial_active_mains()
         checker_of_rank: dict[int, int] = {}
+        #: parked checker -> (the clock it parked at, its rank)
+        parked: dict[int, tuple[int, int]] = {}
 
         def _push(cid: int, rank: int) -> None:
             events[cid] = queue.push(cores[cid].stats.cycles, _noop,
@@ -453,18 +495,40 @@ class FlexStepSoC:
             if event is not None:
                 event.cancel()
 
+        def _park(cid: int, rank: int, main_id: int) -> None:
+            engine = engines[cid]
+            channel = engine.channel
+            adapter = adapters[main_id]
+            parked[cid] = (cores[cid].stats.cycles, rank)
+
+            def wake(packet) -> None:
+                clock, _ = parked.pop(cid)
+                engine.idle_until(max(clock, adapter.step_cycle,
+                                      packet.push_cycle + channel.latency))
+                _push(cid, rank)
+                self._woke = True
+
+            channel.waiter = wake
+
         def _discard_main(cid: int) -> None:
             """Oracle's ``active_mains.discard``: the main is done; its
             drained checkers (if nothing is stuck in the outbox) have
             nothing left to wait for and leave the heap too."""
             active.discard(cid)
             _drop_event(cid)
-            if not self._adapter_blocked(cid):
-                for chk in interconnect.checkers_of(cid):
-                    engine = engines.get(chk)
-                    if engine is not None and engine.busy \
-                            and engine.drained:
-                        _drop_event(chk)
+            blocked = self._adapter_blocked(cid)
+            for chk in interconnect.checkers_of(cid):
+                engine = engines.get(chk)
+                if chk in parked:
+                    # the oracle idled it up to the main's last step
+                    clock, rank = parked.pop(chk)
+                    engine.channel.waiter = None
+                    engine.idle_until(max(clock, adapters[cid].step_cycle))
+                    if blocked or not engine.drained:
+                        _push(chk, rank)
+                elif not blocked and engine is not None and engine.busy \
+                        and engine.drained:
+                    _drop_event(chk)
 
         def _retire_halted(cid: int) -> bool:
             """Post-halt teardown (the oracle's round-start scan).
@@ -530,6 +594,7 @@ class FlexStepSoC:
                     horizon = max_cycles if horizon is None \
                         else min(horizon, max_cycles)
                 budget = min(batch, max_instructions - executed + 1)
+                self._woke = False
                 executed += advance_main(cid, horizon, budget)
                 if executed > max_instructions:
                     raise ExecutionLimitExceeded(
@@ -562,7 +627,15 @@ class FlexStepSoC:
                 if max_cycles is not None:
                     horizon = max_cycles if horizon is None \
                         else min(horizon, max_cycles)
-                engine.advance(horizon, batch)
+                # Bounded runs (only tests pass max_cycles) step
+                # every idle cycle like the oracle: its stop rule
+                # compares each candidate's clock with the bound, so
+                # a checker that jumped or parked could stop late.
+                if engine.advance(horizon, batch,
+                                  park=max_cycles is None) \
+                        and main_id in active:
+                    _park(cid, rank, main_id)
+                    continue
                 if max_cycles is not None \
                         and engine.core.stats.cycles >= max_cycles:
                     next_time = peek_time()
@@ -599,6 +672,8 @@ class FlexStepSoC:
             return core.advance(budget)
         done = 0
         while done < budget:
+            if adapter is not None and not core.halted:
+                adapter.step_cycle = core.stats.cycles
             if adapter is not None and adapter.enabled:
                 if adapter.blocked:
                     adapter.try_flush()
@@ -618,6 +693,10 @@ class FlexStepSoC:
                 core.step()
                 adapter.try_flush()
             done += 1
+            if self._woke:
+                # this step woke a parked checker (heap scheduler): its
+                # new event may precede the current horizon
+                break
             if horizon is not None and core.stats.cycles >= horizon:
                 break
         return done

@@ -6,7 +6,10 @@ oracle) and once under ``sched="heap"`` (the event-queue scheduler) —
 and asserts the complete observable outcome is bit-identical:
 ``SoCRunStats``, every core's final cycle count, each checker's
 ordered ``SegmentResult`` stream (including detect cycles and close
-reasons), checker counters, and fault-injection records.
+reasons), checker counters, and fault-injection records.  Every run
+must also pass the co-sim contracts in :func:`check_cosim_contracts`,
+which catch a checker woken at the wrong cycle even where both
+schedulers would agree on it.
 """
 
 import os
@@ -21,6 +24,7 @@ from repro.flexstep.bench import (
     build_point_soc,
     soc_fingerprint,
 )
+from repro.flexstep.checker import CheckerEngine
 from repro.flexstep.faults import FaultTarget, install_injector
 from repro.flexstep.soc import (
     ENV_SOC_SCHED,
@@ -38,10 +42,34 @@ from ..conftest import (
 SCHEDS = ("loop", "heap")
 
 
+def check_cosim_contracts(soc, *, clean):
+    """Model invariants every finished co-sim run must satisfy.
+
+    ``clean`` marks an unbounded run without fault injection, where
+    every committed segment must have been replayed and verified.
+    """
+    for key, channel in soc.interconnect._channels.items():
+        stats = channel.stats
+        assert stats.pushes == stats.pops + len(channel), key
+        assert stats.max_occupancy <= channel.capacity, key
+    for cid, engine in soc._engines.items():
+        assert engine.stats.idle_cycles <= engine.core.stats.cycles, cid
+        detects = [r.detect_cycle for r in engine.results]
+        assert all(cycle >= 0 for cycle in detects), cid
+        assert detects == sorted(detects), cid
+        if clean:
+            assert engine.stats.segments_failed == 0, cid
+            assert engine.stats.replayed_instructions == sum(
+                r.count for r in engine.results if r.ok), cid
+
+
 def run_fingerprint(build, sched, **run_kwargs):
-    """Build a fresh SoC via ``build()`` and run it under ``sched``."""
+    """Build a fresh SoC via ``build()``, run it under ``sched`` and
+    check the co-sim contracts."""
     soc, injectors = build()
     stats = soc.run(sched=sched, **run_kwargs)
+    clean = not injectors and run_kwargs.get("max_cycles") is None
+    check_cosim_contracts(soc, clean=clean)
     return soc_fingerprint(soc, stats, injectors)
 
 
@@ -90,6 +118,48 @@ class TestCleanRuns:
             return soc, ()
 
         assert_schedulers_identical(build)
+
+
+class TestEventDrivenWaits:
+    """The heap scheduler parks a waiting checker instead of stepping
+    it one idle cycle at a time, with the oracle's exact outcome."""
+
+    @pytest.mark.parametrize("checkers", [1, 2])
+    def test_waits_are_not_stepped_per_idle_cycle(self, checkers,
+                                                  monkeypatch):
+        """The oracle takes one ``step()`` per idle cycle; the heap
+        jumps or parks instead, so it needs well under one wait step
+        per idle cycle (a step replays at most one instruction, so
+        the replay steps themselves cannot shrink)."""
+        waits = {}
+        original = CheckerEngine.step
+
+        def counting_step(engine):
+            idle = engine.stats.idle_cycles
+            original(engine)
+            if engine.stats.idle_cycles != idle:
+                cid = engine.core.core_id
+                waits[cid] = waits.get(cid, 0) + 1
+
+        def build():
+            soc = make_verified_soc(make_sum_program(n=2_000),
+                                    checkers=checkers)
+            return soc, ()
+
+        monkeypatch.setattr(CheckerEngine, "step", counting_step)
+        runs = {}
+        for sched in SCHEDS:
+            waits.clear()
+            soc, _ = build()
+            stats = soc.run(sched=sched)
+            check_cosim_contracts(soc, clean=True)
+            runs[sched] = (soc_fingerprint(soc, stats), dict(waits))
+        # with two checkers, each push wakes both, in rank order
+        assert runs["heap"][0] == runs["loop"][0]
+        for cid in range(1, checkers + 1):
+            idle_cycles = soc.engine_of(cid).stats.idle_cycles
+            assert runs["loop"][1][cid] == idle_cycles
+            assert 0 < 2 * runs["heap"][1][cid] < idle_cycles
 
 
 class TestTopologySweep:

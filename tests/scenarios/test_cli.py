@@ -1,10 +1,11 @@
 """``python -m repro`` CLI behaviour + golden report tables.
 
 The golden files under ``golden/`` pin the exact ``report`` output of
-two catalog scenarios (one co-simulated fault-injection table, one
-schedulability grid): any change to the simulators, the fault
-accounting, the spawn-seeding or the renderers that shifts a single
-character shows up as a diff here.
+every catalog scenario that co-simulates (at a reduced
+``--instructions`` where the default would take long) plus one
+schedulability grid, each under both co-sim schedulers: any change to
+the simulators, the fault accounting, the spawn-seeding or the
+renderers that shifts a single character shows up as a diff here.
 """
 
 from pathlib import Path
@@ -111,12 +112,23 @@ class TestReportGolden:
     @pytest.mark.parametrize("name,args", [
         ("checker-starvation", []),
         ("mixed-criticality", ["--sets", "8"]),
+        ("fig4-parsec", ["--instructions", "4000"]),
+        ("fig4-specint", ["--instructions", "4000"]),
+        ("fig6-modes", ["--instructions", "4000"]),
+        ("fig7-latency", ["--instructions", "10000"]),
+        ("burst-faults", ["--instructions", "10000"]),
+        ("sparse-faults", ["--instructions", "10000"]),
+        ("main-side-faults", ["--instructions", "10000"]),
+        ("32core-scaling", ["--instructions", "4000"]),
     ])
     def test_report_matches_golden(self, name, args, tmp_path, capsys):
-        assert main(["run", "--scenario", name, *args, "--no-cache",
-                     "--report-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["report", name,
-                     "--report-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert out == _golden(f"report_{name}.txt")
+        for sched in ("loop", "heap"):
+            report_dir = tmp_path / sched
+            assert main(["run", "--scenario", name, *args, "--no-cache",
+                         "--soc-sched", sched,
+                         "--report-dir", str(report_dir)]) == 0
+            capsys.readouterr()
+            assert main(["report", name,
+                         "--report-dir", str(report_dir)]) == 0
+            out = capsys.readouterr().out
+            assert out == _golden(f"report_{name}.txt"), sched

@@ -212,3 +212,42 @@ class TestPipeEndToEnd:
                               cache=tmp_path / "oracle-cache", workers=1)
         assert result_identity(resumed["result"]) == result_identity(
             oracle.to_dict())
+
+
+def process_gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie awaiting reaping by
+    whatever adopted it counts as exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to inspect worker processes")
+class TestParentDeath:
+    def test_workers_exit_when_the_daemon_is_killed(
+            self, tmp_path, daemon_factory):
+        """SIGKILL gives the daemon no chance to stop its pool; the
+        idle workers must notice on their own and exit."""
+        log_path = tmp_path / "events.jsonl"
+        daemon = daemon_factory(tmp_path / "cache", log_path, workers=2)
+        submitted = daemon.request("submit", scenario=SCENARIO, sets=2)
+        done = daemon.request("result", job=submitted["job"], timeout=60)
+        assert done["state"] == "done"
+        assert done["result"]["stats"]["workers"] == 2
+        records = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        pids = {r["worker_pid"] for r in records
+                if r["event"] == "worker.spawn"}
+        assert len(pids) == 2
+        assert not any(process_gone(pid) for pid in pids)
+
+        daemon.proc.kill()
+        assert daemon.wait() == -signal.SIGKILL
+        deadline = time.monotonic() + 5.0
+        while not all(process_gone(pid) for pid in pids):
+            assert time.monotonic() < deadline, \
+                f"workers outlived the daemon: {sorted(pids)}"
+            time.sleep(0.05)
