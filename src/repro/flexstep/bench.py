@@ -172,6 +172,14 @@ def soc_fingerprint(
     and each injector's fault records — the identity the differential
     suite (``tests/flexstep/test_soc_sched.py``) and the always-on
     bench gate both assert on.
+
+    It also captures the counters whose value depends on the host
+    order of cross-core events even when every cycle count agrees:
+    each channel's :class:`~repro.flexstep.dbc.ChannelStats` (a push
+    reordered against a pop moves ``max_occupancy``), each adapter's
+    stall and packet counters, and the hit/miss/eviction/writeback
+    counters of every L1 and the shared L2 (whose LRU order depends on
+    the order of accesses), plus the hierarchy's access totals.
     """
     segment_rows = []
     for cid, engine in sorted(soc._engines.items()):
@@ -200,6 +208,31 @@ def soc_fingerprint(
         for record in injector.records:
             fault_rows.append(tuple(sorted(record.to_dict().items())))
         fault_rows.append(("armed_unfired", injector.armed_unfired))
+    channel_rows = []
+    for key, channel in sorted(soc.interconnect._channels.items()):
+        cs = channel.stats
+        channel_rows.append((key, cs.pushes, cs.pops, cs.entries_pushed,
+                             cs.refusals, cs.max_occupancy))
+    adapter_rows = []
+    for cid, adapter in sorted(soc._adapters.items()):
+        ad = adapter.stats
+        adapter_rows.append((cid, ad.segments_opened, ad.segments_closed,
+                             ad.mem_packets, ad.progress_packets,
+                             ad.extraction_stall_cycles,
+                             ad.backpressure_stall_cycles))
+    caches = [soc.l2]
+    for core in soc.cores:
+        caches.append(core.l1i)
+        caches.append(getattr(core.port, "l1d", None))
+    cache_rows = []
+    for cache in caches:
+        if cache is not None:
+            st = cache.stats
+            cache_rows.append((cache.name, st.hits, st.misses,
+                               st.evictions, st.writebacks))
+    hierarchy = soc.hierarchy.stats
+    cache_rows.append(("hierarchy", hierarchy.accesses,
+                       hierarchy.total_cycles))
     return (
         tuple(sorted(stats.main_cycles.items())),
         stats.total_instructions,
@@ -207,6 +240,9 @@ def soc_fingerprint(
         stats.segments_failed,
         tuple(segment_rows),
         tuple(fault_rows),
+        tuple(channel_rows),
+        tuple(adapter_rows),
+        tuple(cache_rows),
     )
 
 
