@@ -74,9 +74,14 @@ class Cache:
         return False
 
     def contains(self, addr: int) -> bool:
-        """Non-mutating lookup (no stats, no LRU update)."""
-        set_idx, tag = self._index(addr)
-        return tag in self._sets[set_idx]
+        """Non-mutating lookup (no stats, no LRU update).
+
+        Inlines :meth:`_index`: the heap co-sim asks this before nearly
+        every step of a core running ahead of the others."""
+        line = addr >> self._line_shift
+        if self._pow2:
+            return line in self._sets[line & self._set_mask]
+        return line in self._sets[line % self.config.sets]
 
     def invalidate_all(self) -> None:
         for ways in self._sets:

@@ -45,7 +45,7 @@ replay is tier-invariant.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from ..config import CoreConfig
 from ..errors import IllegalInstructionError, PrivilegeError
@@ -109,6 +109,13 @@ _SEQUENTIAL_KINDS = frozenset((
     OpKind.LR, OpKind.SC, OpKind.AMO,
 ))
 
+#: Kinds that access data memory, and those whose address has an
+#: immediate offset (LR/SC/AMO address ``regs[rs1]`` alone).
+_MEMORY_KINDS = frozenset((
+    OpKind.LOAD, OpKind.STORE, OpKind.LR, OpKind.SC, OpKind.AMO,
+))
+_OFFSET_KINDS = frozenset((OpKind.LOAD, OpKind.STORE))
+
 #: Upper bound on instructions per block kernel (keeps the tail-budget
 #: fallback in Core.advance cheap and member lists small).
 BLOCK_CAP = 64
@@ -122,7 +129,7 @@ class DecodedProgram:
     """One program decoded against one set of core timing parameters."""
 
     __slots__ = ("program", "base", "limit", "kernels", "kinds", "insts",
-                 "blocks", "block_lens")
+                 "blocks", "block_lens", "mem_operands")
 
     def __init__(self, program: Program, kernels: List[Kernel],
                  kinds: bytearray):
@@ -134,12 +141,31 @@ class DecodedProgram:
         #: Integer kind code per slot (replay scheduling peeks at this).
         self.kinds = kinds
         self.insts = program.instructions
+        #: Per slot, ``(rs1, imm)`` of a memory op, or None: the data
+        #: address is ``(regs[rs1] + imm) & MASK64`` (see
+        #: :meth:`data_address`).
+        self.mem_operands = [
+            (inst.rs1, inst.imm if inst.info.kind in _OFFSET_KINDS else 0)
+            if inst.info.kind in _MEMORY_KINDS else None
+            for inst in self.insts]
         #: Per-slot block kernel: executes the straight-line run starting
         #: at the slot (through its terminating control/CSR/system op) in
         #: one call.  ``block_lens[i]`` instructions commit per call.
         self.blocks: List[Kernel] = []
         self.block_lens: List[int] = []
         self._build_blocks()
+
+    def data_address(self, core, pc: int) -> Optional[int]:
+        """The data address the memory op at ``pc`` would access with
+        ``core``'s current registers, or None for any other op.
+
+        A pure peek: the load/store/LR/SC/AMO kernels compute the same
+        address before they touch the port or any register."""
+        operands = self.mem_operands[(pc - self.base) >> 2]
+        if operands is None:
+            return None
+        rs1, imm = operands
+        return (core.regs._regs[rs1] + imm) & MASK64
 
     def _build_blocks(self) -> None:
         kernels = self.kernels

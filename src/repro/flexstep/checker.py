@@ -153,6 +153,11 @@ class CheckerEngine:
         #: (state, mid-replay architectural snapshot or None).
         self._frozen: Optional[tuple[CheckerState,
                                      Optional[ArchSnapshot]]] = None
+        #: Lookahead fetch gate (:meth:`run_ahead`): from this clock on,
+        #: a replay fetch that would miss the L1I is not taken and
+        #: ``_fetch_yield`` is raised instead.
+        self._fetch_gate: Optional[int] = None
+        self._fetch_yield = False
 
     # ------------------------------------------------------------------
     # control (C.check_state / C.record)
@@ -229,45 +234,78 @@ class CheckerEngine:
             self._step_skip()
 
     def advance(self, horizon: Optional[int] = None,
-                max_actions: int = 256, *, park: bool = False) -> bool:
+                max_actions: int = 256) -> None:
         """Run a batch of checker actions between co-sim sync points.
 
         Takes at least one action (the co-simulation's progress
         guarantee), then keeps going while the checker's local clock
         stays below ``horizon`` — the point where another core would
         become the event-ordering minimum — and there is conceivably
-        work left.
-
-        By default every idle cycle is one action, as the ``loop``
-        oracle requires.  With ``park`` (the heap scheduler), a pure
-        wait (a step that only idled because nothing new is visible in
-        the channel) is not repeated: every further step would be the
-        same one-cycle wait until the next buffered packet becomes
-        visible (:meth:`Channel.next_visible`), so the clock jumps
-        straight there, even past ``horizon``, and the skipped cycles
-        are charged as idle.  If no buffered packet can end the wait,
-        the batch ends and True is returned: only a push from the main
-        can wake the checker.
+        work left.  Every idle cycle is one action: this is the ``loop``
+        oracle's batch.
         """
-        stats = self.stats
         core_stats = self.core.stats
         done = 0
         while True:
-            idle = stats.idle_cycles
             self.step()
             done += 1
-            if park and stats.idle_cycles != idle:
-                wake = self.channel.next_visible(core_stats.cycles)
-                if wake is None:
-                    return True
-                self.idle_until(wake)
             if done >= max_actions:
                 break
             if self.state is CheckerState.IDLE or self.drained:
                 break
             if horizon is not None and core_stats.cycles >= horizon:
                 break
-        return False
+
+    def run_ahead(self, limit: Optional[int], free: Optional[int], *,
+                  until_drained: bool) -> None:
+        """The heap co-sim's lookahead batch (see ``FlexStepSoC``).
+
+        Takes at least one action, then every action that starts below
+        ``limit``: the main core's clock, since every packet the main
+        will still push has ``push_cycle`` at or past it (None once the
+        main pushes no more).  The checker shares nothing else with
+        other cores but the L2, so the only other bound is its own L1I
+        miss: at a clock ``>= free`` (where the checker stops being the
+        co-sim minimum; None = never) the batch ends *before* a fetch
+        that would miss, and the fetch runs when the checker is next
+        the minimum.  ``until_drained`` ends the batch once the checker
+        has drained (its main is done).
+
+        A pure wait (a step that only idled) would repeat unchanged
+        until the next buffered packet becomes visible
+        (:meth:`Channel.next_visible`) or the main pushes, so the clock
+        jumps straight to the earlier of that cycle and ``limit`` and
+        the skipped cycles are charged as idle.  If neither exists (the
+        main is done and nothing buffered can end the wait), the batch
+        ends where it is.
+        """
+        stats = self.stats
+        core_stats = self.core.stats
+        core = self.core
+        if core.l1i is not None and core.hierarchy is not None:
+            self._fetch_gate = free
+        try:
+            while True:
+                idle = stats.idle_cycles
+                self.step()
+                if self._fetch_yield:
+                    self._fetch_yield = False
+                    return
+                if stats.idle_cycles != idle:
+                    wake = self.channel.next_visible(core_stats.cycles)
+                    if wake is None or (limit is not None and wake > limit):
+                        wake = limit
+                    if wake is None:
+                        return
+                    self.idle_until(wake)
+                if self.state is CheckerState.IDLE:
+                    return
+                if until_drained and self.drained:
+                    return
+                if limit is not None and core_stats.cycles >= limit:
+                    return
+        finally:
+            self._fetch_gate = None
 
     def idle_until(self, cycle: int) -> None:
         """Charge the cycles up to ``cycle`` as idle (a skipped wait)."""
@@ -338,6 +376,16 @@ class CheckerEngine:
         # Replay one more instruction if it is safe to do so.
         next_count = self._executed + 1
         if self._ic is None and next_count > self._safe_count:
+            if isinstance(packet, MemPacket) \
+                    and packet.count <= self._executed:
+                # A correct replay pops instruction N's log entries
+                # while executing N, so this entry was skipped (a
+                # corrupted SCP sent replay down another path).  It
+                # blocks the IC behind it, so waiting would never end.
+                self._fail(self._segment, f"MAL entry for instruction "
+                           f"{packet.count} not consumed")
+                self.state = CheckerState.SKIP
+                return
             self._idle(1)
             return
         try:
@@ -360,6 +408,14 @@ class CheckerEngine:
         needed = MAL_ENTRIES_BY_KIND[kind_code]
         if needed and not self._entries_ready(needed):
             self._idle(1)
+            return
+        gate = self._fetch_gate
+        if gate is not None and self.core.stats.cycles >= gate \
+                and not self.core.l1i.contains(self.core.pc):
+            # the fetch would reach the shared L2: leave it to a round
+            # in which this checker is the co-sim minimum (nothing has
+            # changed yet but the idempotent ``_safe_count`` update)
+            self._fetch_yield = True
             return
         try:
             # Record-free fast path: replay needs only the architectural

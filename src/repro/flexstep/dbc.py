@@ -48,9 +48,6 @@ class Channel:
         self._queue: Deque[Packet] = deque()
         #: Observers called on every successful push (fault injection).
         self._push_taps: list[Callable[[Packet], Packet]] = []
-        #: One-shot callback fired by the next successful push, after the
-        #: taps (the heap co-sim wakes a parked checker with it).
-        self.waiter: Optional[Callable[[Packet], None]] = None
 
     def add_push_tap(self, tap: Callable[[Packet], Packet]) -> None:
         """Register a function applied to each pushed packet; it may
@@ -62,6 +59,16 @@ class Channel:
 
     def can_push(self, packet: Packet) -> bool:
         return packet.entries <= self.free_entries()
+
+    def takes_quietly(self, entries: int) -> bool:
+        """Pure: can ``entries`` more entries be pushed now without a
+        refusal and without raising ``max_occupancy``?
+
+        Pops only lower the occupancy, so the answer stays True however
+        many pops the checker makes before the pushes really happen.
+        """
+        return self.occupancy + entries <= min(self.capacity,
+                                               self.stats.max_occupancy)
 
     def push(self, packet: Packet) -> bool:
         """Append ``packet`` if it fits; returns success."""
@@ -76,10 +83,6 @@ class Channel:
         self.stats.entries_pushed += packet.entries
         self.stats.max_occupancy = max(self.stats.max_occupancy,
                                        self.occupancy)
-        waiter = self.waiter
-        if waiter is not None:
-            self.waiter = None
-            waiter(packet)
         return True
 
     def head(self, now: Optional[int] = None) -> Optional[Packet]:
@@ -97,17 +100,17 @@ class Channel:
         visible to the checker, or None if every packet already is.
 
         Pushes happen in main-clock order, so visibility cycles never
-        decrease along the queue; the scan walks back from the tail and
-        stops at the first packet visible before ``now``.
+        decrease along the queue; the scan walks from the head and
+        stops at the first packet not visible before ``now`` (a waiting
+        checker has at most a few visible packets ahead of it, while a
+        main core running ahead may have queued many invisible ones).
         """
         latency = self.latency
-        found = None
-        for packet in reversed(self._queue):
+        for packet in self._queue:
             cycle = packet.push_cycle + latency
-            if cycle < now:
-                break
-            found = cycle
-        return found
+            if cycle >= now:
+                return cycle
+        return None
 
     def pop(self, now: Optional[int] = None) -> Packet:
         packet = self.head(now)

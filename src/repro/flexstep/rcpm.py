@@ -26,10 +26,12 @@ from typing import Deque, Optional
 
 from ..config import FlexStepConfig
 from ..core.core import CommitRecord, Core
+from ..core.decode import K_HALT, K_SC, K_SYSTEM, MAL_ENTRIES_BY_KIND
 from ..core.registers import Privilege
 from ..isa.instructions import OpKind
 from .dbc import Channel
 from .packets import (
+    ENTRY_BYTES,
     EcpPacket,
     IcPacket,
     MemPacket,
@@ -46,6 +48,12 @@ SNAPSHOT_CAPTURE_CYCLES = 34
 #: Additional per-channel cycles to serialise a snapshot into each FIFO
 #: (17 two-word entries per checker channel).
 SNAPSHOT_TRANSFER_CYCLES = 17
+
+#: Memory Access Log entries an instruction of each kind code can log
+#: (a successful SC logs one).
+_MAL_ENTRIES_BOUND = tuple(
+    1 if code == K_SC else entries
+    for code, entries in enumerate(MAL_ENTRIES_BY_KIND))
 
 #: Emit a progress heartbeat at least every this many user instructions.
 PROGRESS_INTERVAL = 64
@@ -85,10 +93,9 @@ class MainCoreAdapter:
         # outbound staging (the main core's own FIFO contents)
         self._outbox: Deque[Packet] = deque()
         self._hooked = False
-        #: Core cycle at which the latest SoC-loop step of the (not yet
-        #: halted) core began; the heap co-sim wakes parked checkers
-        #: relative to it.
-        self.step_cycle = 0
+        #: FIFO entries of one SCP/ECP snapshot packet.
+        self._snapshot_entries = -(-core.snapshot().size_bytes
+                                   // ENTRY_BYTES)
 
     # ------------------------------------------------------------------
     # configuration (driven by the FlexStep ISA facade)
@@ -146,6 +153,40 @@ class MainCoreAdapter:
                         snapshot=self.core.snapshot())
         self._stage(scp)
         self._charge_extraction()
+
+    def step_entries_bound(self, kind: int) -> int:
+        """Pure: an upper bound on the FIFO entries the core's next
+        SoC-loop step (``before_step`` plus one instruction of kind code
+        ``kind``) can stage.
+
+        Exact for the SCP, the memory entries and the progress
+        heartbeat; a segment close (IC + ECP) is counted whenever the
+        step may end the segment: at the instruction-count limit, or on
+        an ecall/mret/halt, a pending interrupt or a kernel-mode commit.
+        """
+        core = self.core
+        if not self.enabled or core.halted:
+            return 0
+        snapshot = self._snapshot_entries
+        if self._segment_open:
+            entries, count, last = 0, self._count, self._last_progress
+        elif core.priv is Privilege.USER:
+            entries, count, last = snapshot, 0, 0
+        else:
+            return 0  # a kernel-mode commit outside a segment
+        if (kind == K_SYSTEM or kind == K_HALT
+                or core._pending_interrupt is not None
+                or core.priv is not Privilege.USER):
+            return entries + 1 + snapshot
+        count += 1
+        mem = _MAL_ENTRIES_BOUND[kind]
+        if mem:
+            entries += mem
+        elif count - last >= self.progress_interval:
+            entries += 1
+        if count >= self.config.segment_limit:
+            entries += 1 + snapshot
+        return entries
 
     def try_flush(self) -> None:
         """Move staged packets into every channel (broadcast).

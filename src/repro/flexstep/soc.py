@@ -12,19 +12,20 @@ Two interchangeable, bit-identical schedulers drive that arbitration:
 * ``loop`` — the oracle: every round rebuilds the candidate set and
   min-scans it (O(cores) per round).
 * ``heap`` — the default: candidates live in a
-  :class:`~repro.sim.engine.EventQueue` keyed by local clock, the
-  horizon is the heap's next entry (top-2 after the pop), and halted
-  cores and drained checkers leave the heap instead of being
-  rescanned.  A waiting checker is event-driven (the conservative
-  rule of Chandy & Misra: a process blocked on an input channel does
-  not advance until a message could arrive).  After a pure wait it
-  jumps to the next cycle a buffered packet becomes visible; with
-  nothing buffered it *parks* off the heap until its main pushes,
-  which keys it at ``max(parked clock, start of the pushing main
-  step, push_cycle + latency)`` and ends the main's round; a main
-  that retires catches its parked checkers up to the start of its
-  last step.  The skipped cycles are charged as idle, so every
-  simulated counter matches the oracle's (see :meth:`_run_heap`).
+  :class:`~repro.sim.engine.EventQueue` keyed by ``(local clock,
+  rank)``, halted cores and drained checkers leave the heap instead of
+  being rescanned, and cores synchronise only on *shared* events — the
+  conservative lookahead of Chandy & Misra.  A main couples to its
+  checkers only through the DBC, and to other cores only through the
+  shared L2 and memory, so a core runs past the heap minimum until its
+  next step could touch one of those (an L1 miss, a data access when
+  several cores write memory, a push that could be refused or set a
+  new ``max_occupancy``, a halt), yields *before* changing anything,
+  and takes that step only as the minimum.  A checker acts at any
+  cycle below its main's clock, where nothing new can become visible,
+  and yields only before its own L1I miss.  Skipped idle and stall
+  cycles are charged in bulk, so every simulated counter matches the
+  oracle's (see :meth:`FlexStepSoC._run_heap`).
 
 Selection mirrors the sched-backend convention: an explicit argument
 (``FlexStepSoC.run(sched=...)`` / ``SoCConfig.soc_sched`` /
@@ -55,6 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..config import SoCConfig
 from ..core.cache import Cache, MemoryHierarchy
 from ..core.core import Core
+from ..core.decode import K_HALT
 from ..core.memory import CachedPort, MainMemory
 from ..core.registers import CSR_MTVEC
 from ..errors import ConfigurationError, ExecutionLimitExceeded
@@ -196,6 +198,10 @@ class SoCRunStats:
     total_instructions: int
     segments_checked: int
     segments_failed: int
+    #: Arbitration rounds: heap pops, or ``advance`` calls of the
+    #: ``loop`` oracle.  Host-side work, not a simulated counter: the
+    #: two schedulers differ here by design.
+    rounds: int = 0
 
 
 class FlexStepSoC:
@@ -225,8 +231,6 @@ class FlexStepSoC:
             [CoreAttr.COMPUTE] * self.config.num_cores)
         self._adapters: dict[int, MainCoreAdapter] = {}
         self._engines: dict[int, CheckerEngine] = {}
-        #: Set when a push woke a parked checker (heap scheduler only).
-        self._woke = False
         self.control = FlexStepControl(self)
 
     # ------------------------------------------------------------------
@@ -289,11 +293,12 @@ class FlexStepSoC:
     # co-simulation
     # ------------------------------------------------------------------
 
-    #: Max instructions/actions one core commits per arbitration round.
-    #: Within a round the chosen core only runs while it remains the
-    #: min-clock candidate (the ``horizon`` bound), so event ordering is
-    #: the same as the seed's one-instruction arbitration — the batch
-    #: just amortises the candidate scan over whole runs.
+    #: Max instructions/actions one core commits per arbitration round
+    #: (the heap scheduler bounds only main/compute rounds with it).
+    #: Within a ``loop`` round the chosen core only runs while it
+    #: remains the min-clock candidate (the ``horizon`` bound), so event
+    #: ordering is the same as the seed's one-instruction arbitration —
+    #: the batch just amortises the candidate scan over whole runs.
     COSIM_BATCH = 256
 
     def run(self, *, max_instructions: int = 50_000_000,
@@ -307,9 +312,9 @@ class FlexStepSoC:
         if sched is None and self.config.soc_sched != "auto":
             sched = self.config.soc_sched
         if resolve_soc_sched(sched) == "heap":
-            self._run_heap(max_instructions, max_cycles)
+            rounds = self._run_heap(max_instructions, max_cycles)
         else:
-            self._run_loop(max_instructions, max_cycles)
+            rounds = self._run_loop(max_instructions, max_cycles)
         return SoCRunStats(
             main_cycles={cid: self.cores[cid].stats.cycles
                          for cid in range(self.config.num_cores)},
@@ -319,14 +324,18 @@ class FlexStepSoC:
                                  for e in self._engines.values()),
             segments_failed=sum(e.stats.segments_failed
                                 for e in self._engines.values()),
+            rounds=rounds,
         )
 
     def _run_loop(self, max_instructions: int,
                   max_cycles: Optional[int]) -> int:
-        """The round-scan oracle: one :meth:`advance` call per round."""
+        """The round-scan oracle: one :meth:`advance` call per round.
+        Returns the number of rounds."""
         executed = 0
+        rounds = 0
         active_mains = self._initial_active_mains()
         while True:
+            rounds += 1
             progressed, stop = self.advance(
                 min(self.COSIM_BATCH, max_instructions - executed + 1),
                 active_mains, max_cycles=max_cycles)
@@ -336,7 +345,7 @@ class FlexStepSoC:
                     f"SoC exceeded {max_instructions} instructions")
             if stop:
                 break
-        return executed
+        return rounds
 
     def _initial_active_mains(self) -> set[int]:
         return {cid for cid, attr in enumerate(self.attrs)
@@ -417,50 +426,53 @@ class FlexStepSoC:
 
     def _run_heap(self, max_instructions: int,
                   max_cycles: Optional[int]) -> int:
-        """Event-driven arbitration on :class:`EventQueue`.
+        """Event-driven arbitration with shared-state lookahead.
 
         Every candidate owns at most one heap event keyed ``(local
         clock, rank)`` with rank = core id for main/compute cores and
         ``num_cores + binding index`` for checkers — exactly the
-        oracle's canonical candidate order, so clock ties pop in the
-        same sequence the loop's min-scan would select.  A pop is one
-        arbitration round: the horizon is the heap's next live entry
-        (the top-2 of the pre-pop heap, maintained incrementally), the
-        candidate batch-advances to it, and is re-pushed at its new
-        clock.  Halted mains and terminally drained checkers simply
-        leave the heap instead of being rescanned every round.
+        oracle's canonical candidate order.  The oracle's outcome is
+        that of taking every step (one instruction, stall or checker
+        action) in ``(start clock, rank)`` order.  A pop is one round:
+        the popped core is that minimum, and it stays the minimum until
+        its clock reaches ``free`` — the heap's next key, plus one if
+        the popped rank is the smaller.  Steps that touch nothing
+        another core can see commute with every other core's steps, so
+        a core runs them past ``free``; a step that touches shared
+        state is taken only below ``free``, and otherwise the core
+        yields *before* it and is re-pushed at its clock (the
+        conservative lookahead of Chandy & Misra).
 
-        A waiting checker is event-driven rather than stepped one idle
-        cycle at a time (``CheckerEngine.advance(park=True)``).  Its
-        waits change nothing any other core can see, and in the oracle
-        it sits at ``max(its clock, s)`` whenever its main starts a
-        SoC-loop step at cycle ``s`` (it idles up to the main's clock,
-        and ties go main-first).  That fixes the sequence points:
+        * **Main and compute cores** yield before an L1I miss
+          (``Cache.contains``), an L1D miss (the decoded
+          ``regs[rs1] + imm``), any data access when more than one
+          core can write memory, a halt, and a step whose pushes could
+          find a channel full or raise its ``max_occupancy``
+          (``MainCoreAdapter.step_entries_bound`` against
+          ``Channel.takes_quietly``; the host occupancy is never below
+          the oracle's, because the checker has not yet popped what
+          the oracle would pop first).  A backpressured main is the
+          minimum whenever it stalls, so it charges every stall cycle
+          up to ``free`` in one round.
+        * **Checkers** (``CheckerEngine.run_ahead``) act at any cycle
+          below their main's clock: every packet the main will still
+          push has ``push_cycle`` at or past it, so nothing can become
+          visible sooner, and every pop they make precedes the main's
+          next step in the oracle too, so the main's push checks see
+          the oracle's occupancy once it is the minimum.  They ignore
+          every other core — sibling checkers included — except at
+          their own L1I miss, where replay fetches into the shared L2.
+          A pure wait jumps to the next packet visibility or the main's
+          clock and is charged as idle.  (The latency slack past the
+          main's clock is not used: a checker pop at the main's own
+          clock would precede that main step here but follow it in the
+          oracle.)
 
-        * **jump** — after a pure wait the checker's clock moves to the
-          next cycle a packet already in its channel becomes visible;
-        * **park** — if no such packet exists and its main is still
-          active, the checker leaves the heap and arms its channel's
-          one-shot ``waiter``;
-        * **wake** — the main's next push keys it at ``max(parked
-          clock, s, push_cycle + latency)``, where ``s`` is the start
-          of the pushing step (``MainCoreAdapter.step_cycle``); the
-          main ends its round after that step, so the new event is
-          ordered against everyone else's before anything moves on;
-        * **retire** — when the main leaves the candidate set, a still
-          parked checker is caught up to ``max(parked clock, start of
-          the main's last step)``; it goes back on the heap only if it
-          still has work (or the outbox is stuck), like the drained
-          checkers ``_discard_main`` drops.
-
-        The skipped cycles are charged as idle, so every simulated
-        counter matches the oracle's.  Bounded runs (``max_cycles``)
-        neither jump nor park: there the oracle stops on whichever
-        clocks have reached the bound, which depends on each idle cycle.
+        Bounded runs (``max_cycles``) keep the bound as a hard horizon:
+        only a round's first step may start at or past it.
 
         Bookkeeping the oracle performs eagerly each round happens here
-        at the equivalent sequence points, so the two schedulers are
-        bit-identical (cycle counts, segment streams, stall charges):
+        at the equivalent sequence points:
 
         * post-halt adapter teardown runs at the end of the halting
           pop — the oracle does it at the very next round's scan,
@@ -469,22 +481,22 @@ class FlexStepSoC:
           candidate for exactly one more round (``zombies``), matching
           the oracle's scan-keep-then-discard sequence;
         * a stale event (its owner left the candidate set) pops as a
-          side-effect-free no-op; it can only shorten another
-          candidate's horizon, which splits a batch without changing
-          the committed instruction/stall sequence.
+          side-effect-free no-op; it can only lower another core's
+          ``free``, which costs a round, never a reordering.
+
+        Returns the number of rounds (heap pops).
         """
         cores = self.cores
         engines = self._engines
-        adapters = self._adapters
         interconnect = self.interconnect
         num_cores = self.config.num_cores
         batch = self.COSIM_BATCH
         queue = EventQueue()
         events: dict[int, Event] = {}
         active = self._initial_active_mains()
+        # checkers never write memory (their loads come from the log)
+        shared_memory = len(active) > 1
         checker_of_rank: dict[int, int] = {}
-        #: parked checker -> (the clock it parked at, its rank)
-        parked: dict[int, tuple[int, int]] = {}
 
         def _push(cid: int, rank: int) -> None:
             events[cid] = queue.push(cores[cid].stats.cycles, _noop,
@@ -495,39 +507,17 @@ class FlexStepSoC:
             if event is not None:
                 event.cancel()
 
-        def _park(cid: int, rank: int, main_id: int) -> None:
-            engine = engines[cid]
-            channel = engine.channel
-            adapter = adapters[main_id]
-            parked[cid] = (cores[cid].stats.cycles, rank)
-
-            def wake(packet) -> None:
-                clock, _ = parked.pop(cid)
-                engine.idle_until(max(clock, adapter.step_cycle,
-                                      packet.push_cycle + channel.latency))
-                _push(cid, rank)
-                self._woke = True
-
-            channel.waiter = wake
-
         def _discard_main(cid: int) -> None:
             """Oracle's ``active_mains.discard``: the main is done; its
             drained checkers (if nothing is stuck in the outbox) have
             nothing left to wait for and leave the heap too."""
             active.discard(cid)
             _drop_event(cid)
-            blocked = self._adapter_blocked(cid)
+            if self._adapter_blocked(cid):
+                return
             for chk in interconnect.checkers_of(cid):
                 engine = engines.get(chk)
-                if chk in parked:
-                    # the oracle idled it up to the main's last step
-                    clock, rank = parked.pop(chk)
-                    engine.channel.waiter = None
-                    engine.idle_until(max(clock, adapters[cid].step_cycle))
-                    if blocked or not engine.drained:
-                        _push(chk, rank)
-                elif not blocked and engine is not None and engine.busy \
-                        and engine.drained:
+                if engine is not None and engine.busy and engine.drained:
                     _drop_event(chk)
 
         def _retire_halted(cid: int) -> bool:
@@ -545,6 +535,7 @@ class FlexStepSoC:
             return False
 
         executed = 0
+        rounds = 0
         zombies: list[int] = []
         for index, (cid, engine) in enumerate(engines.items()):
             if engine.busy:
@@ -562,13 +553,15 @@ class FlexStepSoC:
                 _push(cid, cid)
 
         queue_pop = queue.pop
+        peek_key = queue.peek_key
         peek_time = queue.peek_time
         events_pop = events.pop
-        advance_main = self._advance_main
+        run_main = self._run_main_ahead
         while True:
             event = queue_pop()
             if event is None:
                 break
+            rounds += 1
             if zombies:
                 # one round has passed since these mains halted with a
                 # backpressured outbox; the oracle discards them now
@@ -577,6 +570,9 @@ class FlexStepSoC:
                         _discard_main(cid)
                 zombies = []
             rank = event.priority
+            key = peek_key()
+            free = None if key is None \
+                else key[0] + 1 if rank < key[1] else key[0]
             if rank < num_cores:
                 cid = rank
                 events_pop(cid, None)
@@ -589,13 +585,9 @@ class FlexStepSoC:
                         _push(cid, cid)
                         zombies.append(cid)
                     continue
-                horizon = peek_time()
-                if max_cycles is not None:
-                    horizon = max_cycles if horizon is None \
-                        else min(horizon, max_cycles)
                 budget = min(batch, max_instructions - executed + 1)
-                self._woke = False
-                executed += advance_main(cid, horizon, budget)
+                executed += run_main(cid, free, budget, max_cycles,
+                                     shared_memory)
                 if executed > max_instructions:
                     raise ExecutionLimitExceeded(
                         f"SoC exceeded {max_instructions} instructions")
@@ -623,19 +615,12 @@ class FlexStepSoC:
                     and not self._adapter_blocked(main_id))
                 if engine.drained and main_done:
                     continue
-                horizon = peek_time()
+                limit = cores[main_id].stats.cycles \
+                    if main_id in active else None
                 if max_cycles is not None:
-                    horizon = max_cycles if horizon is None \
-                        else min(horizon, max_cycles)
-                # Bounded runs (only tests pass max_cycles) step
-                # every idle cycle like the oracle: its stop rule
-                # compares each candidate's clock with the bound, so
-                # a checker that jumped or parked could stop late.
-                if engine.advance(horizon, batch,
-                                  park=max_cycles is None) \
-                        and main_id in active:
-                    _park(cid, rank, main_id)
-                    continue
+                    limit = max_cycles if limit is None \
+                        else min(limit, max_cycles)
+                engine.run_ahead(limit, free, until_drained=main_done)
                 if max_cycles is not None \
                         and engine.core.stats.cycles >= max_cycles:
                     next_time = peek_time()
@@ -643,7 +628,101 @@ class FlexStepSoC:
                         break
                 if not (engine.drained and main_done):
                     _push(cid, rank)
-        return executed
+        return rounds
+
+    def _run_main_ahead(self, cid: int, free: Optional[int], budget: int,
+                        max_cycles: Optional[int],
+                        shared_memory: bool) -> int:
+        """One heap-scheduler round of a main/compute core.
+
+        Runs up to ``budget`` instructions: every step that touches no
+        shared state, and shared steps only while the clock is below
+        ``free`` (the core is the co-sim minimum; None = always).  The
+        round's first step is always taken — the core was popped as the
+        minimum.  Later steps must start below ``max_cycles``.  Returns
+        the instructions committed; see :meth:`_run_heap` for the rule.
+        """
+        core = self.cores[cid]
+        adapter = self._adapters.get(cid)
+        stats = core.stats
+        if adapter is None and not core._hooks and free is None \
+                and max_cycles is None:
+            # Sole candidate, no FlexStep units attached: the core
+            # cannot interact with anything mid-round, so take the
+            # record-free block-dispatch path.
+            return core.advance(budget)
+        if adapter is not None and adapter.enabled and adapter.blocked:
+            adapter.try_flush()
+            if adapter.blocked:
+                # Backpressure: only a checker pop can unblock the main,
+                # and no checker acts while the main is the minimum, so
+                # it stalls through every cycle it stays the minimum.
+                stop = stats.cycles + 1 if free is None else free
+                if max_cycles is not None:
+                    stop = min(stop, max_cycles)
+                stall = max(stop - stats.cycles, 1)
+                stats.cycles += stall
+                stats.stall_cycles += stall
+                adapter.stats.backpressure_stall_cycles += stall
+                return 0
+        # the L1I is timed (and reaches the L2) only with a hierarchy
+        l1i = core.l1i if core.hierarchy is not None else None
+        l1d = getattr(core.port, "l1d", None)
+        decoded = None
+        done = 0
+        while done < budget:
+            if adapter is not None and adapter.enabled and adapter.blocked:
+                break  # the next round stalls, if this core is minimum
+            if core.halted:
+                break
+            clock = stats.cycles
+            if done:
+                if max_cycles is not None and clock >= max_cycles:
+                    break
+                if free is not None and clock >= free:
+                    if decoded is None or decoded.program is not core.program:
+                        decoded = core.decoded()
+                    if self._step_is_shared(core, adapter, decoded, l1i,
+                                            l1d, shared_memory):
+                        break
+            if adapter is None:
+                # exec_one falls back to step() itself when hooks exist
+                core.exec_one()
+            else:
+                if adapter.enabled:
+                    adapter.before_step()
+                core.step()
+                adapter.try_flush()
+            done += 1
+        return done
+
+    @staticmethod
+    def _step_is_shared(core: Core, adapter: Optional[MainCoreAdapter],
+                        decoded, l1i: Optional[Cache],
+                        l1d: Optional[Cache], shared_memory: bool) -> bool:
+        """Pure: may ``core``'s next step touch state another core can
+        observe?  (L2 through an L1 miss, shared memory, a channel push
+        that is refused or sets a new ``max_occupancy``, or a halt.)"""
+        pc = core.pc
+        off = pc - decoded.base
+        if off < 0 or off >= decoded.limit or off & 3:
+            return True  # the fetch faults: let the minimum raise it
+        kind = decoded.kinds[off >> 2]
+        if kind == K_HALT:
+            return True
+        if l1i is not None and not l1i.contains(pc):
+            return True
+        addr = decoded.data_address(core, pc)
+        if addr is not None and (shared_memory or l1d is None
+                                 or not l1d.contains(addr)):
+            return True
+        if adapter is not None:
+            entries = adapter.step_entries_bound(kind)
+            if entries:
+                for channel in adapter.channels:
+                    if not channel.takes_quietly(entries):
+                        return True
+        return False
 
     def _adapter_blocked(self, main_id: int) -> bool:
         adapter = self._adapters.get(main_id)
@@ -672,8 +751,6 @@ class FlexStepSoC:
             return core.advance(budget)
         done = 0
         while done < budget:
-            if adapter is not None and not core.halted:
-                adapter.step_cycle = core.stats.cycles
             if adapter is not None and adapter.enabled:
                 if adapter.blocked:
                     adapter.try_flush()
@@ -693,10 +770,6 @@ class FlexStepSoC:
                 core.step()
                 adapter.try_flush()
             done += 1
-            if self._woke:
-                # this step woke a parked checker (heap scheduler): its
-                # new event may precede the current horizon
-                break
             if horizon is not None and core.stats.cycles >= horizon:
                 break
         return done

@@ -107,6 +107,13 @@ class EventQueue:
             heapq.heappop(heap)[3]._queue = None
         return heap[0][0] if heap else None
 
+    def peek_key(self) -> Optional[tuple[float, int]]:
+        """``(time, priority)`` of the next live event, or None."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3]._queue = None
+        return heap[0][:2] if heap else None
+
     def _note_cancel(self) -> None:
         self._live -= 1
         dead = len(self._heap) - self._live

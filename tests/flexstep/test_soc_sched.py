@@ -14,6 +14,8 @@ schedulers would agree on it.
 
 import os
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,6 +28,12 @@ from repro.flexstep.bench import (
 )
 from repro.flexstep.checker import CheckerEngine
 from repro.flexstep.faults import FaultTarget, install_injector
+from repro.flexstep.packets import (
+    EcpPacket,
+    IcPacket,
+    MemPacket,
+    ScpPacket,
+)
 from repro.flexstep.soc import (
     ENV_SOC_SCHED,
     FlexStepSoC,
@@ -121,14 +129,15 @@ class TestCleanRuns:
 
 
 class TestEventDrivenWaits:
-    """The heap scheduler parks a waiting checker instead of stepping
-    it one idle cycle at a time, with the oracle's exact outcome."""
+    """The heap scheduler jumps a waiting checker over its idle cycles
+    instead of stepping them one at a time, with the oracle's exact
+    outcome."""
 
     @pytest.mark.parametrize("checkers", [1, 2])
     def test_waits_are_not_stepped_per_idle_cycle(self, checkers,
                                                   monkeypatch):
         """The oracle takes one ``step()`` per idle cycle; the heap
-        jumps or parks instead, so it needs well under one wait step
+        jumps instead, so it needs well under one wait step
         per idle cycle (a step replays at most one instruction, so
         the replay steps themselves cannot shrink)."""
         waits = {}
@@ -154,12 +163,66 @@ class TestEventDrivenWaits:
             stats = soc.run(sched=sched)
             check_cosim_contracts(soc, clean=True)
             runs[sched] = (soc_fingerprint(soc, stats), dict(waits))
-        # with two checkers, each push wakes both, in rank order
         assert runs["heap"][0] == runs["loop"][0]
         for cid in range(1, checkers + 1):
             idle_cycles = soc.engine_of(cid).stats.idle_cycles
             assert runs["loop"][1][cid] == idle_cycles
             assert 0 < 2 * runs["heap"][1][cid] < idle_cycles
+
+
+class TestSharedStateLookahead:
+    """Heap cores synchronise only on shared events, so a round covers
+    many instructions instead of about one."""
+
+    @staticmethod
+    def count_rounds(monkeypatch):
+        """Per-core heap rounds, counted at each core's round entry."""
+        rounds = {}
+        run_ahead = CheckerEngine.run_ahead
+        run_main = FlexStepSoC._run_main_ahead
+
+        def counting_run_ahead(engine, *args, **kwargs):
+            cid = engine.core.core_id
+            rounds[cid] = rounds.get(cid, 0) + 1
+            return run_ahead(engine, *args, **kwargs)
+
+        def counting_run_main(soc, cid, *args):
+            rounds[cid] = rounds.get(cid, 0) + 1
+            return run_main(soc, cid, *args)
+
+        monkeypatch.setattr(CheckerEngine, "run_ahead", counting_run_ahead)
+        monkeypatch.setattr(FlexStepSoC, "_run_main_ahead",
+                            counting_run_main)
+        return rounds
+
+    def test_dual_mode_rounds_under_a_quarter_of_instructions(self):
+        soc = make_verified_soc(make_sum_program(n=2_000))
+        stats = soc.run(sched="heap")
+        main_instructions = soc.cores[0].stats.instructions
+        assert main_instructions > 10_000
+        assert 0 < 4 * stats.rounds < main_instructions
+
+    def test_triple_mode_checker_rounds_follow_their_main(self,
+                                                          monkeypatch):
+        """A checker needs a round only after its main moved or before
+        its own L1I miss — never for its sibling's progress."""
+        rounds = self.count_rounds(monkeypatch)
+        soc = make_verified_soc(make_sum_program(n=2_000), checkers=2)
+        stats = soc.run(sched="heap")
+        assert sum(rounds.values()) <= stats.rounds
+        for cid in (1, 2):
+            misses = soc.cores[cid].l1i.stats.misses
+            assert 0 < rounds[cid] <= rounds[0] + misses
+
+    def test_rounds_left_out_of_the_fingerprint(self):
+        prints, rounds = {}, {}
+        for sched in SCHEDS:
+            soc = make_verified_soc(make_sum_program(n=500))
+            stats = soc.run(sched=sched)
+            prints[sched] = soc_fingerprint(soc, stats)
+            rounds[sched] = stats.rounds
+        assert prints["loop"] == prints["heap"]
+        assert rounds["heap"] < rounds["loop"]
 
 
 class TestTopologySweep:
@@ -226,6 +289,74 @@ class TestDetectionIdentity:
 
         fingerprint = assert_schedulers_identical(build)
         assert fingerprint[3] > 0  # some segments failed, identically
+
+
+@contextmanager
+def wall_clock_guard(seconds):
+    """Fail instead of hanging when the body livelocks."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"co-sim still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def stale_entry_soc():
+    """A dual-mode SoC whose checker channel starts with a hand-made
+    segment 90: SCP, a ``MemPacket`` for instruction 1, IC, ECP.
+
+    Instruction 1 at the SCP's pc is an ALU op (``li``), so replay
+    executes it without consuming the entry logged for it — the state
+    a corrupted SCP leaves behind."""
+    soc = make_verified_soc(make_sum_program(n=200))
+    start = soc.cores[0].snapshot()
+    channel = soc.engine_of(1).channel
+    for packet in (
+        ScpPacket(segment=90, push_cycle=0, snapshot=start),
+        MemPacket(segment=90, push_cycle=0, count=1, kind="r",
+                  addr=0x1000, data=7),
+        IcPacket(segment=90, push_cycle=0, count=2),
+        EcpPacket(segment=90, push_cycle=0, snapshot=start),
+    ):
+        assert channel.push(packet)
+    return soc, ()
+
+
+class TestUnconsumedMalEntry:
+    """A replay that skips a Memory Access Log entry must fail its
+    segment instead of waiting forever for the IC stuck behind it."""
+
+    @pytest.mark.parametrize("sched", SCHEDS)
+    def test_stale_entry_fails_segment(self, sched):
+        soc, _ = stale_entry_soc()
+        with wall_clock_guard(60):
+            soc.run(sched=sched)
+        engine = soc.engine_of(1)
+        first = engine.results[0]
+        assert (first.segment, first.ok) == (90, False)
+        assert first.detail == "MAL entry for instruction 1 not consumed"
+        # the stale segment is skipped through its ECP; every segment
+        # the main core really committed still verifies
+        rest = engine.results[1:]
+        assert rest and all(r.ok for r in rest)
+        assert len(rest) == soc.adapter_of(0).stats.segments_closed
+        assert engine.drained
+
+    def test_schedulers_agree(self):
+        prints = {}
+        for sched in SCHEDS:
+            soc, _ = stale_entry_soc()
+            with wall_clock_guard(60):
+                stats = soc.run(sched=sched)
+            check_cosim_contracts(soc, clean=False)
+            prints[sched] = soc_fingerprint(soc, stats)
+        assert prints["loop"] == prints["heap"]
 
 
 class TestSchedulerSelection:
