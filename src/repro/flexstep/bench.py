@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from ..config import SoCConfig
 from ..runtime import knobs
 from ..core.decode import decode_program
+from ..core.registers import CSR_INSTRET
 from ..sim.stats import geomean
 from ..workloads.generator import GeneratorOptions, cached_program
 from ..workloads.profiles import get_profile
@@ -180,6 +181,11 @@ def soc_fingerprint(
     stall and packet counters, and the hit/miss/eviction/writeback
     counters of every L1 and the shared L2 (whose LRU order depends on
     the order of accesses), plus the hierarchy's access totals.
+
+    Finally, every core -- checkers included -- contributes all of its
+    :class:`~repro.core.core.CoreStats`, its ``instret`` CSR, its final
+    ``pc`` and its register file: the bookkeeping a batched execution
+    path re-implements instead of inheriting from ``Core.step``.
     """
     segment_rows = []
     for cid, engine in sorted(soc._engines.items()):
@@ -211,15 +217,30 @@ def soc_fingerprint(
     channel_rows = []
     for key, channel in sorted(soc.interconnect._channels.items()):
         cs = channel.stats
-        channel_rows.append((key, cs.pushes, cs.pops, cs.entries_pushed,
-                             cs.refusals, cs.max_occupancy))
+        channel_rows.append(
+            (
+                key,
+                cs.pushes,
+                cs.pops,
+                cs.entries_pushed,
+                cs.refusals,
+                cs.max_occupancy,
+            )
+        )
     adapter_rows = []
     for cid, adapter in sorted(soc._adapters.items()):
         ad = adapter.stats
-        adapter_rows.append((cid, ad.segments_opened, ad.segments_closed,
-                             ad.mem_packets, ad.progress_packets,
-                             ad.extraction_stall_cycles,
-                             ad.backpressure_stall_cycles))
+        adapter_rows.append(
+            (
+                cid,
+                ad.segments_opened,
+                ad.segments_closed,
+                ad.mem_packets,
+                ad.progress_packets,
+                ad.extraction_stall_cycles,
+                ad.backpressure_stall_cycles,
+            )
+        )
     caches = [soc.l2]
     for core in soc.cores:
         caches.append(core.l1i)
@@ -228,11 +249,30 @@ def soc_fingerprint(
     for cache in caches:
         if cache is not None:
             st = cache.stats
-            cache_rows.append((cache.name, st.hits, st.misses,
-                               st.evictions, st.writebacks))
+            cache_rows.append(
+                (cache.name, st.hits, st.misses, st.evictions, st.writebacks)
+            )
     hierarchy = soc.hierarchy.stats
-    cache_rows.append(("hierarchy", hierarchy.accesses,
-                       hierarchy.total_cycles))
+    cache_rows.append(
+        ("hierarchy", hierarchy.accesses, hierarchy.total_cycles)
+    )
+    core_rows = []
+    for core in soc.cores:
+        cs = core.stats
+        core_rows.append(
+            (
+                core.core_id,
+                cs.instructions,
+                cs.user_instructions,
+                cs.cycles,
+                cs.stall_cycles,
+                cs.traps,
+                cs.memory_ops,
+                core.csrs.raw_read(CSR_INSTRET),
+                core.pc,
+                core.regs.snapshot(),
+            )
+        )
     return (
         tuple(sorted(stats.main_cycles.items())),
         stats.total_instructions,
@@ -243,6 +283,7 @@ def soc_fingerprint(
         tuple(channel_rows),
         tuple(adapter_rows),
         tuple(cache_rows),
+        tuple(core_rows),
     )
 
 

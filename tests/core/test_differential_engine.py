@@ -267,6 +267,31 @@ def test_checker_replay_faults_engine_invariant(scenario):
         assert _latency_payload(engine, overrides) == ref, engine
 
 
+@pytest.mark.parametrize("pairs,checkers", [(2, 1), (1, 2)])
+def test_soc_fingerprint_engine_invariant(pairs, checkers):
+    """A fault-injected co-sim die has one full fingerprint -- every
+    core's stats, ``instret``, pc and registers, every channel, adapter
+    and cache counter -- whether the ``loop`` scheduler drives the
+    reference interpreter or the ``heap`` scheduler drives a faster
+    tier."""
+    from repro.flexstep.bench import build_point_soc, soc_fingerprint
+
+    point = {"name": f"{pairs}x{checkers}", "workload": "dedup",
+             "pairs": pairs, "checkers": checkers, "faults": True,
+             "target_instructions": 3_000}
+
+    def fingerprint(engine, sched):
+        with engine_override(engine):
+            soc, injectors = build_point_soc(point)
+            stats = soc.run(sched=sched)
+        return soc_fingerprint(soc, stats, injectors)
+
+    ref = fingerprint("interp", "loop")
+    assert ref[5]  # faults were injected
+    for engine in _ALT_ENGINES:
+        assert fingerprint(engine, "heap") == ref, engine
+
+
 # ---------------------------------------------------------------------------
 # exec_one / peek_kind_code — the surface checker replay steps through
 # ---------------------------------------------------------------------------
