@@ -5,7 +5,10 @@ returning a :class:`CommitRecord` describing everything the FlexStep
 units need: privilege level, memory operations in commit order, and the
 cycle cost.  Commit hooks let the RCPM/MAL attach without the core
 knowing about them (mirroring the paper's "incorporating the same
-functional units into each core").
+functional units into each core").  The heap co-sim's checked windows
+(``MainCoreAdapter.run_window``, ``CheckerEngine._replay_run``) call
+the decoded kernels directly and keep the same accounting as
+:meth:`Core.exec_one`.
 
 Execution engines
 -----------------

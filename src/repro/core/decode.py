@@ -39,13 +39,18 @@ cores sharing one program decode it once.
 This is the default of two engine tiers
 (``REPRO_CORE_ENGINE=interp|decoded``); the seed interpreter stays the
 executable reference.  Single kernels here are also what
-``exec_one``/``peek_kind_code`` step through, which is why checker
-replay is tier-invariant.
+``exec_one``/``peek_kind_code`` step through, and what the heap
+co-sim's fused windows call directly: a checked main commits its
+user-mode instructions through them
+(``MainCoreAdapter.run_window``), and a checker replays covered
+instructions through them (``CheckerEngine._replay_run``).  On the
+``interp`` tier both windows fall back to ``Core.step``/``exec_one``,
+which keeps that tier the reference for checked runs too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..config import CoreConfig
 from ..errors import IllegalInstructionError, PrivilegeError
@@ -141,9 +146,10 @@ class DecodedProgram:
         #: Integer kind code per slot (replay scheduling peeks at this).
         self.kinds = kinds
         self.insts = program.instructions
-        #: Per slot, ``(rs1, imm)`` of a memory op, or None: the data
-        #: address is ``(regs[rs1] + imm) & MASK64`` (see
-        #: :meth:`data_address`).
+        #: Per slot, ``(rs1, imm)`` of a memory op, or None.  The data
+        #: address is ``(regs[rs1] + imm) & MASK64``, which the
+        #: load/store/LR/SC/AMO kernels compute before they touch the
+        #: port or any register, so it can be peeked before the step.
         self.mem_operands = [
             (inst.rs1, inst.imm if inst.info.kind in _OFFSET_KINDS else 0)
             if inst.info.kind in _MEMORY_KINDS else None
@@ -154,18 +160,6 @@ class DecodedProgram:
         self.blocks: List[Kernel] = []
         self.block_lens: List[int] = []
         self._build_blocks()
-
-    def data_address(self, core, pc: int) -> Optional[int]:
-        """The data address the memory op at ``pc`` would access with
-        ``core``'s current registers, or None for any other op.
-
-        A pure peek: the load/store/LR/SC/AMO kernels compute the same
-        address before they touch the port or any register."""
-        operands = self.mem_operands[(pc - self.base) >> 2]
-        if operands is None:
-            return None
-        rs1, imm = operands
-        return (core.regs._regs[rs1] + imm) & MASK64
 
     def _build_blocks(self) -> None:
         kernels = self.kernels

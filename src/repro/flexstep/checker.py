@@ -16,13 +16,17 @@ The engine is driven in small steps by the SoC co-simulation so checker
 cycles interleave realistically with main-core cycles; backpressure and
 detection latency emerge from that interleaving.
 
-Replay steps one instruction at a time (``peek_kind_code`` +
-``exec_one``), so the checker itself never batches through an
-execution-engine tier; main cores may run under any
-``REPRO_CORE_ENGINE`` tier (``interp``/``decoded``) and produce
-bit-identical commit streams, MAL entries and checkpoints — the
-differential suite replays injected faults under every tier to prove
-detection results are engine-invariant.
+:meth:`CheckerEngine.step` replays one instruction at a time
+(``peek_kind_code`` + ``exec_one``); the ``loop`` co-sim scheduler
+drives replay through it alone.  The ``heap`` scheduler's
+:meth:`CheckerEngine.run_ahead` also replays the common case -- an
+instruction the stream already covers that is not a system op, a halt,
+an SC or an AMO -- in one loop over the decoded kernels
+(:meth:`CheckerEngine._replay_run`) and leaves every other action to
+``step``.  Main cores may run under any ``REPRO_CORE_ENGINE`` tier
+(``interp``/``decoded``) and produce bit-identical commit streams, MAL
+entries and checkpoints; the differential suite replays injected faults
+under every tier to prove detection results are engine-invariant.
 """
 
 from __future__ import annotations
@@ -32,8 +36,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.core import Core
-from ..core.decode import K_HALT, K_SYSTEM, MAL_ENTRIES_BY_KIND
-from ..core.registers import ArchSnapshot
+from ..core.decode import (
+    K_AMO,
+    K_HALT,
+    K_SC,
+    K_SYSTEM,
+    MAL_ENTRIES_BY_KIND,
+)
+from ..core.registers import CSR_INSTRET, ArchSnapshot, Privilege
 from ..errors import VerificationMismatch
 from .dbc import Channel
 from .packets import (
@@ -45,6 +55,12 @@ from .packets import (
     ScpPacket,
     SegmentCloseReason,
 )
+
+#: Kind codes :meth:`CheckerEngine._replay_run` leaves to
+#: :meth:`CheckerEngine._step_replay`: system ops and halts (a segment
+#: never contains one), SC (it logs an entry only when its reservation
+#: holds) and AMO (two entries).
+_STEP_ONLY_KINDS = frozenset((K_SYSTEM, K_HALT, K_SC, K_AMO))
 
 #: Cycles to apply an SCP / compare an ECP through the ASS ports.
 APPLY_CYCLES = 10
@@ -286,6 +302,10 @@ class CheckerEngine:
             self._fetch_gate = free
         try:
             while True:
+                if self.state is CheckerState.REPLAY and self._ic is None \
+                        and self._replay_run(limit):
+                    if limit is not None and core_stats.cycles >= limit:
+                        return
                 idle = stats.idle_cycles
                 self.step()
                 if self._fetch_yield:
@@ -306,6 +326,110 @@ class CheckerEngine:
                     return
         finally:
             self._fetch_gate = None
+
+    def _replay_run(self, limit: Optional[int]) -> bool:
+        """Replay the stream's common case in one loop; returns whether
+        it took any action.
+
+        Replays each instruction whose count the stream already covers
+        (``<= _safe_count``), as long as it is not a system op, a halt,
+        an SC or an AMO, and, if it accesses memory, its one log entry
+        is the visible head.  It stops before any other instruction:
+        before the first one at or past ``limit`` (the first is always
+        taken), before a gated L1I miss (see :meth:`run_ahead`), and on
+        the ``interp`` engine, a pending interrupt or a commit hook,
+        where ``exec_one`` would fall back to ``Core.step``.
+        :meth:`step` then takes whatever comes next, so the outcome is
+        that of stepping each instruction.  A replay that diverges from
+        the log fails the segment exactly as :meth:`_step_replay` does.
+
+        The head is the only packet that matters, and it changes only
+        by becoming visible or by this loop's own pops: no other core
+        acts during the caller's round.  A visible ``MemPacket`` head
+        raises ``_safe_count``, as every :meth:`_step_replay` of that
+        head does; any other visible head ends the loop.
+        """
+        core = self.core
+        if (not core._use_kernels or core._hooks
+                or core._pending_interrupt is not None):
+            return False
+        decoded = core.decoded()
+        base = decoded.base
+        size = decoded.limit
+        kernels = decoded.kernels
+        kinds = decoded.kinds
+        stats = core.stats
+        csrd = core.csrs._csrs
+        user = core.priv is Privilege.USER
+        gate = self._fetch_gate
+        hierarchy = core.hierarchy
+        l1i = core.l1i if hierarchy is not None else None
+        channel = self.channel
+        latency = channel.latency
+        head = channel.head()
+        visible = None if head is None else head.push_cycle + latency
+        safe = self._safe_count
+        executed = self._executed
+        done = 0
+        failure = None
+        core._record_mem = False
+        try:
+            while True:
+                now = stats.cycles
+                if done and limit is not None and now >= limit:
+                    break
+                ready = visible is not None and now >= visible
+                if ready:
+                    if not isinstance(head, MemPacket):
+                        break
+                    if head.count > safe:
+                        safe = head.count
+                if executed >= safe:
+                    break
+                pc = core.pc
+                off = pc - base
+                if off < 0 or off >= size or off & 3:
+                    break
+                idx = off >> 2
+                kind = kinds[idx]
+                if kind in _STEP_ONLY_KINDS:
+                    break
+                memory = MAL_ENTRIES_BY_KIND[kind]
+                if memory and not ready:
+                    break
+                if l1i is None:
+                    extra = 0
+                elif gate is not None and now >= gate \
+                        and not l1i.contains(pc):
+                    break
+                else:
+                    extra = hierarchy.fetch_access(l1i, pc)
+                try:
+                    cycles = kernels[idx](core) + extra
+                except VerificationMismatch as exc:
+                    failure = exc
+                    break
+                stats.instructions += 1
+                if user:
+                    stats.user_instructions += 1
+                stats.cycles += cycles
+                csrd[CSR_INSTRET] += 1
+                executed += 1
+                done += 1
+                if memory:
+                    head = channel.head()
+                    visible = None if head is None \
+                        else head.push_cycle + latency
+        finally:
+            core._record_mem = True
+            self._safe_count = safe
+            self._executed = executed
+            self.stats.replayed_instructions += done
+        if failure is not None:
+            self._fail(self._segment, str(failure))
+            self.state = CheckerState.SKIP
+            return True
+        return done > 0
 
     def idle_until(self, cycle: int) -> None:
         """Charge the cycles up to ``cycle`` as idle (a skipped wait)."""

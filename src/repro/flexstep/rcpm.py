@@ -11,11 +11,17 @@ to a core configured as *main*:
 * **MAL** — packages each committed memory operation (one entry for
   LD/ST, multiple for LR/SC/AMO) in commit order (Sec. III-B).
 
-The adapter attaches to a :class:`~repro.core.core.Core` through its
-commit hook plus a ``before_step`` call from the SoC loop (needed to
-capture the SCP *before* the first instruction of a segment executes).
-Packets go to the adapter's outbound queue; the SoC flushes that queue
-into the interconnect channels and stalls the core when they are full.
+The adapter drives its :class:`~repro.core.core.Core` in one of two
+ways.  The ``loop`` co-sim scheduler (and the kernel layer) steps the
+core with ``Core.step`` and lets the adapter's commit hook see each
+``CommitRecord``, after a ``before_step`` call that captures the SCP
+*before* the first instruction of a segment executes.  The ``heap``
+scheduler calls :meth:`MainCoreAdapter.run_window`, which commits
+user-mode instructions by calling the decoded kernels itself and logs
+them without building records; every other commit takes the hook path.
+Both log through one CPC/MAL routine, :meth:`_log_user_commit`.
+Packets go to the adapter's outbound queue, which flushes into the
+interconnect channels; a full channel stalls the core.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from typing import Deque, Optional
 from ..config import FlexStepConfig
 from ..core.core import CommitRecord, Core
 from ..core.decode import K_HALT, K_SC, K_SYSTEM, MAL_ENTRIES_BY_KIND
-from ..core.registers import Privilege
-from ..isa.instructions import OpKind
+from ..core.registers import CSR_INSTRET, Privilege
+from ..isa.instructions import MASK64, OpKind
 from .dbc import Channel
 from .packets import (
     ENTRY_BYTES,
@@ -203,6 +209,113 @@ class MainCoreAdapter:
                 ch.push(packet)
             self._outbox.popleft()
 
+    def run_window(self, free: Optional[int], budget: int,
+                   max_cycles: Optional[int], shared_memory: bool) -> int:
+        """One heap co-sim round of the main core (see
+        ``FlexStepSoC._run_heap``); returns the instructions committed.
+
+        Runs up to ``budget`` instructions: every step that touches no
+        shared state, and shared steps only while the clock is below
+        ``free`` (the core is the co-sim minimum; None = always).  A
+        shared step may miss the L1I or the L1D, access memory another
+        core can write (``shared_memory``), halt, or stage entries that
+        a channel could refuse or that would raise its
+        ``max_occupancy``.  The first step is always taken; later ones
+        must start below ``max_cycles``, and none follows a
+        backpressured push.
+
+        A user-mode commit (the common case; ``before_step`` first
+        opens a segment if none is open) runs the decoded kernel
+        directly and logs through :meth:`_log_user_commit`, with no
+        ``CommitRecord``.  Every other
+        step -- a kernel-mode commit, an ecall/mret, a halt, a pending
+        interrupt, the ``interp`` engine, or a core carrying another
+        commit hook -- takes ``before_step`` plus ``Core.step`` and this
+        adapter's commit hook, exactly as the ``loop`` scheduler does.
+        """
+        core = self.core
+        if core.halted:
+            return 0
+        stats = core.stats
+        decoded = core.decoded()
+        base = decoded.base
+        size = decoded.limit
+        kernels = decoded.kernels
+        kinds = decoded.kinds
+        mem_operands = decoded.mem_operands
+        regs = core.regs._regs
+        csrd = core.csrs._csrs
+        hierarchy = core.hierarchy
+        # the L1I is timed (and reaches the L2) only with a hierarchy
+        l1i = core.l1i if hierarchy is not None else None
+        l1d = getattr(core.port, "l1d", None)
+        outbox = self._outbox
+        channels = self.channels
+        enabled = self.enabled
+        user = Privilege.USER
+        fused = (enabled and core._use_kernels
+                 and core._hooks == [self._on_commit])
+        fast = fused and core.priv is user \
+            and core._pending_interrupt is None
+        done = 0
+        while done < budget:
+            if enabled and outbox:
+                break  # the next round stalls, if this core is minimum
+            pc = core.pc
+            off = pc - base
+            if 0 <= off < size and not off & 3:
+                idx = off >> 2
+                kind = kinds[idx]
+                operands = mem_operands[idx]
+            else:
+                kind = -1  # the fetch faults: let Core.step raise it
+            if done:
+                clock = stats.cycles
+                if max_cycles is not None and clock >= max_cycles:
+                    break
+                if free is not None and clock >= free:
+                    # shared-step test (pure): yield before the step
+                    if kind < 0 or kind == K_HALT:
+                        break
+                    if l1i is not None and not l1i.contains(pc):
+                        break
+                    if operands is not None and (
+                            shared_memory or l1d is None
+                            or not l1d.contains(
+                                (regs[operands[0]] + operands[1])
+                                & MASK64)):
+                        break
+                    entries = self.step_entries_bound(kind)
+                    if entries and not all(ch.takes_quietly(entries)
+                                           for ch in channels):
+                        break
+            if fast and kind >= 0 and kind != K_SYSTEM and kind != K_HALT:
+                if not self._segment_open:
+                    self.before_step()
+                if operands is not None:
+                    core._mem_scratch = ()
+                extra = 0 if l1i is None \
+                    else hierarchy.fetch_access(l1i, pc)
+                cycles = kernels[idx](core) + extra
+                stats.instructions += 1
+                stats.user_instructions += 1
+                stats.cycles += cycles
+                csrd[CSR_INSTRET] += 1
+                self._log_user_commit(
+                    () if operands is None else core._mem_scratch)
+                done += 1
+                continue
+            if enabled:
+                self.before_step()
+            core.step()
+            self.try_flush()
+            done += 1
+            if core.halted:
+                break
+            fast = fused and core.priv is user \
+                and core._pending_interrupt is None
+        return done
+
     # ------------------------------------------------------------------
     # CPC / MAL behaviour at commit
     # ------------------------------------------------------------------
@@ -228,25 +341,32 @@ class MainCoreAdapter:
             # User-mode commit without an open segment can only happen if
             # enable() raced a step; before_step() opens on the next one.
             return
-        self._count += 1
-        cycles = self.core.stats.cycles
-        if record.mem_ops:
-            for entry in record.mem_ops:
-                self._stage(MemPacket(segment=self._segment_id,
-                                      push_cycle=cycles,
-                                      count=self._count,
-                                      kind=entry.kind,
-                                      addr=entry.addr,
-                                      data=entry.data))
-                self.stats.mem_packets += 1
-            self._last_progress = self._count
-        elif self._count - self._last_progress >= self.progress_interval:
+        self._log_user_commit(record.mem_ops)
+
+    def _log_user_commit(self, mem_ops) -> None:
+        """CPC + MAL for one committed user-mode instruction of the open
+        segment, whose Memory Access Log entries are ``mem_ops``: stage
+        one ``MemPacket`` per entry (or a progress heartbeat after
+        ``progress_interval`` memory-free commits) and close the segment
+        at the instruction-count limit.  The commit hook and the fused
+        window (:meth:`run_window`) both log through here."""
+        count = self._count = self._count + 1
+        if mem_ops:
+            cycles = self.core.stats.cycles
+            segment = self._segment_id
+            for entry in mem_ops:
+                self._stage(MemPacket(segment=segment, push_cycle=cycles,
+                                      count=count, kind=entry.kind,
+                                      addr=entry.addr, data=entry.data))
+            self.stats.mem_packets += len(mem_ops)
+            self._last_progress = count
+        elif count - self._last_progress >= self.progress_interval:
             self._stage(ProgressPacket(segment=self._segment_id,
-                                       push_cycle=cycles,
-                                       count=self._count))
-            self._last_progress = self._count
+                                       push_cycle=self.core.stats.cycles,
+                                       count=count))
+            self._last_progress = count
             self.stats.progress_packets += 1
-        if self._count >= self.config.segment_limit:
+        if count >= self.config.segment_limit:
             self._close_segment(self.core.snapshot(),
                                 SegmentCloseReason.LIMIT)
 

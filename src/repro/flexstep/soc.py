@@ -23,9 +23,12 @@ Two interchangeable, bit-identical schedulers drive that arbitration:
   new ``max_occupancy``, a halt), yields *before* changing anything,
   and takes that step only as the minimum.  A checker acts at any
   cycle below its main's clock, where nothing new can become visible,
-  and yields only before its own L1I miss.  Skipped idle and stall
-  cycles are charged in bulk, so every simulated counter matches the
-  oracle's (see :meth:`FlexStepSoC._run_heap`).
+  and yields only before its own L1I miss.  Within such a round both
+  ends of the DBC run fused windows over the decoded kernels: the main
+  commits user-mode instructions without ``CommitRecord``s, and the
+  checker replays covered instructions without a ``step`` each.
+  Skipped idle and stall cycles are charged in bulk, so every simulated
+  counter matches the oracle's (see :meth:`FlexStepSoC._run_heap`).
 
 Selection mirrors the sched-backend convention: an explicit argument
 (``FlexStepSoC.run(sched=...)`` / ``SoCConfig.soc_sched`` /
@@ -56,7 +59,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..config import SoCConfig
 from ..core.cache import Cache, MemoryHierarchy
 from ..core.core import Core
-from ..core.decode import K_HALT
 from ..core.memory import CachedPort, MainMemory
 from ..core.registers import CSR_MTVEC
 from ..errors import ConfigurationError, ExecutionLimitExceeded
@@ -443,17 +445,19 @@ class FlexStepSoC:
         yields *before* it and is re-pushed at its clock (the
         conservative lookahead of Chandy & Misra).
 
-        * **Main and compute cores** yield before an L1I miss
-          (``Cache.contains``), an L1D miss (the decoded
+        * **Main cores** (``MainCoreAdapter.run_window``) yield before
+          an L1I miss (``Cache.contains``), an L1D miss (the decoded
           ``regs[rs1] + imm``), any data access when more than one
           core can write memory, a halt, and a step whose pushes could
           find a channel full or raise its ``max_occupancy``
           (``MainCoreAdapter.step_entries_bound`` against
           ``Channel.takes_quietly``; the host occupancy is never below
           the oracle's, because the checker has not yet popped what
-          the oracle would pop first).  A backpressured main is the
-          minimum whenever it stalls, so it charges every stall cycle
-          up to ``free`` in one round.
+          the oracle would pop first).  The window commits user-mode
+          instructions without ``CommitRecord``s.  A backpressured
+          main is the minimum whenever it stalls, so it charges every
+          stall cycle up to ``free`` in one round.  A compute core (no
+          FlexStep units) runs only while it is the minimum.
         * **Checkers** (``CheckerEngine.run_ahead``) act at any cycle
           below their main's clock: every packet the main will still
           push has ``push_cycle`` at or past it, so nothing can become
@@ -479,7 +483,9 @@ class FlexStepSoC:
           before anyone else advances;
         * a halted main whose outbox is still backpressured stays a
           candidate for exactly one more round (``zombies``), matching
-          the oracle's scan-keep-then-discard sequence;
+          the oracle's scan-keep-then-discard sequence: it is discarded
+          at the end of the next round, after that round's stop rule
+          has counted its clock;
         * a stale event (its owner left the candidate set) pops as a
           side-effect-free no-op; it can only lower another core's
           ``free``, which costs a round, never a reordering.
@@ -557,18 +563,12 @@ class FlexStepSoC:
         peek_time = queue.peek_time
         events_pop = events.pop
         run_main = self._run_main_ahead
+        fresh: list[int] = []
         while True:
             event = queue_pop()
             if event is None:
                 break
             rounds += 1
-            if zombies:
-                # one round has passed since these mains halted with a
-                # backpressured outbox; the oracle discards them now
-                for cid in zombies:
-                    if cid in active:
-                        _discard_main(cid)
-                zombies = []
             rank = event.priority
             key = peek_key()
             free = None if key is None \
@@ -580,29 +580,31 @@ class FlexStepSoC:
                     continue
                 core = cores[cid]
                 if core.halted:
-                    # seeded pre-halted (e.g. a rerun): scan-equivalent
+                    # a zombie, or a main seeded halted (a rerun), is the
+                    # minimum: the oracle's round advances nothing
                     if _retire_halted(cid):
                         _push(cid, cid)
-                        zombies.append(cid)
-                    continue
-                budget = min(batch, max_instructions - executed + 1)
-                executed += run_main(cid, free, budget, max_cycles,
-                                     shared_memory)
-                if executed > max_instructions:
-                    raise ExecutionLimitExceeded(
-                        f"SoC exceeded {max_instructions} instructions")
-                if max_cycles is not None \
-                        and core.stats.cycles >= max_cycles:
-                    next_time = peek_time()
-                    if next_time is None or next_time >= max_cycles:
-                        # the oracle stops before the post-halt scan
-                        break
-                if core.halted:
-                    if _retire_halted(cid):
-                        _push(cid, cid)
-                        zombies.append(cid)
+                        fresh.append(cid)
                 else:
-                    _push(cid, cid)
+                    budget = min(batch, max_instructions - executed + 1)
+                    executed += run_main(cid, free, budget, max_cycles,
+                                         shared_memory)
+                    if executed > max_instructions:
+                        raise ExecutionLimitExceeded(
+                            f"SoC exceeded {max_instructions} "
+                            "instructions")
+                    if max_cycles is not None \
+                            and core.stats.cycles >= max_cycles:
+                        next_time = peek_time()
+                        if next_time is None or next_time >= max_cycles:
+                            # the oracle stops before the post-halt scan
+                            break
+                    if core.halted:
+                        if _retire_halted(cid):
+                            _push(cid, cid)
+                            fresh.append(cid)
+                    else:
+                        _push(cid, cid)
             else:
                 cid = checker_of_rank[rank]
                 events_pop(cid, None)
@@ -628,6 +630,13 @@ class FlexStepSoC:
                         break
                 if not (engine.drained and main_done):
                     _push(cid, rank)
+            # The round is over.  Mains kept as zombies were candidates
+            # in it (for the stop rule and their checkers' limit); the
+            # oracle's next scan discards them.
+            for cid in zombies:
+                if cid in active:
+                    _discard_main(cid)
+            zombies, fresh = fresh, []
         return rounds
 
     def _run_main_ahead(self, cid: int, free: Optional[int], budget: int,
@@ -665,64 +674,22 @@ class FlexStepSoC:
                 stats.stall_cycles += stall
                 adapter.stats.backpressure_stall_cycles += stall
                 return 0
-        # the L1I is timed (and reaches the L2) only with a hierarchy
-        l1i = core.l1i if core.hierarchy is not None else None
-        l1d = getattr(core.port, "l1d", None)
-        decoded = None
+        if adapter is not None:
+            return adapter.run_window(free, budget, max_cycles,
+                                      shared_memory)
+        # A compute core has no lookahead: it runs only while it is the
+        # co-sim minimum, where every step is safe.
         done = 0
-        while done < budget:
-            if adapter is not None and adapter.enabled and adapter.blocked:
-                break  # the next round stalls, if this core is minimum
-            if core.halted:
-                break
-            clock = stats.cycles
+        while done < budget and not core.halted:
             if done:
-                if max_cycles is not None and clock >= max_cycles:
+                clock = stats.cycles
+                if (max_cycles is not None and clock >= max_cycles
+                        or free is not None and clock >= free):
                     break
-                if free is not None and clock >= free:
-                    if decoded is None or decoded.program is not core.program:
-                        decoded = core.decoded()
-                    if self._step_is_shared(core, adapter, decoded, l1i,
-                                            l1d, shared_memory):
-                        break
-            if adapter is None:
-                # exec_one falls back to step() itself when hooks exist
-                core.exec_one()
-            else:
-                if adapter.enabled:
-                    adapter.before_step()
-                core.step()
-                adapter.try_flush()
+            # exec_one falls back to step() itself when hooks exist
+            core.exec_one()
             done += 1
         return done
-
-    @staticmethod
-    def _step_is_shared(core: Core, adapter: Optional[MainCoreAdapter],
-                        decoded, l1i: Optional[Cache],
-                        l1d: Optional[Cache], shared_memory: bool) -> bool:
-        """Pure: may ``core``'s next step touch state another core can
-        observe?  (L2 through an L1 miss, shared memory, a channel push
-        that is refused or sets a new ``max_occupancy``, or a halt.)"""
-        pc = core.pc
-        off = pc - decoded.base
-        if off < 0 or off >= decoded.limit or off & 3:
-            return True  # the fetch faults: let the minimum raise it
-        kind = decoded.kinds[off >> 2]
-        if kind == K_HALT:
-            return True
-        if l1i is not None and not l1i.contains(pc):
-            return True
-        addr = decoded.data_address(core, pc)
-        if addr is not None and (shared_memory or l1d is None
-                                 or not l1d.contains(addr)):
-            return True
-        if adapter is not None:
-            entries = adapter.step_entries_bound(kind)
-            if entries:
-                for channel in adapter.channels:
-                    if not channel.takes_quietly(entries):
-                        return True
-        return False
 
     def _adapter_blocked(self, main_id: int) -> bool:
         adapter = self._adapters.get(main_id)

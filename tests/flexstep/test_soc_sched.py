@@ -20,6 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.config import SoCConfig
+from repro.core.core import Core
 from repro.errors import ConfigurationError
 from repro.flexstep.bench import (
     DEFAULT_GRID,
@@ -101,12 +102,21 @@ def grid_point(pairs, checkers, workload="dedup", faults=True, target=3_000):
     }
 
 
+#: A segment limit short enough that LIMIT closes and privilege
+#: switches land in the middle of the heap's fused main windows.
+SHORT_SEGMENTS = {"segment_limit": 7}
+
+
 class TestCleanRuns:
-    @pytest.mark.parametrize("checkers", [1, 2])
-    def test_sum_loop_identical(self, checkers):
+    @pytest.mark.parametrize(
+        "checkers,flex",
+        [(1, {}), (2, {}), (1, SHORT_SEGMENTS), (2, SHORT_SEGMENTS)],
+        ids=["1", "2", "1-limit7", "2-limit7"],
+    )
+    def test_sum_loop_identical(self, checkers, flex):
         def build():
             soc = make_verified_soc(
-                make_sum_program(n=2_000), checkers=checkers
+                make_sum_program(n=2_000), checkers=checkers, **flex
             )
             return soc, ()
 
@@ -114,10 +124,13 @@ class TestCleanRuns:
         assert fingerprint[3] == 0  # no failed segments
 
     def test_ecalls_identical(self):
-        def build():
-            return make_verified_soc(make_ecall_program(n=25)), ()
+        for flex in ({}, SHORT_SEGMENTS):
 
-        assert_schedulers_identical(build)
+            def build():
+                program = make_ecall_program(n=25)
+                return make_verified_soc(program, **flex), ()
+
+            assert_schedulers_identical(build)
 
     def test_vanilla_single_core_identical(self):
         def build():
@@ -214,6 +227,35 @@ class TestSharedStateLookahead:
             misses = soc.cores[cid].l1i.stats.misses
             assert 0 < rounds[cid] <= rounds[0] + misses
 
+    def test_fused_windows_engage(self, monkeypatch):
+        """Both ends of the DBC stream run as fused windows: the main
+        commits user-mode instructions without ``Core.step`` (only its
+        halt takes it), and the checker replays most instructions
+        without a ``CheckerEngine.step`` each.  A silent fallback to the
+        per-instruction path would pass every identity test."""
+        calls = {"main": 0, "checker": 0}
+        core_step = Core.step
+        checker_step = CheckerEngine.step
+
+        def counting_core_step(core):
+            if core.core_id == 0:
+                calls["main"] += 1
+            return core_step(core)
+
+        def counting_checker_step(engine):
+            calls["checker"] += 1
+            return checker_step(engine)
+
+        monkeypatch.setattr(Core, "step", counting_core_step)
+        monkeypatch.setattr(CheckerEngine, "step", counting_checker_step)
+        soc = make_verified_soc(make_sum_program(n=2_000))
+        soc.run(sched="heap")
+        assert soc.cores[0].halted
+        assert calls["main"] <= 1
+        replayed = soc.engine_of(1).stats.replayed_instructions
+        assert replayed == soc.cores[0].stats.user_instructions - 1
+        assert 0 < 2 * calls["checker"] < replayed
+
     def test_rounds_left_out_of_the_fingerprint(self):
         prints, rounds = {}, {}
         for sched in SCHEDS:
@@ -259,6 +301,38 @@ class TestBoundedRuns:
         assert_schedulers_identical(
             lambda: build_point_soc(point), max_cycles=max_cycles
         )
+
+    @pytest.mark.parametrize("offset", [-60, -52, -1, 0, 1, 60])
+    def test_bound_across_backpressured_halt(self, offset):
+        """The main halts while its outbox is backpressured, and the
+        bound sweeps across that halt.
+
+        The channel holds barely two snapshots (``fifo_entries`` one
+        entry above a snapshot's), segments are 7 instructions long and
+        the checker pauses after each one, so the halt's IC and ECP
+        stay stuck behind the SCP the main staged just before.  A
+        halted main with a stuck outbox stays a candidate for one more
+        round, which both schedulers must count in their stop rule.
+        The runs are bounded because nothing flushes that outbox once
+        the main is discarded."""
+
+        def build():
+            probe = make_verified_soc(make_sum_program(n=5))
+            scp = ScpPacket(segment=0, push_cycle=0,
+                            snapshot=probe.cores[0].snapshot())
+            soc = make_verified_soc(make_sum_program(n=5),
+                                    fifo_entries=scp.entries + 1,
+                                    segment_limit=7)
+            soc.engine_of(1).segment_service_pause = 1_000
+            return soc, ()
+
+        soc, _ = build()
+        soc.run(sched="heap", max_cycles=50_000)
+        assert soc.cores[0].halted and soc.adapter_of(0).blocked
+        # the halt step starts 52 cycles before the main's final clock:
+        # one cycle for the halt, 51 for the ECP extraction
+        halted_at = soc.cores[0].stats.cycles
+        assert_schedulers_identical(build, max_cycles=halted_at + offset)
 
     def test_rerun_after_completion_identical(self):
         """A second run() seeds already-halted cores: both schedulers
