@@ -132,6 +132,23 @@ class TestCleanRuns:
 
             assert_schedulers_identical(build)
 
+    def test_compute_core_beside_verified_pair_identical(self):
+        """A compute core (no FlexStep units) shares the L2 and memory
+        with a verified pair; the heap runs it only while it is the
+        minimum."""
+
+        def build():
+            soc = FlexStepSoC(SoCConfig(num_cores=3))
+            program = make_sum_program(n=500)
+            soc.load_program(0, program)
+            soc.cores[1].load_program(program)
+            soc.load_program(2, make_sum_program(n=700, value=3))
+            soc.setup_verification(0, [1])
+            return soc, ()
+
+        fingerprint = assert_schedulers_identical(build)
+        assert fingerprint[3] == 0  # no failed segments
+
     def test_vanilla_single_core_identical(self):
         def build():
             soc = FlexStepSoC(SoCConfig(num_cores=1))
