@@ -156,12 +156,14 @@ class ResultCache:
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # ``json.dumps`` runs the C encoder; ``json.dump`` to a file
+        # runs the pure-Python one, chunk by chunk
+        data = json.dumps({"v": ENVELOPE_VERSION,
+                           "sha256": payload_checksum(payload),
+                           "payload": payload}, separators=(",", ":"))
         try:
             with open(tmp, "w") as fh:
-                json.dump({"v": ENVELOPE_VERSION,
-                           "sha256": payload_checksum(payload),
-                           "payload": payload},
-                          fh, separators=(",", ":"))
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -25,11 +25,28 @@ set/core accumulate in the oracle's order.  Partitioner kernels are
 verdict-only: they track exactly the state that decides success
 (core/group loads, failure flags, blocking terms) and never materialise
 :class:`Assignment` objects.
+
+Generation keeps only the draws per set: seed the generator, draw the
+``2n−1`` ``random()`` values (n−1 UUniFast variates, then n period
+variates) and call ``rng.sample``, in the oracle's stream order.  The
+rest runs once over the batch: the UUniFast powers through one flat
+``map(pow, ...)``, the remaining-utilisation recurrence as one
+``cumprod(axis=1)``, the log-periods as ``log_lo + (log_hi−log_lo)·r``
+(exactly ``random.uniform``) and ``map(math.exp, ...)``.  A row whose
+first UUniFast draw breaks ``max_task_utilization`` is regenerated by
+the scalar per-set path, since the oracle's retries shift its later
+draws.  ``np.power``/``np.exp`` are avoided (SIMD builds can differ
+from libm in the last ulp), and so is numpy's MT19937 (its legacy
+seeding does not reproduce ``random.Random``'s).
+
+HMR's blocking term is found by a sort, not a pairwise broadcast: see
+:func:`_hmr_blocked`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat, starmap
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +59,7 @@ from ..edf import (
     qpa_interval_bound,
 )
 from ..model import OPT_V2_FACTOR, OPT_V3_FACTOR
-from ..uunifast import seeded_rng
+from ..uunifast import class_counts, seeded_rng
 from .base import SchedBackend, TaskSetBatch
 
 _OVER = 1.0 + 1e-12   # the partitioners' load threshold, verbatim
@@ -210,15 +227,8 @@ def _hmr(v3: _ClassView, v2: _ClassView, tn: _ClassView, m: int):
     free_start = np.zeros(B, np.int64)   # cores are taken from the front
     failed = np.zeros(B, bool)
     loads = np.zeros((B, m))
-    verif_on = np.zeros((B, m), bool)
-    # per-core verification placements, for the blocking check
-    P = 3 * v3.k + 2 * v2.k
-    vp_core = np.zeros((B, max(P, 1)), np.int64)
-    vp_w = np.zeros((B, max(P, 1)))
-    vp_d = np.zeros((B, max(P, 1)))
-    vp_valid = np.zeros((B, max(P, 1)), bool)
-    p_idx = 0
-    for view, width in ((v3, 3), (v2, 2)):
+    v_start = np.zeros((B, v3.k + v2.k), np.int64)   # each task's group
+    for view, width, first in ((v3, 3, 0), (v2, 2, v3.k)):
         for j in range(view.k):
             u = view.u[:, j]
             act = ~failed
@@ -245,39 +255,69 @@ def _hmr(v3: _ClassView, v2: _ClassView, tn: _ClassView, m: int):
                 gsel = sel[ra]
                 group_loads[ra, gsel] += u[ra]
                 starts = group_start[ra, gsel]
+                v_start[ra, first + j] = starts
                 for o in range(width):
-                    cols = starts + o
-                    loads[ra, cols] += u[ra]
-                    verif_on[ra, cols] = True
-                    vp_core[ra, p_idx + o] = cols
-                    vp_w[ra, p_idx + o] = view.w[ra, j]
-                    vp_d[ra, p_idx + o] = view.t[ra, j]
-                    vp_valid[ra, p_idx + o] = True
-            p_idx += width
-    # non-verification tasks: clean cores first, least-loaded fallback
-    tn_core = np.zeros((B, max(tn.k, 1)), np.int64)
+                    loads[ra, starts + o] += u[ra]
+    # non-verification tasks: clean cores (those past ``free_start``)
+    # first, least-loaded fallback; a row without a clean core sees
+    # only inf in ``loads_clean`` and always falls back
+    loads_clean = np.where(np.arange(m) < free_start[:, None], np.inf,
+                           loads)
+    tn_core = np.zeros((B, tn.k), np.int64)
     for j in range(tn.k):
         u = tn.u[:, j]
-        loads_clean = np.where(verif_on, np.inf, loads)
-        has_clean = (~verif_on).any(axis=1)
-        use_clean = has_clean & (loads_clean.min(axis=1) + u <= 1.0)
-        core = np.where(use_clean, loads_clean.argmin(axis=1),
+        clean = loads_clean.argmin(axis=1)
+        core = np.where(loads_clean[rows, clean] + u <= 1.0, clean,
                         loads.argmin(axis=1))
         loads[rows, core] += u
+        loads_clean[rows, core] += u     # inf stays inf
         tn_core[:, j] = core
-    over = (loads > _OVER).any(axis=1)
-    blocked = np.zeros(B, bool)
-    if tn.k and P:
-        # B_j: largest verification WCET sharing τj's core with a longer
-        # deadline; fail when U_core + B_j / D_j exceeds 1
-        match = ((vp_core[:, :, None] == tn_core[:, None, :tn.k])
-                 & vp_valid[:, :, None]
-                 & (vp_d[:, :, None] > tn.t[:, None, :]))
-        blocking = np.where(match, vp_w[:, :, None], 0.0).max(axis=1)
-        core_load = np.take_along_axis(loads, tn_core[:, :tn.k], axis=1)
-        blocked = ((blocking > 0.0)
-                   & (core_load + blocking / tn.t > _OVER)).any(axis=1)
-    return ~failed & ~over & ~blocked
+    ok = ~failed & ~(loads > _OVER).any(axis=1)
+    # only a row that passed so far and put a T_N task on a
+    # verification core can be blocked
+    live = np.nonzero(ok & (tn_core < free_start[:, None]).any(axis=1))[0]
+    if live.size:
+        s3, s2 = v_start[live, :v3.k], v_start[live, v3.k:]
+        vp_core = np.concatenate([s3 + o for o in range(3)]
+                                 + [s2 + o for o in range(2)], axis=1)
+        vp_w = np.concatenate([v3.w[live]] * 3 + [v2.w[live]] * 2, axis=1)
+        vp_d = np.concatenate([v3.t[live]] * 3 + [v2.t[live]] * 2, axis=1)
+        ok[live] = ~_hmr_blocked(tn.t[live], tn_core[live], vp_core, vp_w,
+                                 vp_d, loads[live],
+                                 int(free_start[live].max()))
+    return ok
+
+
+def _hmr_blocked(tn_t, tn_core, vp_core, vp_w, vp_d, loads, n_verif):
+    """HMR's non-preemptive blocking test, per row.
+
+    T_N task τj is blocked when ``U_core + B_j / D_j > 1``, with B_j the
+    largest WCET among verification copies on τj's core with a longer
+    deadline.  One stable sort by descending deadline puts every such
+    copy ahead of τj; T_N items come first, so an equal deadline never
+    blocks (the test is strict).  A per-core running max of the copies'
+    WCETs in that order then reads B_j off at τj's position.  Work is at
+    core level: a T_V2 task in a width-3 group covers two of its cores.
+    """
+    k = tn_t.shape[1]
+    keys = np.concatenate((-tn_t, -vp_d), axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    core_s = np.take_along_axis(np.concatenate((tn_core, vp_core), axis=1),
+                                order, axis=1)
+    w_s = np.take_along_axis(np.concatenate((np.zeros(tn_t.shape), vp_w),
+                                            axis=1), order, axis=1)
+    blocking = np.zeros(w_s.shape)
+    run = np.empty(w_s.shape)
+    for core in range(n_verif):          # verification cores come first
+        on = core_s == core
+        np.multiply(w_s, on, out=run)
+        np.maximum.accumulate(run, axis=1, out=run)
+        np.copyto(blocking, run, where=on)
+    deadline = -np.take_along_axis(keys, order, axis=1)
+    core_load = np.take_along_axis(loads, core_s, axis=1)
+    # a passing row has every core load <= _OVER, so B_j = 0 never fails
+    return ((order < k)
+            & (core_load + blocking / deadline > _OVER)).any(axis=1)
 
 
 _KERNELS = {
@@ -303,10 +343,6 @@ class NumpyBackend(SchedBackend):
     def _uunifast_values(n, total_utilization, rng, max_task_utilization):
         """UUniFast + the oracle's rejection loop, with the sequential
         ``remaining``-recurrence folded into one ``cumprod``."""
-        if n <= 0:
-            raise TaskModelError("n must be positive")
-        if total_utilization <= 0:
-            raise TaskModelError("total utilisation must be positive")
         for _ in range(1000):
             # draws and powers stay scalar: stream + libm identity
             powers = [rng.random() ** (1.0 / (n - i))
@@ -321,37 +357,71 @@ class NumpyBackend(SchedBackend):
             f"could not draw {n} utilisations summing to "
             f"{total_utilization} with max {max_task_utilization}")
 
+    def _generate_row(self, seed, n, total_utilization, log_lo, log_hi,
+                      n_v2, n_v3, max_task_utilization):
+        """One set the scalar way, for a row whose first UUniFast draw
+        was rejected: the retries shift every later draw in its
+        stream."""
+        rng = seeded_rng(seed)
+        utils = self._uunifast_values(n, total_utilization, rng,
+                                      max_task_utilization)
+        p = np.array([math.exp(rng.uniform(log_lo, log_hi))
+                      for _ in range(n)])
+        chosen = rng.sample(range(n), n_v2 + n_v3)
+        row_codes = np.zeros(n, np.int8)
+        row_codes[chosen[:n_v2]] = 1
+        row_codes[chosen[n_v2:]] = 2
+        return np.maximum(utils * p, 1e-9), p, row_codes
+
     def generate_batch(self, *, n, total_utilization, alpha, beta, seeds,
                        period_range=(10.0, 1000.0),
                        max_task_utilization=1.0) -> TaskSetBatch:
-        if alpha < 0 or beta < 0 or alpha + beta > 1:
-            raise TaskModelError(f"bad class fractions α={alpha}, β={beta}")
+        n_v2, n_v3 = class_counts(n, alpha, beta)
         lo, hi = period_range
         if lo <= 0 or hi <= lo:
             raise TaskModelError(f"bad period range {period_range}")
+        if n <= 0:
+            raise TaskModelError("n must be positive")
+        if total_utilization <= 0:
+            raise TaskModelError("total utilisation must be positive")
         log_lo, log_hi = math.log(lo), math.log(hi)
         B = len(seeds)
-        wcet = np.empty((B, n))
-        period = np.empty((B, n))
-        codes = np.empty((B, n), np.int8)
-        n_v2 = round(alpha * n)
-        n_v3 = round(beta * n)
-        for b, seed in enumerate(seeds):
+        # per set, only the draws, in the oracle's stream order: n-1
+        # UUniFast variates, n period variates, then the class sample
+        # (exact as long as the first UUniFast draw is accepted)
+        draws: list = []
+        chosen = []
+        for seed in seeds:
             rng = seeded_rng(seed)
-            utils = self._uunifast_values(n, total_utilization, rng,
-                                          max_task_utilization)
-            p = np.array([math.exp(rng.uniform(log_lo, log_hi))
-                          for _ in range(n)])
-            w = np.maximum(utils * p, 1e-9)
-            if (w > p).any():
-                raise TaskModelError("task WCET exceeds implicit deadline")
-            chosen = rng.sample(range(n), n_v2 + n_v3)
-            row_codes = np.zeros(n, np.int8)
-            row_codes[chosen[:n_v2]] = 1
-            row_codes[chosen[n_v2:]] = 2
-            wcet[b] = w
-            period[b] = p
-            codes[b] = row_codes
+            draws += starmap(rng.random, repeat((), 2 * n - 1))
+            chosen.append(rng.sample(range(n), n_v2 + n_v3))
+        R = np.array(draws).reshape(B, 2 * n - 1)
+        # batch-wide: the powers through libm, like ``**`` in the oracle
+        exponents = [1.0 / (n - i) for i in range(1, n)]
+        powers = np.fromiter(
+            map(pow, R[:, :n - 1].ravel().tolist(), exponents * B),
+            float, B * (n - 1)).reshape(B, n - 1)
+        remaining = np.cumprod(np.concatenate(
+            (np.full((B, 1), total_utilization), powers), axis=1), axis=1)
+        utils = np.empty((B, n))
+        utils[:, :n - 1] = remaining[:, :n - 1] - remaining[:, 1:]
+        utils[:, n - 1] = remaining[:, n - 1]
+        # ``random.uniform`` is exactly ``a + (b - a) * random()``
+        log_p = log_lo + (log_hi - log_lo) * R[:, n - 1:]
+        period = np.fromiter(map(math.exp, log_p.ravel().tolist()),
+                             float, B * n).reshape(B, n)
+        wcet = np.maximum(utils * period, 1e-9)
+        codes = np.zeros((B, n), np.int8)
+        picks = np.array(chosen, np.int64).reshape(B, n_v2 + n_v3)
+        rows = np.arange(B)[:, None]
+        codes[rows, picks[:, :n_v2]] = 1
+        codes[rows, picks[:, n_v2:]] = 2
+        for b in np.nonzero(utils.max(axis=1) > max_task_utilization)[0]:
+            wcet[b], period[b], codes[b] = self._generate_row(
+                seeds[b], n, total_utilization, log_lo, log_hi, n_v2,
+                n_v3, max_task_utilization)
+        if (wcet > period).any():
+            raise TaskModelError("task WCET exceeds implicit deadline")
         return TaskSetBatch.from_arrays(wcet, period, codes)
 
     # -- judging --------------------------------------------------------

@@ -106,6 +106,23 @@ def uunifast(n: int, total_utilization: float,
     return utils
 
 
+def class_counts(n: int, alpha: float, beta: float) -> tuple[int, int]:
+    """The number of T_V2 and T_V3 tasks for fractions ``alpha`` and
+    ``beta`` of ``n``, validated before any variate is drawn.
+
+    Each count is rounded on its own, so two valid fractions can still
+    ask for more tasks than the set has (n=3, α=β=0.5 rounds to 2+2).
+    """
+    if alpha < 0 or beta < 0 or alpha + beta > 1:
+        raise TaskModelError(f"bad class fractions α={alpha}, β={beta}")
+    n_v2, n_v3 = round(alpha * n), round(beta * n)
+    if n_v2 + n_v3 > n:
+        raise TaskModelError(
+            f"α={alpha}, β={beta} round to {n_v2} T_V2 + {n_v3} T_V3 "
+            f"tasks, more than the {n} in the set")
+    return n_v2, n_v3
+
+
 def generate_task_set(n: int, total_utilization: float, *,
                       alpha: float = 0.0, beta: float = 0.0,
                       period_range: tuple[float, float] = (10.0, 1000.0),
@@ -118,8 +135,7 @@ def generate_task_set(n: int, total_utilization: float, *,
     ``max_task_utilization`` (UUnifast guarantees the sum, not the
     parts).
     """
-    if alpha < 0 or beta < 0 or alpha + beta > 1:
-        raise TaskModelError(f"bad class fractions α={alpha}, β={beta}")
+    n_v2, n_v3 = class_counts(n, alpha, beta)
     rng = rng or random.Random()
     lo, hi = period_range
     if lo <= 0 or hi <= lo:
@@ -141,8 +157,6 @@ def generate_task_set(n: int, total_utilization: float, *,
         wcet = max(u * period, 1e-9)
         tasks.append(RTTask(task_id=i, wcet=wcet, period=period))
 
-    n_v2 = round(alpha * n)
-    n_v3 = round(beta * n)
     chosen = rng.sample(range(n), n_v2 + n_v3)
     v2_ids = set(chosen[:n_v2])
     v3_ids = set(chosen[n_v2:])

@@ -31,6 +31,14 @@ class TestEnvelope:
         assert raw["sha256"] == payload_checksum({"x": [1, 2.5]})
         assert raw["payload"] == {"x": [1, 2.5]}
 
+    def test_entry_bytes_are_the_compact_envelope(self, cache):
+        payload = [{"lockstep": True, "hmr": False, "flexstep": 0.5}]
+        cache.put(DIGEST, payload)
+        assert cache.path_for(DIGEST).read_bytes() == (
+            '{"v":1,"sha256":"%s","payload":'
+            '[{"lockstep":true,"hmr":false,"flexstep":0.5}]}'
+            % payload_checksum(payload)).encode()
+
     def test_checksum_mismatch_quarantined(self, cache):
         cache.put(DIGEST, {"x": 1})
         path = cache.path_for(DIGEST)

@@ -17,8 +17,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TaskModelError
 from repro.sched import (
+    RTTask,
+    TaskClass,
+    TaskSet,
     TaskSetBatch,
     available_backends,
     generate_task_set,
@@ -37,6 +40,7 @@ from repro.sched.edf import (
     qpa_schedulable_batch,
     total_dbf,
 )
+from repro.sched.uunifast import uunifast
 from repro.sched.experiments import (
     FIG5_CONFIGS,
     fig5_campaign,
@@ -100,6 +104,23 @@ class TestGenerationIdentity:
         for a, b in zip(ref.as_task_sets(), vec.as_task_sets()):
             for ta, tb in zip(a, b):
                 # float equality must be exact, so compare hex forms
+                assert ta.wcet.hex() == tb.wcet.hex()
+                assert ta.period.hex() == tb.period.hex()
+                assert ta.cls is tb.cls
+
+    def test_rejection_path_bit_identical(self):
+        """Tight per-task caps make UUniFast retry: those rows' later
+        draws shift, and the batch path must replay them exactly."""
+        kw = dict(n=6, total_utilization=2.0, alpha=0.25, beta=0.25,
+                  max_task_utilization=0.55)
+        seeds = list(range(300, 340))
+        retried = [max(uunifast(6, 2.0, random.Random(s))) > 0.55
+                   for s in seeds]
+        assert any(retried) and not all(retried)
+        ref = get_backend("python").generate_batch(seeds=seeds, **kw)
+        vec = get_backend("numpy").generate_batch(seeds=seeds, **kw)
+        for a, b in zip(ref.as_task_sets(), vec.as_task_sets()):
+            for ta, tb in zip(a, b):
                 assert ta.wcet.hex() == tb.wcet.hex()
                 assert ta.period.hex() == tb.period.hex()
                 assert ta.cls is tb.cls
@@ -189,6 +210,77 @@ class TestVerdictEquivalence:
         batch = TaskSetBatch.from_task_sets(sets)
         assert get_backend("python").judge_batch(batch, m, SCHEMES) \
             == get_backend("numpy").judge_batch(batch, m, SCHEMES)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_class_counts_over_n_rejected(backend):
+    """α=β=0.5 of n=3 rounds to 2 + 2 verification tasks: a model
+    error, not ``rng.sample``'s bare ``ValueError``."""
+    with pytest.raises(TaskModelError, match="more than the 3"):
+        get_backend(backend).generate_batch(
+            n=3, total_utilization=1.0, alpha=0.5, beta=0.5,
+            seeds=[1, 2])
+
+
+def _task_set(spec):
+    """A task set from ``(utilisation, period, class)`` triples."""
+    return TaskSet(RTTask(task_id=i, wcet=u * period, period=period,
+                          cls=cls)
+                   for i, (u, period, cls) in enumerate(spec))
+
+
+def _tied_task_set(seed, n=8):
+    """Periods and utilisations on a coarse grid, so T_N deadlines tie
+    with verification deadlines on shared cores, and utilisations tie
+    in the partitioners' sorts."""
+    rng = random.Random(seed)
+    n_v3, n_v2 = rng.randint(0, 2), rng.randint(0, 3)
+    classes = [TaskClass.TV3] * n_v3 + [TaskClass.TV2] * n_v2 \
+        + [TaskClass.TN] * (n - n_v3 - n_v2)
+    rng.shuffle(classes)
+    return _task_set(
+        (rng.choice((0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
+         rng.choice((10.0, 20.0, 25.0, 50.0, 100.0)), cls)
+        for cls in classes)
+
+
+@needs_numpy
+class TestTieHeavyCorpus:
+    """Deadline ties and width-3 HMR groups hosting T_V2 tasks."""
+
+    T_N, T_V2, T_V3 = TaskClass.TN, TaskClass.TV2, TaskClass.TV3
+
+    def test_strict_deadline_tie_does_not_block(self):
+        # one triple holds every core at 0.5; the T_N task joins core
+        # 0 at 0.8, and only a strictly longer deadline blocks it
+        tied = _task_set([(0.5, 50.0, self.T_V3), (0.3, 50.0, self.T_N)])
+        shorter = _task_set([(0.5, 50.0, self.T_V3),
+                             (0.3, 40.0, self.T_N)])
+        batch = TaskSetBatch.from_task_sets([tied, shorter])
+        assert [partition_hmr(ts, 3).success for ts in (tied, shorter)] \
+            == [True, False]
+        assert partition_hmr_batch([tied, shorter], 3, backend="numpy") \
+            == [True, False]
+        assert get_backend("numpy").judge_batch(batch, 3, SCHEMES) \
+            == get_backend("python").judge_batch(batch, 3, SCHEMES)
+
+    def test_tv2_in_a_triple_blocks_only_its_two_cores(self):
+        # the T_V2 task joins the triple on cores 0-1; the T_N task
+        # lands on core 2, where only the short-deadline T_V3 copy runs
+        ts = _task_set([(0.1, 20.0, self.T_V3), (0.3, 100.0, self.T_V2),
+                        (0.35, 50.0, self.T_N)])
+        assert partition_hmr(ts, 3).success
+        assert partition_hmr_batch([ts], 3, backend="numpy") == [True]
+
+    @pytest.mark.parametrize("m,n", [(3, 8), (4, 8), (4, 12)])
+    def test_random_tied_corpus(self, m, n):
+        sets = [_tied_task_set(seed, n) for seed in range(300)]
+        batch = TaskSetBatch.from_task_sets(sets)
+        expected = get_backend("python").judge_batch(batch, m, SCHEMES)
+        assert get_backend("numpy").judge_batch(batch, m, SCHEMES) \
+            == expected
+        for scheme in SCHEMES:
+            assert {v[scheme] for v in expected} == {True, False}, scheme
 
 
 @needs_numpy

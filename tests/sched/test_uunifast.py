@@ -66,6 +66,14 @@ class TestGenerateTaskSet:
         with pytest.raises(TaskModelError):
             generate_task_set(10, 1.0, alpha=-0.1)
 
+    def test_class_counts_over_n_rejected_before_any_draw(self):
+        # α=β=0.5 of 3 tasks rounds to 2 + 2 verification tasks
+        rng = random.Random(6)
+        state = rng.getstate()
+        with pytest.raises(TaskModelError, match="more than the 3"):
+            generate_task_set(3, 1.0, alpha=0.5, beta=0.5, rng=rng)
+        assert rng.getstate() == state
+
     def test_bad_period_range_rejected(self):
         with pytest.raises(TaskModelError):
             generate_task_set(10, 1.0, period_range=(100.0, 10.0))
