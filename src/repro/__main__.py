@@ -6,7 +6,6 @@ Subcommands::
     python -m repro run --scenario NAME      # run + print + save report
     python -m repro run --all                # every catalog entry
     python -m repro report [NAME ...]        # re-render saved reports
-    python -m repro report --bench           # BENCH_*.json trajectories
     python -m repro cache fsck               # verify cache envelopes
     python -m repro cache gc                 # sweep tmp/quarantine litter
     python -m repro knobs                    # the runtime knob registry
@@ -220,16 +219,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.bench:
-        from .analysis.benchreport import BENCHES, render_bench_report
-        names = args.names or None
-        unknown = [n for n in (names or []) if n not in BENCHES]
-        if unknown:
-            print(f"unknown bench(es): {', '.join(unknown)}; "
-                  f"choose from {', '.join(BENCHES)}", file=sys.stderr)
-            return 2
-        print(render_bench_report(names))
-        return 0
     directory = args.report_dir or default_report_dir()
     names = args.names or saved_results(directory)
     if not names:
@@ -383,14 +372,9 @@ def main(argv: "list[str] | None" = None) -> int:
 
     report = sub.add_parser("report", help="re-render saved reports")
     report.add_argument("names", nargs="*", metavar="NAME",
-                        help="scenario names (default: all saved), or "
-                             "bench names with --bench")
+                        help="scenario names (default: all saved)")
     report.add_argument("--report-dir", default=None,
                         help="report directory to read")
-    report.add_argument("--bench", action="store_true",
-                        help="render the BENCH_*.json perf trajectories "
-                             "(speedup over PRs, regressions flagged "
-                             "against the best-known record)")
 
     knobs_cmd = sub.add_parser(
         "knobs", help="list every runtime knob with current value, "

@@ -76,7 +76,8 @@ from .registers import (
 )
 
 #: Concrete engine tiers, reference first (``auto`` is a deferral, not
-#: a tier).  Benches iterate this, so new tiers are swept automatically.
+#: a tier).  The differential suite iterates this, so a new tier is
+#: compared against ``interp`` automatically.
 _ENGINES = tuple(name for name in CORE_ENGINE_CHOICES if name != "auto")
 
 

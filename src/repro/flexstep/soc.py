@@ -35,10 +35,10 @@ Selection mirrors the sched-backend convention: an explicit argument
 ``python -m repro run --soc-sched``) beats the ``REPRO_SOC_SCHED``
 environment variable, which beats ``auto`` (= ``heap``).  Because the
 schedulers are proven bit-identical (``tests/flexstep/test_soc_sched``
-and the always-on gate of ``scripts/bench.py --bench soc``), the choice
-is an execution knob, never part of experiment identity: campaign
-spawn seeds and result-cache digests exclude it.  The same contract
-holds for the per-core execution engine tier
+and CI's scheduler-identity smoke, which diffs the catalog tables of
+both), the choice is an execution knob, never part of experiment
+identity: campaign spawn seeds and result-cache digests exclude it.
+The same contract holds for the per-core execution engine tier
 (``REPRO_CORE_ENGINE=interp|decoded``, see :mod:`repro.core.core`):
 main cores, checkers and compute cores commit identical streams under
 either tier — the differential suite proves it — so engine selection

@@ -8,7 +8,7 @@ a *scope*:
 * ``identity`` knobs participate in campaign spawn seeds and
   result-cache digests — changing one changes what is computed;
 * ``execution`` knobs (worker counts, timeouts, retries, backend and
-  scheduler selection, chaos, bench gates) are proven
+  scheduler selection, chaos, figure-bench scale) are proven
   result-invariant and are **excluded** from both, as a checked
   property of the registry instead of a comment-only convention.
 
@@ -22,9 +22,9 @@ the closest registered knob.
 
 :mod:`repro.runtime.events` is the structured JSON-lines event bus
 (``REPRO_LOG_JSON``) that campaign, cache, supervisor, scenario and
-bench layers publish to: unit/campaign lifecycle, cache
+service layers publish to: unit/campaign lifecycle, cache
 hit/miss/corruption/quarantine, worker spawn/death/respawn,
-retry/timeout/backoff and bench samples, each event carrying unit
+retry/timeout/backoff and daemon jobs, each event carrying unit
 digests so a log replay can be joined against the cache.  Logging is
 identity-neutral: a campaign with the bus on is bit-identical to one
 with the bus off.

@@ -2,10 +2,10 @@
 
 The machine-readable telemetry channel the ROADMAP item-5 soak
 tooling and the future ``repro serve`` status endpoint consume.
-Campaign, cache, supervisor, scenario and bench layers publish a
+Campaign, cache, supervisor, scenario and service layers publish a
 fixed vocabulary (:data:`EVENT_SCHEMA`) of JSON-lines events:
 campaign/unit lifecycle, cache hit/miss/corruption/quarantine, worker
-spawn/death/respawn, retry/timeout/backoff, and bench samples.  Unit
+spawn/death/respawn, retry/timeout/backoff, and daemon jobs.  Unit
 and cache events carry the unit's content digest, so a saved log
 joins against the result cache — ``jq 'select(.digest=="...")'`` over
 a nightly artifact finds exactly which cache entry a unit produced.
@@ -75,8 +75,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     # scenario runner
     "scenario.start": ("scenario", "kind"),
     "scenario.end": ("scenario", "kind", "seconds"),
-    # perf trajectories
-    "bench.sample": ("bench", "metrics"),
     # service daemon (`repro serve`) job lifecycle
     "job.submit": ("job", "scenario", "priority"),
     "job.dedup": ("job", "scenario"),

@@ -23,7 +23,7 @@ resolves values through :func:`resolve`/:func:`value`:
 * **Checked identity scope.**  ``scope="identity"`` knobs fold into
   :func:`identity_fingerprint`, which the campaign engine mixes into
   every cache digest; ``scope="execution"`` knobs (engine tier, sched
-  backend, SoC scheduler, workers/timeouts/retries/chaos/bench gates)
+  backend, SoC scheduler, workers/timeouts/retries/chaos, figure-bench scale)
   are excluded *by construction* — the differential suites prove the
   exclusion is sound, and ``tests/runtime/test_knobs.py`` derives a
   neutrality test for every execution knob from this registry.
@@ -57,7 +57,7 @@ SCHED_BACKEND_CHOICES: tuple[str, ...] = ("auto", "python", "numpy")
 SCOPES = ("identity", "execution")
 
 #: The one boolean grammar (case-insensitive).  Anything else is a
-#: typo and raises — ``REPRO_BENCH_STRICT=false`` must never be true.
+#: typo and raises — ``REPRO_CAMPAIGN_STRICT=false`` must never be true.
 TRUE_STRINGS = ("1", "true", "yes", "on")
 FALSE_STRINGS = ("0", "false", "no", "off")
 
@@ -568,7 +568,7 @@ _register(Knob(
     help="structured event sink: empty = off, 'stderr'/'-' = stderr, "
          "anything else = JSON-lines file path (append)"))
 
-# -- bench gates and grids ---------------------------------------------------
+# -- figure-bench scale -----------------------------------------------------
 
 _register(Knob(
     name="bench_instructions", env="REPRO_BENCH_INSTRUCTIONS",
@@ -583,104 +583,3 @@ _register(Knob(
     examples=("8", "12"),
     help="task sets per utilisation point in the Fig. 5 figure "
          "benches (default 25)"))
-
-_register(Knob(
-    name="bench_strict", env="REPRO_BENCH_STRICT", type="bool",
-    default=False, scope="execution", examples=("1", "0"),
-    help="arm the wall-clock speedup gates of the perf benches "
-         "(identity checks always gate)"))
-
-_register(Knob(
-    name="bench_label", env="REPRO_BENCH_LABEL", type="str",
-    default="", scope="execution", examples=("pr-1", "pr-2"),
-    help="free-form label stored with appended bench records"))
-
-_register(Knob(
-    name="bench_engine_instructions",
-    env="REPRO_BENCH_ENGINE_INSTRUCTIONS", type="int", default=120000,
-    scope="execution", validator=_at_least(1), examples=("5000", "9000"),
-    help="target instructions per engine-bench workload "
-         "(default 120000)"))
-
-_register(Knob(
-    name="bench_engine_repeats", env="REPRO_BENCH_ENGINE_REPEATS",
-    type="int", default=3, scope="execution", validator=_at_least(1),
-    examples=("1", "2"),
-    help="timing repeats per engine tier (default 3)"))
-
-_register(Knob(
-    name="bench_engine_workloads", env="REPRO_BENCH_ENGINE_WORKLOADS",
-    type="csv", default=(), scope="execution",
-    examples=("mcf", "mcf,x264"),
-    help="engine-bench workload names (default: the built-in mix)"))
-
-_register(Knob(
-    name="bench_min_speedup", env="REPRO_BENCH_MIN_SPEEDUP",
-    type="float", default=5.0, scope="execution", examples=("2", "3"),
-    help="decoded/interp geomean gate threshold (default 5.0)"))
-
-_register(Knob(
-    name="bench_campaign_sets", env="REPRO_BENCH_CAMPAIGN_SETS",
-    type="int", default=100, scope="execution", validator=_at_least(1),
-    examples=("10", "20"),
-    help="campaign-bench task sets per utilisation point "
-         "(default 100)"))
-
-_register(Knob(
-    name="bench_campaign_configs", env="REPRO_BENCH_CAMPAIGN_CONFIGS",
-    type="csv", default=(), scope="execution",
-    examples=("a", "a,b"),
-    help="campaign-bench Fig. 5 config keys (default: all six)"))
-
-_register(Knob(
-    name="bench_min_campaign_speedup",
-    env="REPRO_BENCH_MIN_CAMPAIGN_SPEEDUP", type="float", default=4.0,
-    scope="execution", examples=("1.5", "2.5"),
-    help="campaign parallel-speedup gate threshold (default 4.0)"))
-
-_register(Knob(
-    name="bench_sched_sets", env="REPRO_BENCH_SCHED_SETS", type="int",
-    default=100, scope="execution", validator=_at_least(1),
-    examples=("10", "20"),
-    help="sched-bench task sets per utilisation point (default 100)"))
-
-_register(Knob(
-    name="bench_sched_configs", env="REPRO_BENCH_SCHED_CONFIGS",
-    type="csv", default=(), scope="execution", examples=("a", "a,b"),
-    help="sched-bench Fig. 5 config keys (default: all six)"))
-
-_register(Knob(
-    name="bench_min_sched_speedup",
-    env="REPRO_BENCH_MIN_SCHED_SPEEDUP", type="float", default=3.0,
-    scope="execution", examples=("1.5", "2.5"),
-    help="numpy-vectorization speedup gate threshold (default 3.0)"))
-
-_register(Knob(
-    name="bench_scenario_names", env="REPRO_BENCH_SCENARIO_NAMES",
-    type="csv", default=(), scope="execution",
-    examples=("fig7-latency", "fig7-latency,burst-faults"),
-    help="scenario-bench catalog names (default: the built-in "
-         "four-kind subset)"))
-
-_register(Knob(
-    name="bench_min_replay_speedup",
-    env="REPRO_BENCH_MIN_REPLAY_SPEEDUP", type="float", default=3.0,
-    scope="execution", examples=("1.5", "2.5"),
-    help="cached-replay speedup gate threshold (default 3.0)"))
-
-_register(Knob(
-    name="bench_soc_points", env="REPRO_BENCH_SOC_POINTS", type="csv",
-    default=(), scope="execution",
-    examples=("fig4-1x2", "fig4-1x2,fig7-32core"),
-    help="soc-bench grid point names (default: the built-in grid)"))
-
-_register(Knob(
-    name="bench_soc_repeats", env="REPRO_BENCH_SOC_REPEATS",
-    type="int", default=1, scope="execution", validator=_at_least(1),
-    examples=("2", "3"),
-    help="soc-bench timing repeats per point (default 1)"))
-
-_register(Knob(
-    name="bench_min_soc_speedup", env="REPRO_BENCH_MIN_SOC_SPEEDUP",
-    type="float", default=2.0, scope="execution", examples=("1.5", "2.5"),
-    help="heap-vs-loop 8+-core geomean gate threshold (default 2.0)"))

@@ -207,23 +207,30 @@ def test_fixture_programs_bit_identical(make_prog):
         assert fast[0].diff(ref[0]) == [], engine
 
 
-def test_workload_generator_programs_bit_identical():
+#: The synthetic workload mix: memory density 0.18-0.35, branchy and
+#: straight-line code, mul-heavy and syscall-heavy profiles.
+_WORKLOAD_MIX = ("blackscholes", "dedup", "mcf", "hmmer", "x264")
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [(name, "plain") for name in _WORKLOAD_MIX] + [("hmmer", "nzdc")])
+def test_workload_generator_programs_bit_identical(name, mode):
     """The paper's synthetic workload mix, all engines, both modes."""
     from repro.workloads.generator import GeneratorOptions, build_program
     from repro.workloads.profiles import get_profile
-    for name, mode in (("dedup", "plain"), ("hmmer", "nzdc")):
-        program = build_program(
-            get_profile(name),
-            GeneratorOptions(target_instructions=8000, mode=mode))
-        ref = _execute(program, "interp", via="step")
-        for engine in _ALT_ENGINES:
-            stepped = _execute(program, engine, via="step")
-            fast = _execute(program, engine, via="run")
-            assert stepped[0].diff(ref[0]) == [], (name, mode, engine)
-            assert stepped[1] == ref[1], (name, mode, engine)
-            assert stepped[2] == ref[2] == fast[2], (name, mode, engine)
-            assert stepped[3] == ref[3] == fast[3], (name, mode, engine)
-            assert fast[0].diff(ref[0]) == [], (name, mode, engine)
+    program = build_program(
+        get_profile(name),
+        GeneratorOptions(target_instructions=8000, mode=mode))
+    ref = _execute(program, "interp", via="step")
+    for engine in _ALT_ENGINES:
+        stepped = _execute(program, engine, via="step")
+        fast = _execute(program, engine, via="run")
+        assert stepped[0].diff(ref[0]) == [], engine
+        assert stepped[1] == ref[1], engine
+        assert stepped[2] == ref[2] == fast[2], engine
+        assert stepped[3] == ref[3] == fast[3], engine
+        assert fast[0].diff(ref[0]) == [], engine
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def test_soc_fingerprint_engine_invariant(pairs, checkers):
     and cache counter -- whether the ``loop`` scheduler drives the
     reference interpreter or the ``heap`` scheduler drives a faster
     tier."""
-    from repro.flexstep.bench import build_point_soc, soc_fingerprint
+    from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
 
     point = {"name": f"{pairs}x{checkers}", "workload": "dedup",
              "pairs": pairs, "checkers": checkers, "faults": True,

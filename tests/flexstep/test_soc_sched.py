@@ -22,11 +22,7 @@ import pytest
 from repro.config import SoCConfig
 from repro.core.core import Core
 from repro.errors import ConfigurationError
-from repro.flexstep.bench import (
-    DEFAULT_GRID,
-    build_point_soc,
-    soc_fingerprint,
-)
+from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
 from repro.flexstep.checker import CheckerEngine
 from repro.flexstep.faults import FaultTarget, install_injector
 from repro.flexstep.packets import (
@@ -285,7 +281,8 @@ class TestSharedStateLookahead:
 
 
 class TestTopologySweep:
-    """Fault-injected multi-pair dies from 4 to 32 cores.
+    """Fault-injected multi-pair dies from 4 to 32 cores, plus clean
+    single-pair dual and triple dies (the Fig. 4 and Fig. 6 shapes).
 
     ``(4, 2)`` matters beyond scale: its main ids {0, 3, 6, 9} are the
     pattern where a hash-ordered candidate scan would diverge from the
@@ -293,22 +290,30 @@ class TestTopologySweep:
     """
 
     @pytest.mark.parametrize(
-        "pairs,checkers",
-        [(2, 1), (4, 1), (16, 1), (2, 2), (4, 2)],
+        "pairs,checkers,workload,faults",
+        [
+            pytest.param(2, 1, "dedup", True, id="2-1"),
+            pytest.param(4, 1, "dedup", True, id="4-1"),
+            pytest.param(16, 1, "dedup", True, id="16-1"),
+            pytest.param(2, 2, "dedup", True, id="2-2"),
+            pytest.param(4, 2, "dedup", True, id="4-2"),
+            pytest.param(1, 1, "dedup", False, id="1-1-dedup-clean"),
+            pytest.param(1, 2, "x264", False, id="1-2-x264-clean"),
+            pytest.param(4, 2, "blackscholes", True, id="4-2-blackscholes"),
+            pytest.param(16, 1, "mcf", True, id="16-1-mcf"),
+        ],
     )
-    def test_fault_injection_identical(self, pairs, checkers):
-        point = grid_point(pairs, checkers)
+    def test_fault_injection_identical(self, pairs, checkers, workload,
+                                       faults):
+        point = grid_point(pairs, checkers, workload=workload,
+                           faults=faults)
         fingerprint = assert_schedulers_identical(
             lambda: build_point_soc(point)
         )
-        assert fingerprint[5]  # fault records were produced and match
-
-    def test_bench_grid_points_are_well_formed(self):
-        names = [p["name"] for p in DEFAULT_GRID]
-        assert len(names) == len(set(names))
-        assert any(
-            p["pairs"] * (1 + p["checkers"]) == 32 for p in DEFAULT_GRID
-        )
+        # one injector per pair on a faulted die, and their records match
+        injectors = [row for row in fingerprint[5]
+                     if row[0] == "armed_unfired"]
+        assert len(injectors) == (pairs if faults else 0)
 
 
 class TestBoundedRuns:

@@ -24,7 +24,7 @@ ALL_KNOBS = sorted(knobs.REGISTRY)
 
 class TestRegistryShape:
     def test_registry_is_nonempty_and_indexed_both_ways(self):
-        assert len(knobs.REGISTRY) >= 30
+        assert len(knobs.REGISTRY) >= 19
         for knob in knobs.REGISTRY.values():
             assert knobs._BY_ENV[knob.env] is knob
 
@@ -54,7 +54,7 @@ class TestRegistryShape:
 
 
 # ---------------------------------------------------------------------------
-# the single boolean grammar (the REPRO_BENCH_STRICT="false" bugfix)
+# the single boolean grammar (the ``"false"``-was-truthy bugfix)
 # ---------------------------------------------------------------------------
 
 
@@ -75,25 +75,25 @@ class TestParseBool:
     @pytest.mark.parametrize("raw,expected", [
         ("false", False), ("FALSE", False), ("0", False), ("1", True),
     ])
-    def test_bench_strict_regression(self, monkeypatch, raw, expected):
-        """``REPRO_BENCH_STRICT=false`` was *truthy* before the
+    def test_campaign_strict_regression(self, monkeypatch, raw, expected):
+        """A boolean knob set to ``"false"`` was *truthy* before the
         registry (``not in ("", "0")``); pin the fixed grammar through
         the real consumer."""
-        from repro.campaign.bench import strict_enabled
-        monkeypatch.setenv("REPRO_BENCH_STRICT", raw)
-        assert strict_enabled() is expected
+        from repro.campaign.engine import default_strict
+        monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", raw)
+        assert default_strict() is expected
 
-    def test_bench_strict_empty_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "")
-        from repro.campaign.bench import strict_enabled
-        assert strict_enabled() is False
+    def test_campaign_strict_empty_means_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", "")
+        from repro.campaign.engine import default_strict
+        assert default_strict() is False
 
-    def test_bench_strict_typo_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "maybe")
-        from repro.campaign.bench import strict_enabled
+    def test_campaign_strict_typo_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", "maybe")
+        from repro.campaign.engine import default_strict
         with pytest.raises(ConfigurationError,
-                           match="REPRO_BENCH_STRICT"):
-            strict_enabled()
+                           match="REPRO_CAMPAIGN_STRICT"):
+            default_strict()
 
 
 # ---------------------------------------------------------------------------
