@@ -212,25 +212,24 @@ def test_fixture_programs_bit_identical(make_prog):
 _WORKLOAD_MIX = ("blackscholes", "dedup", "mcf", "hmmer", "x264")
 
 
-@pytest.mark.parametrize(
-    "name,mode",
-    [(name, "plain") for name in _WORKLOAD_MIX] + [("hmmer", "nzdc")])
-def test_workload_generator_programs_bit_identical(name, mode):
+def test_workload_generator_programs_bit_identical():
     """The paper's synthetic workload mix, all engines, both modes."""
     from repro.workloads.generator import GeneratorOptions, build_program
     from repro.workloads.profiles import get_profile
-    program = build_program(
-        get_profile(name),
-        GeneratorOptions(target_instructions=8000, mode=mode))
-    ref = _execute(program, "interp", via="step")
-    for engine in _ALT_ENGINES:
-        stepped = _execute(program, engine, via="step")
-        fast = _execute(program, engine, via="run")
-        assert stepped[0].diff(ref[0]) == [], engine
-        assert stepped[1] == ref[1], engine
-        assert stepped[2] == ref[2] == fast[2], engine
-        assert stepped[3] == ref[3] == fast[3], engine
-        assert fast[0].diff(ref[0]) == [], engine
+    cases = [(name, "plain") for name in _WORKLOAD_MIX] + [("hmmer", "nzdc")]
+    for name, mode in cases:
+        program = build_program(
+            get_profile(name),
+            GeneratorOptions(target_instructions=8000, mode=mode))
+        ref = _execute(program, "interp", via="step")
+        for engine in _ALT_ENGINES:
+            stepped = _execute(program, engine, via="step")
+            fast = _execute(program, engine, via="run")
+            assert stepped[0].diff(ref[0]) == [], (name, mode, engine)
+            assert stepped[1] == ref[1], (name, mode, engine)
+            assert stepped[2] == ref[2] == fast[2], (name, mode, engine)
+            assert stepped[3] == ref[3] == fast[3], (name, mode, engine)
+            assert fast[0].diff(ref[0]) == [], (name, mode, engine)
 
 
 # ---------------------------------------------------------------------------

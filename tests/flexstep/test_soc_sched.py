@@ -280,6 +280,22 @@ class TestSharedStateLookahead:
         assert rounds["heap"] < rounds["loop"]
 
 
+#: The sweep's dies, as ``(pairs, checkers, workload, faults)``.  The
+#: last four are the SoC grid shapes not covered by the dedup sweep
+#: (clean dual and triple, faulted 12- and 32-core dies).
+TOPOLOGY_GRID = [
+    pytest.param(2, 1, "dedup", True, id="2-1"),
+    pytest.param(4, 1, "dedup", True, id="4-1"),
+    pytest.param(16, 1, "dedup", True, id="16-1"),
+    pytest.param(2, 2, "dedup", True, id="2-2"),
+    pytest.param(4, 2, "dedup", True, id="4-2"),
+    pytest.param(1, 1, "dedup", False, id="1-1-dedup-clean"),
+    pytest.param(1, 2, "x264", False, id="1-2-x264-clean"),
+    pytest.param(4, 2, "blackscholes", True, id="4-2-blackscholes"),
+    pytest.param(16, 1, "mcf", True, id="16-1-mcf"),
+]
+
+
 class TestTopologySweep:
     """Fault-injected multi-pair dies from 4 to 32 cores, plus clean
     single-pair dual and triple dies (the Fig. 4 and Fig. 6 shapes).
@@ -289,20 +305,8 @@ class TestTopologySweep:
     canonical sorted order both schedulers define.
     """
 
-    @pytest.mark.parametrize(
-        "pairs,checkers,workload,faults",
-        [
-            pytest.param(2, 1, "dedup", True, id="2-1"),
-            pytest.param(4, 1, "dedup", True, id="4-1"),
-            pytest.param(16, 1, "dedup", True, id="16-1"),
-            pytest.param(2, 2, "dedup", True, id="2-2"),
-            pytest.param(4, 2, "dedup", True, id="4-2"),
-            pytest.param(1, 1, "dedup", False, id="1-1-dedup-clean"),
-            pytest.param(1, 2, "x264", False, id="1-2-x264-clean"),
-            pytest.param(4, 2, "blackscholes", True, id="4-2-blackscholes"),
-            pytest.param(16, 1, "mcf", True, id="16-1-mcf"),
-        ],
-    )
+    @pytest.mark.parametrize("pairs,checkers,workload,faults",
+                             TOPOLOGY_GRID)
     def test_fault_injection_identical(self, pairs, checkers, workload,
                                        faults):
         point = grid_point(pairs, checkers, workload=workload,
@@ -314,6 +318,17 @@ class TestTopologySweep:
         injectors = [row for row in fingerprint[5]
                      if row[0] == "armed_unfired"]
         assert len(injectors) == (pairs if faults else 0)
+
+    def test_bench_grid_points_are_well_formed(self):
+        """The sweep keeps the SoC grid's reach: distinct ids, clean
+        and faulted dies, and a 32-core die."""
+        ids = [param.id for param in TOPOLOGY_GRID]
+        assert len(ids) == len(set(ids))
+        points = [param.values for param in TOPOLOGY_GRID]
+        assert {faults for *_, faults in points} == {True, False}
+        assert any(
+            pairs * (1 + checkers) == 32 for pairs, checkers, *_ in points
+        )
 
 
 class TestBoundedRuns:

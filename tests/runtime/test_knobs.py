@@ -75,20 +75,22 @@ class TestParseBool:
     @pytest.mark.parametrize("raw,expected", [
         ("false", False), ("FALSE", False), ("0", False), ("1", True),
     ])
-    def test_campaign_strict_regression(self, monkeypatch, raw, expected):
+    def test_bench_strict_regression(self, monkeypatch, raw, expected):
         """A boolean knob set to ``"false"`` was *truthy* before the
         registry (``not in ("", "0")``); pin the fixed grammar through
-        the real consumer."""
+        the real consumer.  The tests keep the name of the bench strict
+        gate they were written for; ``REPRO_CAMPAIGN_STRICT`` is the
+        strict gate that remains."""
         from repro.campaign.engine import default_strict
         monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", raw)
         assert default_strict() is expected
 
-    def test_campaign_strict_empty_means_unset(self, monkeypatch):
+    def test_bench_strict_empty_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", "")
         from repro.campaign.engine import default_strict
         assert default_strict() is False
 
-    def test_campaign_strict_typo_raises(self, monkeypatch):
+    def test_bench_strict_typo_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_STRICT", "maybe")
         from repro.campaign.engine import default_strict
         with pytest.raises(ConfigurationError,
