@@ -43,13 +43,19 @@ class Cache:
         self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(config.sets)]
         self._set_mask = config.sets - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
+        self.line_shift = config.line_bytes.bit_length() - 1
+        #: Line of the last :meth:`access` (-1: none since the last
+        #: invalidate).  That line is present and MRU in its set, so a
+        #: read of it is a hit that changes nothing but ``stats.hits``:
+        #: the fetch sites take that shortcut when ``pc >> line_shift``
+        #: matches (see :meth:`MemoryHierarchy.fetch_access`).
+        self.last_line = -1
         # sets is a power of two for all Table II configs; fall back to
         # modulo indexing otherwise.
         self._pow2 = (config.sets & (config.sets - 1)) == 0
 
     def _index(self, addr: int) -> tuple[int, int]:
-        line = addr >> self._line_shift
+        line = addr >> self.line_shift
         if self._pow2:
             return line & self._set_mask, line
         return line % self.config.sets, line
@@ -57,6 +63,7 @@ class Cache:
     def access(self, addr: int, write: bool) -> bool:
         """Look up ``addr``; allocate on miss.  Returns hit?"""
         set_idx, tag = self._index(addr)
+        self.last_line = tag
         ways = self._sets[set_idx]
         if tag in ways:
             self.stats.hits += 1
@@ -78,7 +85,7 @@ class Cache:
 
         Inlines :meth:`_index`: the heap co-sim asks this before nearly
         every step of a core running ahead of the others."""
-        line = addr >> self._line_shift
+        line = addr >> self.line_shift
         if self._pow2:
             return line in self._sets[line & self._set_mask]
         return line in self._sets[line % self.config.sets]
@@ -86,6 +93,7 @@ class Cache:
     def invalidate_all(self) -> None:
         for ways in self._sets:
             ways.clear()
+        self.last_line = -1
 
 
 @dataclass
@@ -129,7 +137,10 @@ class MemoryHierarchy:
         """Extra cycles a fetch adds beyond the pipelined hit path.
 
         An L1I hit is fully pipelined (0 extra); a miss pays the L2 (and
-        possibly DRAM) round trip.
+        possibly DRAM) round trip.  This is the full path; the decoded
+        fetch sites first test ``pc >> l1i.line_shift == l1i.last_line``
+        and on a match only add one to ``l1i.stats.hits``, which is all
+        this call would change.  The ``interp`` tier always calls it.
         """
         if l1i.access(addr, False):
             return 0

@@ -315,6 +315,19 @@ class Core:
             self._decoded = d
         return d
 
+    def _fetch_extra(self, pc: int) -> int:
+        """Cycles the decoded tier's fetch of ``pc`` adds: a repeat of
+        the L1I's last line only counts a hit (see
+        :attr:`Cache.last_line`), anything else takes the full
+        :meth:`MemoryHierarchy.fetch_access`."""
+        l1i = self.l1i
+        if l1i is None or self.hierarchy is None:
+            return 0
+        if pc >> l1i.line_shift == l1i.last_line:
+            l1i.stats.hits += 1
+            return 0
+        return self.hierarchy.fetch_access(l1i, pc)
+
     def peek_kind_code(self) -> int:
         """Integer kind code of the instruction at the current pc.
 
@@ -365,9 +378,7 @@ class Core:
         off = pc - d.base
         if off < 0 or off >= d.limit or off & 3:
             self.program.fetch(pc)  # raises with canonical message
-        extra = 0
-        if self.l1i is not None and self.hierarchy is not None:
-            extra = self.hierarchy.fetch_access(self.l1i, pc)
+        extra = self._fetch_extra(pc)
         prior_priv = self.priv
         self._record_mem = True
         self._mem_scratch = ()
@@ -407,9 +418,7 @@ class Core:
         off = pc - d.base
         if off < 0 or off >= d.limit or off & 3:
             self.program.fetch(pc)  # raises with canonical message
-        extra = 0
-        if self.l1i is not None and self.hierarchy is not None:
-            extra = self.hierarchy.fetch_access(self.l1i, pc)
+        extra = self._fetch_extra(pc)
         user = self.priv is Privilege.USER
         self._record_mem = False
         try:
@@ -470,6 +479,8 @@ class Core:
         use_l1i = l1i is not None and hierarchy is not None
         if use_l1i:
             fetch = hierarchy.fetch_access
+            line_shift = l1i.line_shift
+            l1i_stats = l1i.stats
         blocks = d.blocks
         block_lens = d.block_lens
         cycles = 0
@@ -489,7 +500,11 @@ class Core:
                     # Per-instruction path: the I-fetch timing model
                     # needs each pc, so blocks cannot be fused.
                     take = 1
-                    c = fetch(l1i, pc) + kernels[idx](self)
+                    if pc >> line_shift == l1i.last_line:
+                        l1i_stats.hits += 1
+                        c = kernels[idx](self)
+                    else:
+                        c = fetch(l1i, pc) + kernels[idx](self)
                 else:
                     take = block_lens[idx]
                     if take > n - executed:

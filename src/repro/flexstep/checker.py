@@ -364,6 +364,9 @@ class CheckerEngine:
         gate = self._fetch_gate
         hierarchy = core.hierarchy
         l1i = core.l1i if hierarchy is not None else None
+        if l1i is not None:
+            line_shift = l1i.line_shift
+            l1i_stats = l1i.stats
         channel = self.channel
         latency = channel.latency
         head = channel.head()
@@ -398,6 +401,9 @@ class CheckerEngine:
                 if memory and not ready:
                     break
                 if l1i is None:
+                    extra = 0
+                elif pc >> line_shift == l1i.last_line:
+                    l1i_stats.hits += 1
                     extra = 0
                 elif gate is not None and now >= gate \
                         and not l1i.contains(pc):
@@ -534,8 +540,11 @@ class CheckerEngine:
             self._idle(1)
             return
         gate = self._fetch_gate
+        l1i = self.core.l1i
+        pc = self.core.pc
         if gate is not None and self.core.stats.cycles >= gate \
-                and not self.core.l1i.contains(self.core.pc):
+                and pc >> l1i.line_shift != l1i.last_line \
+                and not l1i.contains(pc):
             # the fetch would reach the shared L2: leave it to a round
             # in which this checker is the co-sim minimum (nothing has
             # changed yet but the idempotent ``_safe_count`` update)

@@ -26,7 +26,9 @@ def build_point_soc(point: dict) -> tuple[FlexStepSoC, list]:
 
     ``pairs`` main/checker groups run the point's workload concurrently
     (the Fig. 7 topology); fault points install one deterministic
-    injector per pair, exactly like ``analysis.latency._fig7_unit``.
+    injector per pair, as ``analysis.latency._fig7_unit`` does, but
+    armed on every segment: at the small targets the differential
+    suites use, a checker may close only one segment.
     """
     profile = get_profile(point["workload"])
     options = GeneratorOptions(
@@ -62,7 +64,7 @@ def build_point_soc(point: dict) -> tuple[FlexStepSoC, list]:
                 main,
                 side="checker",
                 target=FaultTarget.ANY,
-                segment_interval=2,
+                segment_interval=1,
                 rng=random.Random(11 + 7_919 * pair),
             )
             injectors.append(injector)

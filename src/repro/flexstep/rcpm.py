@@ -226,8 +226,11 @@ class MainCoreAdapter:
 
         A user-mode commit (the common case; ``before_step`` first
         opens a segment if none is open) runs the decoded kernel
-        directly and logs through :meth:`_log_user_commit`, with no
-        ``CommitRecord``.  Every other
+        directly, with no ``CommitRecord``.  A fetch of the L1I's last
+        line only counts a hit (see ``Cache.last_line``).  The commit
+        logs through :meth:`_log_user_commit` when it has MAL entries or
+        reaches the heartbeat or the segment limit; otherwise the CPC
+        count is all that changes.  Every other
         step -- a kernel-mode commit, an ecall/mret, a halt, a pending
         interrupt, the ``interp`` engine, or a core carrying another
         commit hook -- takes ``before_step`` plus ``Core.step`` and this
@@ -248,10 +251,15 @@ class MainCoreAdapter:
         hierarchy = core.hierarchy
         # the L1I is timed (and reaches the L2) only with a hierarchy
         l1i = core.l1i if hierarchy is not None else None
+        if l1i is not None:
+            line_shift = l1i.line_shift
+            l1i_stats = l1i.stats
         l1d = getattr(core.port, "l1d", None)
         outbox = self._outbox
         channels = self.channels
         enabled = self.enabled
+        progress_interval = self.progress_interval
+        segment_limit = self.config.segment_limit
         user = Privilege.USER
         fused = (enabled and core._use_kernels
                  and core._hooks == [self._on_commit])
@@ -277,7 +285,8 @@ class MainCoreAdapter:
                     # shared-step test (pure): yield before the step
                     if kind < 0 or kind == K_HALT:
                         break
-                    if l1i is not None and not l1i.contains(pc):
+                    if l1i is not None and pc >> line_shift != \
+                            l1i.last_line and not l1i.contains(pc):
                         break
                     if operands is not None and (
                             shared_memory or l1d is None
@@ -294,16 +303,30 @@ class MainCoreAdapter:
                     self.before_step()
                 if operands is not None:
                     core._mem_scratch = ()
-                extra = 0 if l1i is None \
-                    else hierarchy.fetch_access(l1i, pc)
+                if l1i is None:
+                    extra = 0
+                elif pc >> line_shift == l1i.last_line:
+                    l1i_stats.hits += 1
+                    extra = 0
+                else:
+                    extra = hierarchy.fetch_access(l1i, pc)
                 cycles = kernels[idx](core) + extra
                 stats.instructions += 1
                 stats.user_instructions += 1
                 stats.cycles += cycles
                 csrd[CSR_INSTRET] += 1
-                self._log_user_commit(
-                    () if operands is None else core._mem_scratch)
                 done += 1
+                if operands is None:
+                    # CPC only, unless the commit reaches the heartbeat
+                    # or the segment limit
+                    count = self._count + 1
+                    if (count - self._last_progress < progress_interval
+                            and count < segment_limit):
+                        self._count = count
+                        continue
+                    self._log_user_commit(())
+                else:
+                    self._log_user_commit(core._mem_scratch)
                 continue
             if enabled:
                 self.before_step()
@@ -349,7 +372,9 @@ class MainCoreAdapter:
         one ``MemPacket`` per entry (or a progress heartbeat after
         ``progress_interval`` memory-free commits) and close the segment
         at the instruction-count limit.  The commit hook and the fused
-        window (:meth:`run_window`) both log through here."""
+        window (:meth:`run_window`) both log through here; the window
+        bumps ``_count`` itself for a memory-free commit that reaches
+        neither threshold."""
         count = self._count = self._count + 1
         if mem_ops:
             cycles = self.core.stats.cycles

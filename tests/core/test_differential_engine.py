@@ -14,18 +14,20 @@ The suite also proves engine invariance where it matters to the paper:
 full checker-replay fault campaigns (checker-side, main-side and burst
 faults) produce identical detection payloads under every tier, the
 ``exec_one``/``peek_kind_code`` single-step surface the checkers replay
-through is tier-independent, and a block kernel that faults mid-run
-honours the uncommitted-instruction contract (memory faults in
-straight lines, diamond gaps, stores and out-of-range accesses, plus
-privilege traps).
+through is tier-independent, a core timed through a conflicting L1I
+counts the same fetches on every fetch path, and a block kernel that
+faults mid-run honours the uncommitted-instruction contract (memory
+faults in straight lines, diamond gaps, stores and out-of-range
+accesses, plus privilege traps).
 """
 
 import random
 
 import pytest
 
-from repro.config import CoreConfig
-from repro.core import CSR_MTVEC, Core, DirectPort, MainMemory
+from repro.config import CacheConfig, CoreConfig
+from repro.core import (CSR_MTVEC, Cache, CachedPort, Core, DirectPort,
+                        MainMemory, MemoryHierarchy)
 from repro.core import engine_override
 from repro.core.core import _ENGINES
 from repro.isa import assemble
@@ -230,6 +232,52 @@ def test_workload_generator_programs_bit_identical():
             assert stepped[2] == ref[2] == fast[2], (name, mode, engine)
             assert stepped[3] == ref[3] == fast[3], (name, mode, engine)
             assert fast[0].diff(ref[0]) == [], (name, mode, engine)
+
+
+def _run_through_l1i(program: Program, engine: str, via: str):
+    """Run ``program`` on one core timed through a small L1I and L1D
+    (2 sets x 2 ways each, so fetches conflict and evict) in front of a
+    shared L2; returns every counter the fetch path can move."""
+    memory = MainMemory()
+    memory.load_segment(program.data.words)
+    l2 = Cache(CacheConfig(size_bytes=2048, ways=4, line_bytes=64), "l2")
+    hierarchy = MemoryHierarchy(l2, l2_latency=20, dram_latency=80)
+    l1i = Cache(CacheConfig(size_bytes=256, ways=2, line_bytes=64), "l1i")
+    l1d = Cache(CacheConfig(size_bytes=256, ways=2, line_bytes=64), "l1d")
+    core = Core(0, CoreConfig(), CachedPort(memory, hierarchy, l1d),
+                l1i=l1i, hierarchy=hierarchy, engine=engine)
+    core.load_program(program)
+    handler = program.labels.get("_trap_handler")
+    if handler is not None:
+        core.csrs.raw_write(CSR_MTVEC, handler)
+    while not core.halted:
+        if via == "advance":
+            core.advance(97)
+        elif via == "exec_one":
+            core.exec_one()
+        else:
+            core.step()
+    return (core.stats, core.csrs.raw_read(0xC02), l1i.stats, l1d.stats,
+            l2.stats, hierarchy.stats, core.snapshot().regs)
+
+
+@pytest.mark.parametrize("name", ["dedup", "x264"])
+def test_core_fetch_sites_identical_through_l1i(name):
+    """The decoded tier's three standalone fetch sites (``advance``,
+    ``exec_one`` and ``step``) take the L1I's last-line shortcut; the
+    ``interp`` ``step`` always takes the full ``fetch_access``.  With an
+    L1I small enough to evict, all four agree on cycles, ``instret``,
+    core stats and every cache counter."""
+    from repro.workloads.generator import GeneratorOptions, build_program
+    from repro.workloads.profiles import get_profile
+    program = build_program(get_profile(name),
+                            GeneratorOptions(target_instructions=4000))
+    ref = _run_through_l1i(program, "interp", "step")
+    for via in ("advance", "exec_one", "step"):
+        assert _run_through_l1i(program, "decoded", via) == ref, via
+    l1i_stats = ref[2]
+    assert l1i_stats.hits > 10 * l1i_stats.misses > 0
+    assert l1i_stats.evictions > 0
 
 
 # ---------------------------------------------------------------------------

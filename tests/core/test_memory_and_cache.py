@@ -1,5 +1,7 @@
 """Memory, port and cache-model tests."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
@@ -152,6 +154,109 @@ class TestHierarchy:
         hier.data_access(l1, 0, False)
         assert hier.stats.accesses == 2
         assert hier.stats.average_latency > 2
+
+
+def _last_line_fetch(hier, l1i, addr):
+    """A fetch as the decoded fetch sites make it: a repeat of the L1I's
+    last line only counts a hit; anything else takes ``fetch_access``."""
+    if addr >> l1i.line_shift == l1i.last_line:
+        l1i.stats.hits += 1
+        return 0
+    return hier.fetch_access(l1i, addr)
+
+
+def _lru_order(cache):
+    """Every set's (line, dirty) pairs, LRU first."""
+    return [list(ways.items()) for ways in cache._sets]
+
+
+class TestLastLineFetch:
+    def _setup(self):
+        # L1I: 2 sets x 2 ways of 64 B lines; L2: 4 sets x 4 ways
+        l1i = Cache(CacheConfig(size_bytes=256, ways=2, line_bytes=64),
+                    name="l1i")
+        l2 = Cache(CacheConfig(size_bytes=1024, ways=4, line_bytes=64),
+                   name="l2")
+        hier = MemoryHierarchy(l2, l2_latency=40, dram_latency=120)
+        return l1i, l2, hier
+
+    def test_access_sets_last_line(self):
+        l1i, _l2, _hier = self._setup()
+        assert l1i.last_line == -1
+        l1i.access(0x0C8, False)
+        assert l1i.last_line == 0x0C8 >> 6
+        l1i.access(0x100, True)
+        assert l1i.last_line == 0x100 >> 6
+
+    def test_same_line_repeat_counts_a_hit_only(self):
+        l1i, l2, hier = self._setup()
+        assert _last_line_fetch(hier, l1i, 0x40) == 40 + 120
+        order = _lru_order(l1i)
+        assert _last_line_fetch(hier, l1i, 0x44) == 0
+        assert _last_line_fetch(hier, l1i, 0x7C) == 0
+        assert (l1i.stats.hits, l1i.stats.misses) == (2, 1)
+        assert _lru_order(l1i) == order
+        assert (l2.stats.hits, l2.stats.misses) == (0, 1)
+
+    def test_fetch_returns_to_an_evicted_line(self):
+        l1i, l2, hier = self._setup()
+        _last_line_fetch(hier, l1i, 0x000)      # line 0 -> set 0
+        _last_line_fetch(hier, l1i, 0x080)      # line 2 -> set 0
+        _last_line_fetch(hier, l1i, 0x100)      # line 4, evicts line 0
+        assert not l1i.contains(0x000)
+        assert l1i.last_line == 4
+        # back to line 0: the full path, an L1I miss the L2 serves
+        assert _last_line_fetch(hier, l1i, 0x004) == 40
+        assert (l1i.stats.hits, l1i.stats.misses,
+                l1i.stats.evictions) == (0, 4, 2)
+        assert (l2.stats.hits, l2.stats.misses) == (1, 3)
+        assert l1i.last_line == 0
+        assert _last_line_fetch(hier, l1i, 0x008) == 0
+        assert l1i.stats.hits == 1
+
+    def test_invalidate_all_resets_last_line(self):
+        l1i, _l2, hier = self._setup()
+        _last_line_fetch(hier, l1i, 0x000)
+        l1i.invalidate_all()
+        assert l1i.last_line == -1
+        # line 0 is gone, so the next fetch of it must miss
+        assert _last_line_fetch(hier, l1i, 0x000) == 40
+        assert (l1i.stats.hits, l1i.stats.misses) == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stream_matches_plain_access(self, seed):
+        """A seeded stream of fetches (same-line runs, jumps into
+        conflicting sets) interleaved with data reads and writes
+        through an L1D that shares the L2: the last-line check changes
+        no counter and no set's LRU order at any level."""
+
+        def run(fetch):
+            rng = random.Random(seed)
+            l1i, l2, hier = self._setup()
+            l1d = Cache(CacheConfig(size_bytes=256, ways=2, line_bytes=64),
+                        name="l1d")
+            pc = 0
+            extra = 0
+            for _ in range(4_000):
+                roll = rng.random()
+                if roll < 0.15:
+                    pc = rng.randrange(0, 0x800, 4)   # conflicts, evictions
+                elif roll < 0.25:
+                    hier.data_access(l1d, rng.randrange(0, 0x800, 8),
+                                     rng.random() < 0.4)
+                    continue
+                else:
+                    pc += 4                           # same-line runs
+                extra += fetch(hier, l1i, pc)
+            return (extra, l1i.stats, l1d.stats, l2.stats, hier.stats,
+                    _lru_order(l1i), _lru_order(l1d), _lru_order(l2))
+
+        fast = run(_last_line_fetch)
+        plain = run(lambda hier, l1i, pc: hier.fetch_access(l1i, pc))
+        assert fast == plain
+        l1i_stats = fast[1]
+        assert l1i_stats.hits > l1i_stats.misses > 0
+        assert l1i_stats.evictions > 0 and fast[3].evictions > 0
 
 
 class TestPorts:

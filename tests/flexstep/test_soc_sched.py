@@ -318,6 +318,9 @@ class TestTopologySweep:
         injectors = [row for row in fingerprint[5]
                      if row[0] == "armed_unfired"]
         assert len(injectors) == (pairs if faults else 0)
+        # a faulted die really injects: at least one FaultRecord
+        records = len(fingerprint[5]) - len(injectors)
+        assert (records > 0) == faults
 
     def test_bench_grid_points_are_well_formed(self):
         """The sweep keeps the SoC grid's reach: distinct ids, clean
