@@ -33,7 +33,7 @@ Guarantees (see ``tests/campaign/``):
 * **Zero-dependency** — stdlib ``multiprocessing`` + ``json`` only.
 
 Knobs: ``REPRO_WORKERS`` (worker count, default ``os.cpu_count()``;
-``1`` = in-process serial path for debugging), ``REPRO_CACHE_DIR``
+``1`` = one in-process worker), ``REPRO_CACHE_DIR``
 (cache root, default ``<repo>/.repro_cache``; set ``cache=None`` in
 code to disable), ``REPRO_UNIT_TIMEOUT`` / ``REPRO_MAX_RETRIES`` /
 ``REPRO_RETRY_BACKOFF`` / ``REPRO_CAMPAIGN_STRICT`` /

@@ -14,9 +14,10 @@ declarative grid (one JSON-able dict per unit).  The engine
    (same spawn seed on every attempt, so a successful retry is
    bit-identical to a never-failed run) and quarantine of poisoned
    units as structured :class:`UnitFailure` records in
-   ``CampaignRun.failures`` — one bad unit degrades the campaign, it
-   no longer kills it (``workers=1`` runs in-process — same semantics
-   minus the processes),
+   ``CampaignRun.failures`` — one bad unit degrades the campaign
+   instead of killing it.  ``workers=1`` runs the same supervisor with
+   one in-process worker, unless a unit timeout or chaos needs a
+   worker process to preempt,
 4. writes each result to the cache as it arrives, so an interrupted
    sweep resumes from where it died; SIGINT/SIGTERM trigger a graceful
    shutdown that drains in-flight units and raises
@@ -56,11 +57,8 @@ from ..runtime import events, knobs
 from .cache import ResultCache, canonical_json, unit_digest
 from .supervisor import (
     ChaosConfig,
-    SupervisorReport,
     UnitFailure,
     WorkerPool,
-    normalize_payload,
-    run_serial,
     run_supervised,
 )
 
@@ -110,29 +108,9 @@ def default_cache_dir() -> Path:
     return knobs.value("cache_dir")
 
 
-def default_unit_timeout() -> Optional[float]:
-    """Per-unit timeout: ``REPRO_UNIT_TIMEOUT`` seconds, else none."""
-    return knobs.value("unit_timeout")
-
-
-def default_max_retries() -> int:
-    """Retry budget: ``REPRO_MAX_RETRIES`` env, else 0."""
-    return knobs.value("max_retries")
-
-
-def default_retry_backoff() -> float:
-    """Backoff base: ``REPRO_RETRY_BACKOFF`` seconds, else 0.05."""
-    return knobs.value("retry_backoff")
-
-
 def default_strict() -> bool:
     """Strict mode: ``REPRO_CAMPAIGN_STRICT`` truthy, else graceful."""
     return knobs.value("campaign_strict")
-
-
-def default_shutdown_grace() -> float:
-    """Drain window on shutdown: ``REPRO_SHUTDOWN_GRACE``, else 5 s."""
-    return knobs.value("shutdown_grace")
 
 
 def chaos_from_env() -> Optional[ChaosConfig]:
@@ -212,10 +190,9 @@ def _digest_version(version: str = "1") -> str:
 class CampaignStats:
     """Bookkeeping for one campaign run.
 
-    ``chunk_size`` is the *effective* dispatch chunking (forced to 1
-    whenever timeouts, retries or chaos are armed, so failure handling
-    keeps per-unit granularity) — recorded so bench replays stay
-    comparable.
+    ``chunk_size`` is the derived dispatch chunking: 1 whenever
+    timeouts, retries or chaos are armed, so failure handling keeps
+    per-unit granularity, else about a quarter of each worker's share.
     """
 
     total: int = 0
@@ -251,10 +228,7 @@ def _start_method() -> str:
     """Pool start method: ``REPRO_MP_START`` env, else the platform
     default (fork on Linux; spawn on macOS, where forking into system
     frameworks is unsafe — the reason CPython switched its default)."""
-    preferred = knobs.value("mp_start")
-    if preferred and preferred in multiprocessing.get_all_start_methods():
-        return preferred
-    return multiprocessing.get_start_method()
+    return knobs.value("mp_start") or multiprocessing.get_start_method()
 
 
 def _failure_summary(failures: Sequence[UnitFailure],
@@ -270,7 +244,6 @@ def _failure_summary(failures: Sequence[UnitFailure],
 def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
                  seed: int = 0, workers: Optional[int] = None,
                  cache: Any = "auto",
-                 chunk_size: Optional[int] = None,
                  unit_timeout: Optional[float] = None,
                  max_retries: Optional[int] = None,
                  retry_backoff: Optional[float] = None,
@@ -304,13 +277,13 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
     if n_workers < 1:
         raise CampaignError(f"workers must be >= 1, got {n_workers}")
     if unit_timeout is None:
-        unit_timeout = default_unit_timeout()
+        unit_timeout = knobs.value("unit_timeout")
     if max_retries is None:
-        max_retries = default_max_retries()
+        max_retries = knobs.value("max_retries")
     if max_retries < 0:
         raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
     if retry_backoff is None:
-        retry_backoff = default_retry_backoff()
+        retry_backoff = knobs.value("retry_backoff")
     if strict is None:
         strict = default_strict()
     chaos = chaos_from_env()
@@ -339,16 +312,6 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
     n_workers = min(n_workers, len(pending)) or 1
     events.emit("campaign.start", fn=fn_ref, units=len(specs),
                 workers=n_workers, cached=cached)
-    # Timeouts, retries and chaos all need per-unit dispatch: a chunk
-    # would make one hung unit poison its whole chunk's granularity.
-    supervised_features = (unit_timeout is not None or max_retries > 0
-                           or chaos is not None)
-    if supervised_features:
-        effective_chunk = 1
-    elif chunk_size is not None:
-        effective_chunk = chunk_size
-    else:
-        effective_chunk = max(1, len(pending) // (n_workers * 4) or 1)
 
     def _record(index: int, payload: Any) -> None:
         results[index] = payload
@@ -357,15 +320,18 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
             store.put(digests[index], payload)
 
     # Worker processes are required for preemption (timeouts) and for
-    # chaos kills, even at workers=1; the plain in-process path remains
-    # the default serial story.
-    use_processes = bool(pending) and (
-        n_workers > 1 or unit_timeout is not None or chaos is not None)
-    # A shared pool's workers were spawned with the pool's chaos spec;
-    # a campaign arming a different one must not inherit them.
-    chaos_spec = None if chaos is None else dataclasses.asdict(chaos)
-    if pool is not None and pool.chaos_spec != chaos_spec:
-        pool = None
+    # chaos kills, even at workers=1; otherwise one worker runs
+    # in-process (ctx=None).
+    ctx = None
+    if pending and (n_workers > 1 or unit_timeout is not None
+                    or chaos is not None):
+        # A shared pool's workers were spawned with the pool's chaos
+        # spec; a campaign arming a different one must not inherit them.
+        chaos_spec = None if chaos is None else dataclasses.asdict(chaos)
+        if pool is not None and pool.chaos_spec != chaos_spec:
+            pool = None
+        ctx = pool.ctx if pool is not None \
+            else multiprocessing.get_context(_start_method())
 
     shutdown = shutdown_event if shutdown_event is not None \
         else threading.Event()
@@ -383,22 +349,12 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
             except (ValueError, OSError):  # pragma: no cover
                 continue
     try:
-        if not pending:
-            report = SupervisorReport()
-        elif use_processes:
-            ctx = pool.ctx if pool is not None \
-                else multiprocessing.get_context(_start_method())
-            report = run_supervised(
-                pending, workers=n_workers, ctx=ctx, record=_record,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                unit_timeout=unit_timeout, chaos=chaos,
-                chunk_size=effective_chunk,
-                shutdown_grace=default_shutdown_grace(),
-                shutdown_event=shutdown, pool=pool)
-        else:
-            report = run_serial(
-                pending, record=_record, max_retries=max_retries,
-                retry_backoff=retry_backoff, shutdown_event=shutdown)
+        report = run_supervised(
+            pending, workers=n_workers, ctx=ctx, record=_record,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            unit_timeout=unit_timeout, chaos=chaos,
+            shutdown_grace=knobs.value("shutdown_grace"),
+            shutdown_event=shutdown, pool=pool)
     finally:
         for sig, previous in installed:
             signal.signal(sig, previous)
@@ -406,7 +362,7 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
     failures = report.failures
     stats = CampaignStats(
         total=len(specs), computed=len(done) - cached, cached=cached,
-        workers=n_workers, chunk_size=effective_chunk,
+        workers=n_workers, chunk_size=report.chunk_size,
         seconds=time.perf_counter() - start,
         cache_dir=str(store.root) if store is not None else None,
         retried=report.retries, quarantined=len(failures),
@@ -435,7 +391,6 @@ def run_grouped_campaign(fn: Callable[[Any, int], Any],
                          groups: Mapping[str, Sequence[Any]], *,
                          seed: int = 0, workers: Optional[int] = None,
                          cache: Any = "auto",
-                         chunk_size: Optional[int] = None,
                          unit_timeout: Optional[float] = None,
                          max_retries: Optional[int] = None,
                          retry_backoff: Optional[float] = None,
@@ -455,7 +410,7 @@ def run_grouped_campaign(fn: Callable[[Any, int], Any],
     for specs in groups.values():
         flat.extend(specs)
     run = run_campaign(fn, flat, seed=seed, workers=workers, cache=cache,
-                       chunk_size=chunk_size, unit_timeout=unit_timeout,
+                       unit_timeout=unit_timeout,
                        max_retries=max_retries,
                        retry_backoff=retry_backoff, strict=strict,
                        pool=pool, shutdown_event=shutdown_event)
@@ -465,8 +420,3 @@ def run_grouped_campaign(fn: Callable[[Any, int], Any],
         sliced[key] = run.results[offset:offset + len(specs)]
         offset += len(specs)
     return sliced, run.stats
-
-
-# Backwards-compatible alias: the JSON round-trip normaliser moved to
-# the supervisor module (workers import it there).
-_normalize = normalize_payload

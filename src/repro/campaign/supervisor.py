@@ -1,11 +1,8 @@
 """Fault-tolerant supervised executor for campaign work units.
 
-The campaign engine used to fan units onto a bare
-``multiprocessing.Pool.imap_unordered``: one unit exception — or one
-OOM-killed worker — lost the whole sweep, with no timeout, retry or
-post-mortem.  This module replaces the pool with a *supervisor* that
-owns a set of single-purpose worker processes and survives everything
-a worker can do to it:
+Every campaign's pending units run through one *supervisor* that owns
+a set of single-purpose workers and survives everything a worker can
+do to it:
 
 * **per-unit wall-clock timeouts** — a hung unit is killed (its worker
   with it) and the unit is retried or quarantined;
@@ -25,6 +22,12 @@ a worker can do to it:
   to drain, and everything else is reported as outstanding (a re-run
   resumes it from the cache).
 
+The workers are processes (``_Worker``, leased from a
+:class:`WorkerPool`) or, when no multiprocessing context is given, one
+in-process ``_InlineWorker``: a pool of one with the same retry,
+quarantine and shutdown handling, but nothing to preempt or kill, so
+no timeouts and no chaos injection.
+
 Results are reported per unit (never per batch), so a worker death
 can only ever lose the unit it was actually running — and because
 unit payloads are pure functions of ``(spec, rng_seed)``, a lost
@@ -37,7 +40,7 @@ kills workers mid-unit, raises injected exceptions and hangs units so
 the chaos suite can prove the supervisor's guarantees differentially
 against a clean ``workers=1`` run.  It is only ever active inside
 worker processes — the supervisor passes the parsed config down
-explicitly, and the serial in-process path never injects.
+explicitly, and the in-process worker never injects.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ChaosError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# unit execution (shared by workers and the serial path)
+# unit execution (shared by process and in-process workers)
 # ---------------------------------------------------------------------------
 
 _RESOLVED: dict[str, Callable] = {}
@@ -211,6 +214,8 @@ class SupervisorReport:
     interrupted: bool = False
     #: Indexes neither completed nor quarantined (graceful shutdown).
     outstanding: list = field(default_factory=list)
+    #: Units per dispatched batch (derived, see :func:`run_supervised`).
+    chunk_size: int = 1
 
 
 class _Unit:
@@ -265,8 +270,8 @@ def _worker_main(task_q, result_q, chaos_spec: Optional[dict]) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    # imported here, not at module level: the serial in-process path
-    # never needs it
+    # imported here, not at module level: the in-process worker never
+    # needs it
     from multiprocessing.connection import wait as wait_ready
 
     chaos = ChaosConfig(**chaos_spec) if chaos_spec else None
@@ -333,6 +338,17 @@ class _Worker:
                         worker=self.process.pid)
         self.task_q.put([unit.as_task() for unit in units])
 
+    def next_message(self) -> Optional[tuple]:
+        """The next queued result message, or ``None`` when none is."""
+        return None if self.result_q.empty() else self.result_q.get()
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self.process.pid
+
     def shutdown(self, kill: bool = False) -> None:
         """Stop the worker and release its queues."""
         try:
@@ -357,6 +373,48 @@ class _Worker:
                 pass
 
 
+class _InlineWorker:
+    """The in-process worker: the supervisor's pool of one.
+
+    It has the surface the supervisor uses on a live :class:`_Worker`
+    (it never dies, so it is never failed or shut down).  Reading
+    the next result message runs the unit at the head of the batch in
+    this process, so the supervisor times each unit on its own and the
+    ``unit.start``/``unit.end`` events alternate unit by unit.  Only
+    ``Exception`` is turned into an ``"err"`` message:
+    ``KeyboardInterrupt`` and ``SystemExit`` propagate to the caller.
+    ``run_attempt`` is looked up in this module at call time, so a
+    wrapper patched onto ``repro.campaign.supervisor.run_attempt``
+    sees every in-process attempt.
+    """
+
+    def __init__(self):
+        self.batch: deque[_Unit] = deque()
+        self.last_progress = time.monotonic()
+        self.pid = os.getpid()
+
+    def dispatch(self, units: Sequence[_Unit]) -> None:
+        self.batch.extend(units)
+        self.last_progress = time.monotonic()
+
+    def next_message(self) -> Optional[tuple]:
+        if not self.batch:
+            return None
+        unit = self.batch[0]
+        events.emit("unit.start", digest=unit.digest, index=unit.index,
+                    attempt=unit.attempt, worker=self.pid)
+        try:
+            payload = run_attempt(unit.fn_ref, unit.spec, unit.rng_seed,
+                                  unit.attempt, None)
+        except Exception as exc:
+            return ("err", unit.index, unit.attempt, type(exc).__name__,
+                    str(exc), traceback_mod.format_exc())
+        return ("ok", unit.index, unit.attempt, payload)
+
+    def alive(self) -> bool:
+        return True
+
+
 # ---------------------------------------------------------------------------
 # the reusable worker pool
 # ---------------------------------------------------------------------------
@@ -365,14 +423,12 @@ class _Worker:
 class WorkerPool:
     """A persistent set of supervised worker processes.
 
-    One campaign used to spawn its workers on entry and tear them all
-    down on exit — fine for a one-shot CLI, pure overhead for a
-    resident service running thousands of campaigns.  A ``WorkerPool``
-    outlives individual campaigns: :func:`run_supervised` (and
-    ``run_campaign(pool=...)`` above it) *leases* workers from the
-    pool and releases them back when the campaign completes, so the
-    next campaign reuses warm processes (imports done, unit functions
-    resolved).  Workers are spawned lazily on first lease, never
+    A ``WorkerPool`` outlives individual campaigns, as a resident
+    service running thousands of campaigns needs:
+    :func:`run_supervised` (and ``run_campaign(pool=...)`` above it)
+    *leases* workers from the pool and releases them back when the
+    campaign completes, so the next campaign reuses warm processes
+    (imports done, unit functions resolved).  Workers are spawned lazily on first lease, never
     up-front, so an unused pool costs nothing.
 
     Only clean workers are reused: a worker holding an undelivered
@@ -397,7 +453,7 @@ class WorkerPool:
                 raise RuntimeError("worker pool is closed")
             while self._idle and len(leased) < n:
                 worker = self._idle.pop()
-                if worker.process.is_alive() and not worker.batch:
+                if worker.alive() and not worker.batch:
                     leased.append(worker)
                 else:  # died while idle: reap, lease a fresh one below
                     worker.shutdown(kill=True)
@@ -414,7 +470,7 @@ class WorkerPool:
         """Return leased workers; dirty or dead ones are discarded."""
         for worker in workers:
             reusable = (not kill and not worker.batch
-                        and worker.process.is_alive())
+                        and worker.alive())
             if reusable:
                 with self._lock:
                     if not self._closed:
@@ -445,18 +501,21 @@ class _Supervisor:
     def __init__(self, units: Sequence[_Unit], *, workers: int, ctx,
                  record: Callable[[int, Any], None], max_retries: int,
                  retry_backoff: float, unit_timeout: Optional[float],
-                 chaos: Optional[ChaosConfig], chunk_size: int,
-                 shutdown_grace: float,
+                 chaos: Optional[ChaosConfig], shutdown_grace: float,
                  shutdown_event: Optional[threading.Event],
                  pool: Optional[WorkerPool] = None):
         self.units = list(units)
-        self.ctx = ctx
         self.record = record
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.unit_timeout = unit_timeout
         self.chaos_spec = asdict(chaos) if chaos is not None else None
-        self.chunk_size = max(1, chunk_size)
+        # Timeouts, retries and chaos all need per-unit dispatch: a chunk
+        # would make one hung unit poison its whole chunk's granularity.
+        if unit_timeout is not None or max_retries > 0 or chaos is not None:
+            self.chunk_size = 1
+        else:
+            self.chunk_size = max(1, len(self.units) // (workers * 4))
         self.shutdown_grace = shutdown_grace
         self.shutdown_event = shutdown_event
         self.queue: deque[_Unit] = deque(self.units)
@@ -464,11 +523,15 @@ class _Supervisor:
         self._retry_seq = 0
         self.completed: set[int] = set()
         self.quarantined: set[int] = set()
-        self.report = SupervisorReport()
+        self.report = SupervisorReport(chunk_size=self.chunk_size)
         self._own_pool = pool is None
-        self.pool = pool if pool is not None \
-            else WorkerPool(ctx, self.chaos_spec)
-        self.workers = self.pool.lease(workers)
+        if ctx is None:   # a pool of one, in this process
+            self.pool = None
+            self.workers = [_InlineWorker()]
+        else:
+            self.pool = pool if pool is not None \
+                else WorkerPool(ctx, self.chaos_spec)
+            self.workers = self.pool.lease(workers)
 
     # -- result handling ----------------------------------------------------
 
@@ -477,15 +540,15 @@ class _Supervisor:
         progressed = False
         while True:
             try:
-                if worker.result_q.empty():
-                    return progressed
-                message = worker.result_q.get()
+                message = worker.next_message()
             except Exception as exc:
                 # A worker killed mid-write can leave a torn pickle in
                 # its private pipe; poison the stream, not the campaign.
                 self._fail_worker(worker, "CorruptResultStream",
                                   f"unreadable worker result: {exc!r}")
                 return True
+            if message is None:
+                return progressed
             progressed = True
             kind = message[0]
             if not worker.batch:
@@ -500,7 +563,7 @@ class _Supervisor:
                 self.record(index, payload)
                 self.completed.add(index)
                 events.emit("unit.end", digest=unit.digest, index=index,
-                            worker=worker.process.pid,
+                            worker=worker.pid,
                             seconds=round(elapsed, 6))
             else:
                 _, _index, _attempt, etype, emsg, tb = message
@@ -538,12 +601,12 @@ class _Supervisor:
             self.queue.extendleft(reversed(requeued))
             self._register_failure(victim, error_type, message, None)
         self.report.worker_deaths += 1
-        events.emit("worker.death", worker=worker.process.pid,
+        events.emit("worker.death", worker=worker.pid,
                     reason=f"{error_type}: {message}")
         worker.shutdown(kill=True)
         replacement = self.pool.spawn()
         self.workers[self.workers.index(worker)] = replacement
-        events.emit("worker.respawn", worker=replacement.process.pid)
+        events.emit("worker.respawn", worker=replacement.pid)
 
     # -- main loop ----------------------------------------------------------
 
@@ -559,10 +622,10 @@ class _Supervisor:
         for worker in list(self.workers):
             if worker not in self.workers:
                 continue   # already replaced this tick
-            if not worker.process.is_alive():
+            if not worker.alive():
                 # late results first: death must not eat queued successes
                 self._drain(worker)
-                exitcode = worker.process.exitcode
+                exitcode = worker.process.exitcode   # inline never dies
                 self._fail_worker(
                     worker, "WorkerDied",
                     f"worker exited with code {exitcode} mid-unit")
@@ -602,7 +665,7 @@ class _Supervisor:
             for worker in list(self.workers):
                 progressed |= self._drain(worker)
                 if (worker in self.workers
-                        and not worker.process.is_alive()
+                        and not worker.alive()
                         and worker.batch):
                     # a death during drain: requeue, do not respawn
                     self.queue.extend(worker.batch)
@@ -621,10 +684,11 @@ class _Supervisor:
                 if not self._tick():
                     time.sleep(_POLL_S)
         finally:
-            self.pool.release(self.workers,
-                              kill=self.report.interrupted)
-            if self._own_pool:
-                self.pool.close()
+            if self.pool is not None:
+                self.pool.release(self.workers,
+                                  kill=self.report.interrupted)
+                if self._own_pool:
+                    self.pool.close()
         self.report.outstanding = sorted(
             unit.index for unit in self.units
             if unit.index not in self.completed
@@ -637,75 +701,29 @@ def run_supervised(units: Sequence[tuple], *, workers: int, ctx,
                    max_retries: int = 0, retry_backoff: float = 0.0,
                    unit_timeout: Optional[float] = None,
                    chaos: Optional[ChaosConfig] = None,
-                   chunk_size: int = 1, shutdown_grace: float = 5.0,
+                   shutdown_grace: float = 5.0,
                    shutdown_event: Optional[threading.Event] = None,
                    pool: Optional[WorkerPool] = None,
                    ) -> SupervisorReport:
     """Supervise ``units`` (``(index, fn_ref, spec, rng_seed, digest)``
-    tuples) across ``workers`` processes; ``record(index, payload)`` is
-    invoked for every success, as results arrive.  A ``pool`` makes the
-    worker processes outlive this call (leased on entry, released on
-    exit) — the resident-service path; without one, workers are spawned
-    and torn down per call exactly as before."""
+    tuples); ``record(index, payload)`` is invoked for every success,
+    as results arrive.
+
+    With a multiprocessing ``ctx`` the units run across ``workers``
+    processes; a ``pool`` makes those processes outlive this call
+    (leased on entry, released on exit) — the resident-service path —
+    and without one they are spawned and torn down per call.
+    ``ctx=None`` runs every unit in this process on one inline worker:
+    ``workers`` and ``pool`` are then ignored, and ``unit_timeout`` and
+    ``chaos`` must be unset, since there is no process to preempt.
+    The dispatch chunk size is derived (``report.chunk_size``): 1 when
+    timeouts, retries or chaos are armed, else ``len(units) //
+    (workers * 4)``, at least 1."""
     wrapped = [_Unit(*item) for item in units]
     supervisor = _Supervisor(
         wrapped, workers=workers, ctx=ctx, record=record,
         max_retries=max_retries, retry_backoff=retry_backoff,
-        unit_timeout=unit_timeout, chaos=chaos, chunk_size=chunk_size,
+        unit_timeout=unit_timeout, chaos=chaos,
         shutdown_grace=shutdown_grace, shutdown_event=shutdown_event,
         pool=pool)
     return supervisor.run()
-
-
-def run_serial(units: Sequence[tuple], *,
-               record: Callable[[int, Any], None],
-               max_retries: int = 0, retry_backoff: float = 0.0,
-               shutdown_event: Optional[threading.Event] = None,
-               ) -> SupervisorReport:
-    """The in-process path: same retry/quarantine/shutdown semantics,
-    no worker processes (so no timeouts and no chaos injection)."""
-    report = SupervisorReport()
-    items = [_Unit(*item) for item in units]
-    for position, unit in enumerate(items):
-        if shutdown_event is not None and shutdown_event.is_set():
-            report.interrupted = True
-            report.outstanding = [u.index for u in items[position:]]
-            break
-        while True:
-            events.emit("unit.start", digest=unit.digest,
-                        index=unit.index, attempt=unit.attempt,
-                        worker=os.getpid())
-            started = time.monotonic()
-            try:
-                payload = run_attempt(unit.fn_ref, unit.spec,
-                                      unit.rng_seed, unit.attempt, None)
-            except Exception as exc:
-                unit.log.append({"attempt": unit.attempt,
-                                 "error_type": type(exc).__name__,
-                                 "message": str(exc)})
-                if unit.attempt >= max_retries:
-                    report.failures.append(unit.failure(
-                        type(exc).__name__, str(exc),
-                        traceback_mod.format_exc()))
-                    events.emit("unit.quarantine", digest=unit.digest,
-                                index=unit.index,
-                                attempts=unit.attempt + 1,
-                                error=type(exc).__name__)
-                    break
-                delay = retry_backoff * (2 ** unit.attempt)
-                unit.attempt += 1
-                report.retries += 1
-                events.emit("unit.retry", digest=unit.digest,
-                            index=unit.index, attempt=unit.attempt,
-                            max_retries=max_retries,
-                            backoff_s=round(delay, 6),
-                            error=type(exc).__name__)
-                if retry_backoff:
-                    time.sleep(delay)
-            else:
-                record(unit.index, payload)
-                events.emit("unit.end", digest=unit.digest,
-                            index=unit.index, worker=os.getpid(),
-                            seconds=round(time.monotonic() - started, 6))
-                break
-    return report

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -440,6 +441,13 @@ def _positive(value: Any) -> Optional[str]:
     return None
 
 
+def _start_method_name(value: Any) -> Optional[str]:
+    methods = multiprocessing.get_all_start_methods()
+    if value and value not in methods:
+        return f"unknown start method; valid: {', '.join(methods)}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # knob declarations — the single source of truth
 # ---------------------------------------------------------------------------
@@ -462,9 +470,11 @@ _register(Knob(
 
 _register(Knob(
     name="mp_start", env="REPRO_MP_START", type="str",
-    default="", scope="execution", examples=("fork", "spawn"),
-    help="multiprocessing start method (default: platform default; "
-         "unknown names fall back silently)"))
+    default="", scope="execution", validator=_start_method_name,
+    examples=("fork", "spawn"),
+    help="multiprocessing start method, one of "
+         "multiprocessing.get_all_start_methods() (default: platform "
+         "default; the service daemon defaults to forkserver)"))
 
 _register(Knob(
     name="unit_timeout", env="REPRO_UNIT_TIMEOUT", type="float",

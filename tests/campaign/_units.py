@@ -54,6 +54,14 @@ def failing_unit(spec: dict, rng_seed: int) -> int:
     return spec["i"]
 
 
+def flaky_or_failing_unit(spec: dict, rng_seed: int):
+    """One grid, two fault shapes: specs with ``fail_at`` run
+    :func:`failing_unit`, the rest :func:`flaky_once_unit`."""
+    if "fail_at" in spec:
+        return failing_unit(spec, rng_seed)
+    return flaky_once_unit(spec, rng_seed)
+
+
 def slow_unit(spec: dict, rng_seed: int) -> list[float]:
     """Sleeps, then draws — the unit shape for interrupt/race tests."""
     time.sleep(spec.get("s", 0.0))

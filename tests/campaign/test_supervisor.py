@@ -92,23 +92,85 @@ class TestTimeouts:
 
 
 class TestChunking:
+    """At 24 pending units and 2 workers the derived chunk size is
+    ``24 // (2 * 4) == 3``."""
+
     def test_fault_knobs_force_per_unit_dispatch(self):
-        specs = [{"n": 2, "i": i} for i in range(6)]
+        specs = [{"n": 2, "i": i} for i in range(24)]
+        run = run_campaign(_units.rng_unit, specs, workers=2, cache=None)
+        assert run.stats.chunk_size == 3
         run = run_campaign(_units.rng_unit, specs, workers=2, cache=None,
-                           chunk_size=3, unit_timeout=30.0)
+                           unit_timeout=30.0)
         assert run.stats.chunk_size == 1
         run = run_campaign(_units.rng_unit, specs, workers=2, cache=None,
-                           chunk_size=3, max_retries=2)
+                           max_retries=2)
         assert run.stats.chunk_size == 1
 
     def test_chunked_dispatch_matches_serial(self):
-        specs = [{"n": 3, "i": i} for i in range(9)]
+        specs = [{"n": 3, "i": i} for i in range(24)]
         serial = run_campaign(_units.rng_unit, specs, seed=4, workers=1,
                               cache=None)
         chunked = run_campaign(_units.rng_unit, specs, seed=4, workers=2,
-                               cache=None, chunk_size=3)
+                               cache=None)
         assert chunked.stats.chunk_size == 3
         assert chunked.results == serial.results
+
+
+class TestInlineWorker:
+    def test_inline_and_process_paths_agree(self, tmp_path):
+        """``workers=1`` runs in this process; a unit timeout forces
+        one worker process.  Retries and quarantine must come out the
+        same either way."""
+        specs = _specs(tmp_path, n=4) + [
+            {"i": 4, "fail_at": 4}, {"i": 5, "fail_at": -1}]
+
+        def run(**kwargs):
+            for marker in tmp_path.glob("flaky-*"):
+                marker.unlink()
+            return run_campaign(_units.flaky_or_failing_unit, specs,
+                                seed=9, workers=1, cache=None,
+                                max_retries=1, retry_backoff=0.0,
+                                **kwargs)
+
+        inline = run()
+        process = run(unit_timeout=30.0)
+        assert inline.results == process.results
+        assert inline.results[5] == 5 and inline.results[4] is None
+        assert (inline.stats.retried, inline.stats.quarantined) == (5, 1)
+        assert (process.stats.retried, process.stats.quarantined) == (5, 1)
+
+        def summary(failure):
+            return (failure.index, failure.error_type, failure.message,
+                    failure.attempts, failure.attempt_log)
+
+        assert [summary(f) for f in inline.failures] == \
+            [summary(f) for f in process.failures]
+        assert summary(inline.failures[0])[:4] == \
+            (4, "RuntimeError", "unit 4 exploded", 2)
+
+    def test_units_run_through_the_patchable_module_attribute(
+            self, tmp_path, monkeypatch):
+        """Tracing wraps ``repro.campaign.supervisor.run_attempt``; the
+        in-process worker must call it once per pending unit."""
+        from repro.campaign import supervisor
+        calls = []
+        original = supervisor.run_attempt
+
+        def counting(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(supervisor, "run_attempt", counting)
+        specs = [{"n": 2, "i": i} for i in range(8)]
+        cache_dir = tmp_path / "cache"
+        run_campaign(_units.rng_unit, specs[:3], workers=1,
+                     cache=cache_dir)
+        assert len(calls) == 3
+        calls.clear()
+        run = run_campaign(_units.rng_unit, specs, workers=1,
+                           cache=cache_dir)
+        assert run.stats.cached == 3
+        assert len(calls) == run.stats.computed == 5
 
 
 class TestGracefulShutdown:

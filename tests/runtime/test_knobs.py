@@ -182,6 +182,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="REPRO_MAX_RETRIES"):
             knobs.value("max_retries")
 
+    def test_unknown_start_method_raises(self, monkeypatch):
+        """A typo must not fall back to the platform default: the
+        service daemon would then fork from its threaded process."""
+        from repro.service.daemon import pool_context
+        monkeypatch.setenv("REPRO_MP_START", "forkk")
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_MP_START.*forkk"):
+            knobs.value("mp_start")
+        with pytest.raises(ConfigurationError, match="REPRO_MP_START"):
+            pool_context()
+
     def test_malformed_chaos_json_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "{broken")
         with pytest.raises(ConfigurationError, match="invalid JSON"):
