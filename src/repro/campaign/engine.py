@@ -190,9 +190,10 @@ def _digest_version(version: str = "1") -> str:
 class CampaignStats:
     """Bookkeeping for one campaign run.
 
-    ``chunk_size`` is the derived dispatch chunking: 1 whenever
-    timeouts, retries or chaos are armed, so failure handling keeps
-    per-unit granularity, else about a quarter of each worker's share.
+    ``chunk_size`` is the derived dispatch chunking: 1 in-process and
+    whenever timeouts, retries or chaos are armed, so failure handling
+    keeps per-unit granularity, else about a quarter of each worker's
+    share.
     """
 
     total: int = 0

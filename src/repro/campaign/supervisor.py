@@ -349,6 +349,10 @@ class _Worker:
     def pid(self) -> Optional[int]:
         return self.process.pid
 
+    @property
+    def exitcode(self) -> Optional[int]:
+        return self.process.exitcode
+
     def shutdown(self, kill: bool = False) -> None:
         """Stop the worker and release its queues."""
         try:
@@ -385,19 +389,25 @@ class _InlineWorker:
     ``KeyboardInterrupt`` and ``SystemExit`` propagate to the caller.
     ``run_attempt`` is looked up in this module at call time, so a
     wrapper patched onto ``repro.campaign.supervisor.run_attempt``
-    sees every in-process attempt.
+    sees every in-process attempt.  Once ``stop`` is set it starts no
+    further unit: it drops its batch, whose units the supervisor then
+    reports as outstanding, so at most the unit running when shutdown
+    was requested completes after it.
     """
 
-    def __init__(self):
+    def __init__(self, stop: Optional[threading.Event]):
         self.batch: deque[_Unit] = deque()
         self.last_progress = time.monotonic()
         self.pid = os.getpid()
+        self.stop = stop
 
     def dispatch(self, units: Sequence[_Unit]) -> None:
         self.batch.extend(units)
         self.last_progress = time.monotonic()
 
     def next_message(self) -> Optional[tuple]:
+        if self.stop is not None and self.stop.is_set():
+            self.batch.clear()
         if not self.batch:
             return None
         unit = self.batch[0]
@@ -428,8 +438,9 @@ class WorkerPool:
     :func:`run_supervised` (and ``run_campaign(pool=...)`` above it)
     *leases* workers from the pool and releases them back when the
     campaign completes, so the next campaign reuses warm processes
-    (imports done, unit functions resolved).  Workers are spawned lazily on first lease, never
-    up-front, so an unused pool costs nothing.
+    (imports done, unit functions resolved).  Workers are spawned
+    lazily on first lease, never up-front, so an unused pool costs
+    nothing.
 
     Only clean workers are reused: a worker holding an undelivered
     batch (interrupted campaign) or one whose process died is killed
@@ -504,6 +515,11 @@ class _Supervisor:
                  chaos: Optional[ChaosConfig], shutdown_grace: float,
                  shutdown_event: Optional[threading.Event],
                  pool: Optional[WorkerPool] = None):
+        if ctx is None and units and (unit_timeout is not None
+                                      or chaos is not None):
+            raise ValueError(
+                "unit_timeout and chaos need worker processes; "
+                "ctx=None runs units in this process")
         self.units = list(units)
         self.record = record
         self.max_retries = max_retries
@@ -512,7 +528,9 @@ class _Supervisor:
         self.chaos_spec = asdict(chaos) if chaos is not None else None
         # Timeouts, retries and chaos all need per-unit dispatch: a chunk
         # would make one hung unit poison its whole chunk's granularity.
-        if unit_timeout is not None or max_retries > 0 or chaos is not None:
+        # In-process there is no IPC to amortise.
+        if (ctx is None or unit_timeout is not None or max_retries > 0
+                or chaos is not None):
             self.chunk_size = 1
         else:
             self.chunk_size = max(1, len(self.units) // (workers * 4))
@@ -527,7 +545,7 @@ class _Supervisor:
         self._own_pool = pool is None
         if ctx is None:   # a pool of one, in this process
             self.pool = None
-            self.workers = [_InlineWorker()]
+            self.workers = [_InlineWorker(shutdown_event)]
         else:
             self.pool = pool if pool is not None \
                 else WorkerPool(ctx, self.chaos_spec)
@@ -625,10 +643,9 @@ class _Supervisor:
             if not worker.alive():
                 # late results first: death must not eat queued successes
                 self._drain(worker)
-                exitcode = worker.process.exitcode   # inline never dies
                 self._fail_worker(
                     worker, "WorkerDied",
-                    f"worker exited with code {exitcode} mid-unit")
+                    f"worker exited with code {worker.exitcode} mid-unit")
                 progressed = True
             elif (self.unit_timeout is not None and worker.batch
                   and now - worker.last_progress > self.unit_timeout):
@@ -714,11 +731,12 @@ def run_supervised(units: Sequence[tuple], *, workers: int, ctx,
     (leased on entry, released on exit) — the resident-service path —
     and without one they are spawned and torn down per call.
     ``ctx=None`` runs every unit in this process on one inline worker:
-    ``workers`` and ``pool`` are then ignored, and ``unit_timeout`` and
-    ``chaos`` must be unset, since there is no process to preempt.
-    The dispatch chunk size is derived (``report.chunk_size``): 1 when
-    timeouts, retries or chaos are armed, else ``len(units) //
-    (workers * 4)``, at least 1."""
+    ``workers`` and ``pool`` are then ignored, and ``unit_timeout`` or
+    ``chaos`` with units to run raise ``ValueError``, since there is no
+    process to preempt.  The dispatch chunk size is derived
+    (``report.chunk_size``): 1 in-process or when timeouts, retries or
+    chaos are armed, else ``len(units) // (workers * 4)``, at least
+    1."""
     wrapped = [_Unit(*item) for item in units]
     supervisor = _Supervisor(
         wrapped, workers=workers, ctx=ctx, record=record,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import time
 from pathlib import Path
 
@@ -67,6 +68,15 @@ def slow_unit(spec: dict, rng_seed: int) -> list[float]:
     time.sleep(spec.get("s", 0.0))
     rng = random.Random(rng_seed)
     return [rng.random() for _ in range(spec.get("n", 3))]
+
+
+def self_interrupting_unit(spec: dict, rng_seed: int) -> list[float]:
+    """A :func:`slow_unit` that first sends this process SIGINT when
+    ``i == interrupt_at``: the interrupt lands mid-unit at a known
+    unit instead of at a wall-clock time."""
+    if spec["i"] == spec["interrupt_at"]:
+        os.kill(os.getpid(), signal.SIGINT)
+    return slow_unit(spec, rng_seed)
 
 
 def flaky_once_unit(spec: dict, rng_seed: int) -> list[float]:

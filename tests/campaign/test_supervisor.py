@@ -113,6 +113,7 @@ class TestChunking:
         chunked = run_campaign(_units.rng_unit, specs, seed=4, workers=2,
                                cache=None)
         assert chunked.stats.chunk_size == 3
+        assert serial.stats.chunk_size == 1   # in-process: no IPC
         assert chunked.results == serial.results
 
 
@@ -173,6 +174,17 @@ class TestInlineWorker:
         assert len(calls) == run.stats.computed == 5
 
 
+    def test_in_process_supervisor_rejects_process_only_knobs(self):
+        """Timeouts and chaos need a process to preempt or kill."""
+        from repro.campaign.supervisor import ChaosConfig, run_supervised
+        units = [(0, "tests.campaign._units:rng_unit", {"n": 1}, 1, None)]
+        for knobs in ({"unit_timeout": 1.0}, {"chaos": ChaosConfig()}):
+            with pytest.raises(ValueError, match="worker processes"):
+                run_supervised(units, workers=1, ctx=None,
+                               record=lambda index, payload: None,
+                               **knobs)
+
+
 class TestGracefulShutdown:
     def test_sigint_serial_resumes_from_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -204,6 +216,21 @@ class TestGracefulShutdown:
         oracle = run_campaign(_units.slow_unit, specs, seed=2, workers=1,
                               cache=None)
         assert resumed.results == oracle.results
+
+    def test_inline_worker_starts_no_unit_after_sigint(self, tmp_path):
+        """The SIGINT lands while unit 5 runs: unit 5 completes, and
+        the in-process worker starts none of the 18 after it, chunked
+        or in the shutdown grace window."""
+        specs = [{"n": 3, "i": i, "s": 0.05, "interrupt_at": 5}
+                 for i in range(24)]
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            run_campaign(_units.self_interrupting_unit, specs, seed=2,
+                         workers=1, cache=tmp_path / "cache")
+        run = excinfo.value.run
+        assert run.stats.computed == 6
+        assert all(result is not None for result in run.results[:6])
+        assert run.results[6:] == [None] * 18
+        assert _cached_units(tmp_path / "cache") == 6
 
     def test_sigterm_parallel_campaign_resumes_identically(self,
                                                            tmp_path):
