@@ -1,4 +1,5 @@
-"""Ablations over FlexStep's design parameters (DESIGN.md §5).
+"""Ablations over FlexStep's design parameters (EXPERIMENTS.md,
+"Figure benches").
 
 Not figures from the paper — these probe the design choices it makes:
 
@@ -13,7 +14,8 @@ Not figures from the paper — these probe the design choices it makes:
 from repro.analysis.slowdown import measure_flexstep, \
     measure_vanilla_cycles
 from repro.config import SoCConfig
-from repro.sched import schedulability_curve
+from repro.scenarios import Scenario, SchedGrid, run_scenario
+from repro.scenarios.report import _sched_points
 from repro.sched.experiments import weighted_schedulability
 from repro.sched.partition import partition_flexstep
 from repro.sched.uunifast import generate_task_set
@@ -126,11 +128,13 @@ class TestVirtualDeadlinePolicy:
 
     def test_auto_policy_matches_fig5_usage(self, benchmark,
                                             bench_sets_per_point):
-        points = benchmark.pedantic(
-            lambda: schedulability_curve(
-                m=8, n=64, alpha=0.25, beta=0.0,
-                utilizations=(0.55,),
-                sets_per_point=bench_sets_per_point,
-                seed=12, schemes=("flexstep",)),
+        grid = SchedGrid(m=8, n=64, alpha=0.25, beta=0.0,
+                         utilizations=(0.55,),
+                         sets_per_point=bench_sets_per_point,
+                         schemes=("flexstep",))
+        result = benchmark.pedantic(
+            lambda: run_scenario(Scenario(name="vd-policy", kind="sched",
+                                          seed=12, sched=grid)),
             rounds=1, iterations=1)
+        points = _sched_points(result.payload)
         assert weighted_schedulability(points, "flexstep") > 0.5

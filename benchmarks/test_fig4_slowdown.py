@@ -10,20 +10,23 @@ Nzdc 57.7 % / 91.5 %):
   runtime, with SPECint hit harder than Parsec.
 """
 
-from repro.analysis.slowdown import geomean_row, slowdown_suite
+from repro.analysis.slowdown import SlowdownRow, geomean_row
 from repro.analysis.reporting import format_fig4
-from repro.workloads import PARSEC, SPECINT
+from repro.scenarios import Scenario, run_scenario
 
 
-def _run_suite(profiles, instructions):
-    rows = slowdown_suite(profiles, target_instructions=instructions)
+def _run_suite(suite, instructions):
+    result = run_scenario(Scenario(
+        name=f"fig4-{suite}", kind="slowdown", workloads=(suite,),
+        target_instructions=instructions))
+    rows = [SlowdownRow(**row) for row in result.payload["rows"]]
     return rows, geomean_row(rows)
 
 
 class TestFig4a:
     def test_parsec(self, benchmark, bench_instructions):
         rows, geo = benchmark.pedantic(
-            lambda: _run_suite(PARSEC, bench_instructions),
+            lambda: _run_suite("parsec", bench_instructions),
             rounds=1, iterations=1)
         print("\n" + format_fig4([*rows, geo],
                                  "Fig. 4(a): Parsec v3 slowdown"))
@@ -37,7 +40,7 @@ class TestFig4a:
 class TestFig4b:
     def test_specint(self, benchmark, bench_instructions):
         rows, geo = benchmark.pedantic(
-            lambda: _run_suite(SPECINT, bench_instructions),
+            lambda: _run_suite("specint", bench_instructions),
             rounds=1, iterations=1)
         print("\n" + format_fig4([*rows, geo],
                                  "Fig. 4(b): SPECint CPU2006 slowdown"))
@@ -50,7 +53,7 @@ class TestCrossSuite:
                                          bench_instructions):
         """Paper: Nzdc hurts SPEC (91.5 %) more than Parsec (57.7 %)."""
         (_, parsec_geo), (_, spec_geo) = benchmark.pedantic(
-            lambda: (_run_suite(PARSEC, bench_instructions),
-                     _run_suite(SPECINT, bench_instructions)),
+            lambda: (_run_suite("parsec", bench_instructions),
+                     _run_suite("specint", bench_instructions)),
             rounds=1, iterations=1)
         assert spec_geo.nzdc > parsec_geo.nzdc

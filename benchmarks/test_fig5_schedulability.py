@@ -12,7 +12,9 @@ Shape assertions:
 
 import pytest
 
-from repro.sched import FIG5_CONFIGS, schedulability_curve
+from repro.scenarios import Scenario, SchedGrid, run_scenario
+from repro.scenarios.report import _sched_points
+from repro.sched import FIG5_CONFIGS
 from repro.sched.experiments import render_curves, \
     weighted_schedulability
 
@@ -20,10 +22,11 @@ UTILS = (0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95)
 
 
 def run_config(key, sets_per_point):
-    cfg = FIG5_CONFIGS[key]
-    return schedulability_curve(
-        m=cfg["m"], n=cfg["n"], alpha=cfg["alpha"], beta=cfg["beta"],
-        utilizations=UTILS, sets_per_point=sets_per_point, seed=2025)
+    grid = SchedGrid(**FIG5_CONFIGS[key], utilizations=UTILS,
+                     sets_per_point=sets_per_point)
+    result = run_scenario(Scenario(name=f"fig5-{key}", kind="sched",
+                                   seed=2025, sched=grid))
+    return _sched_points(result.payload)
 
 
 @pytest.mark.parametrize("key", list("abcdef"))

@@ -3,17 +3,18 @@
 costs slightly more because broadcasting checkpoints to two checkers
 backpressures the main core more often."""
 
-from repro.analysis.slowdown import geomean_mode_row, \
-    verification_mode_comparison
+from repro.analysis.slowdown import ModeRow, geomean_mode_row
 from repro.analysis.reporting import format_fig6
-from repro.workloads import PARSEC
+from repro.scenarios import Scenario, run_scenario
 
 
 def test_fig6_dual_vs_triple(benchmark, bench_instructions):
-    rows = benchmark.pedantic(
-        lambda: verification_mode_comparison(
-            PARSEC, target_instructions=bench_instructions),
-        rounds=1, iterations=1)
+    scenario = Scenario(name="fig6-modes", kind="modes",
+                        workloads=("parsec",),
+                        target_instructions=bench_instructions)
+    result = benchmark.pedantic(lambda: run_scenario(scenario),
+                                rounds=1, iterations=1)
+    rows = [ModeRow(**row) for row in result.payload["rows"]]
     geo = geomean_mode_row(rows)
     print("\n" + format_fig6([*rows, geo]))
     # both modes stay in the low single-percent band (paper: 1.07/1.77%)

@@ -9,17 +9,18 @@ Shape assertions (paper: most mass around ~20 µs; blackscholes reaches
 * blackscholes has the heaviest tail of the suite.
 """
 
-from repro.analysis.latency import latency_suite
 from repro.analysis.reporting import format_fig7, format_fig7_density
-from repro.workloads import PARSEC
+from repro.scenarios import Scenario, run_scenario
+from repro.scenarios.report import _latency_results
 
 
 def test_fig7_latency_distribution(benchmark, bench_instructions):
-    results = benchmark.pedantic(
-        lambda: latency_suite(
-            PARSEC, target_instructions=4 * bench_instructions,
-            segment_interval=2),
-        rounds=1, iterations=1)
+    scenario = Scenario(name="fig7-latency", kind="latency",
+                        workloads=("parsec",),
+                        target_instructions=4 * bench_instructions)
+    result = benchmark.pedantic(lambda: run_scenario(scenario),
+                                rounds=1, iterations=1)
+    results = _latency_results(result.payload)
     print("\n" + format_fig7(results))
     by_name = {r.workload: r for r in results}
     print()

@@ -12,19 +12,20 @@ import time
 import pytest
 
 from repro.campaign.engine import default_workers
-from repro.sched.experiments import fig5_campaign
+from repro.scenarios import Scenario, SchedGrid, run_scenario
+from repro.sched import FIG5_CONFIGS
 
 
 def _curves(sets, workers, cache=None):
     start = time.perf_counter()
-    curves = fig5_campaign(("a", "f"), sets_per_point=sets,
-                           workers=workers, cache=cache)
-    seconds = time.perf_counter() - start
-    fingerprint = [
-        [key, [[p.utilization, sorted(p.ratios.items())] for p in points]]
-        for key, points in sorted(curves.items())
+    payloads = [
+        run_scenario(Scenario(
+            name=f"fig5-{key}", kind="sched", seed=2025,
+            sched=SchedGrid(**FIG5_CONFIGS[key], sets_per_point=sets)),
+            workers=workers, cache=cache).payload
+        for key in ("a", "f")
     ]
-    return seconds, fingerprint
+    return time.perf_counter() - start, payloads
 
 
 @pytest.fixture(scope="module")

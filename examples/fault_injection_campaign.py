@@ -9,18 +9,16 @@ carrying the heaviest tail.
 Run:  python examples/fault_injection_campaign.py
 """
 
-from repro.analysis.latency import detection_latency_experiment
 from repro.analysis.reporting import format_fig7, format_fig7_density
-from repro.workloads import get_profile
+from repro.scenarios import Scenario, run_scenario
+from repro.scenarios.report import _latency_results
 
 
 def main() -> None:
-    results = []
-    for name in ("dedup", "x264", "blackscholes"):
-        result = detection_latency_experiment(
-            get_profile(name), target_instructions=80_000,
-            segment_interval=2)
-        results.append(result)
+    scenario = Scenario(name="fig7-example", kind="latency",
+                        workloads=("dedup", "x264", "blackscholes"),
+                        target_instructions=80_000)
+    results = _latency_results(run_scenario(scenario).payload)
 
     print(format_fig7(results))
     for result in results:

@@ -16,9 +16,10 @@ from repro.sched import (
     partition_flexstep,
     partition_hmr,
     partition_lockstep,
-    schedulability_curve,
     simulate_partition,
 )
+from repro.scenarios import Scenario, SchedGrid, run_scenario
+from repro.scenarios.report import _sched_points
 from repro.sched.experiments import render_curves
 
 M_CORES = 8
@@ -55,11 +56,12 @@ def main() -> None:
               f"{outcome.deadline_misses} deadline misses")
 
     print("\nFig. 5-style sweep (m=8, n=48, alpha=12.5%, beta=6.25%):")
-    points = schedulability_curve(
-        m=M_CORES, n=48, alpha=0.125, beta=0.0625,
-        utilizations=(0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-        sets_per_point=40, seed=7)
-    print(render_curves(points))
+    grid = SchedGrid(m=M_CORES, n=48, alpha=0.125, beta=0.0625,
+                     utilizations=(0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+                     sets_per_point=40)
+    result = run_scenario(Scenario(name="fig5-example", kind="sched",
+                                   seed=7, sched=grid))
+    print(render_curves(_sched_points(result.payload)))
 
 
 if __name__ == "__main__":

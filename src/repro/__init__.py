@@ -6,7 +6,7 @@ core or a checker core, verification is asynchronous (buffered through
 the DBC), selective (per task) and preemptable, and an OS-level
 partitioned-EDF scheduler exploits that freedom.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (EXPERIMENTS.md documents the experiment layers):
 
 ==================  ====================================================
 ``repro.isa``       small RISC ISA + assembler (Rocket stand-in)
@@ -18,7 +18,9 @@ Package map (see DESIGN.md for the full inventory):
                     UUnifast, EDF simulator (Figs. 1 & 5)
 ``repro.workloads`` synthetic Parsec/SPECint profiles + Nzdc transform
 ``repro.baselines`` cycle-level DCLS/TCLS execution model
-``repro.analysis``  experiment drivers: slowdown, latency, power/area
+``repro.analysis``  slowdown/latency work units and rows, power/area
+``repro.scenarios`` the experiment front end: ``Scenario`` +
+                    ``run_scenario`` over the campaign engine
 ==================  ====================================================
 """
 

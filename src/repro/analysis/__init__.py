@@ -1,4 +1,9 @@
-"""Experiment runners and analytic models for the paper's evaluation.
+"""Measurements, typed result rows and analytic models for the paper's
+evaluation.
+
+The experiments themselves run as scenarios
+(:func:`repro.scenarios.run_scenario`); the two co-simulation modules
+here hold their campaign work units and the rows a payload becomes.
 
 * :mod:`slowdown` — Figs. 4(a), 4(b) and 6: performance slowdown of
   LockStep / FlexStep / Nzdc and of FlexStep's dual- vs triple-core
@@ -15,13 +20,9 @@ from .slowdown import (
     measure_vanilla_cycles,
     measure_flexstep,
     measure_nzdc_cycles,
-    slowdown_suite,
-    verification_mode_comparison,
 )
 from .latency import (
     LatencyResult,
-    detection_latency_experiment,
-    latency_suite,
     merge_latency_units,
 )
 from .power import PowerAreaModel, PowerAreaPoint, scalability_sweep
@@ -38,11 +39,7 @@ __all__ = [
     "measure_vanilla_cycles",
     "measure_flexstep",
     "measure_nzdc_cycles",
-    "slowdown_suite",
-    "verification_mode_comparison",
     "LatencyResult",
-    "detection_latency_experiment",
-    "latency_suite",
     "merge_latency_units",
     "PowerAreaModel",
     "PowerAreaPoint",

@@ -14,12 +14,12 @@ spill buffer and a per-segment service pause; with a dedicated,
 tightly-coupled checker the latency collapses to the sub-µs FIFO depth
 (the ablation bench shows this).
 
-The campaign engine (:mod:`repro.campaign`) runs one work unit per
-(workload, repeat): each unit is a self-contained co-simulation whose
-fault seed is fixed by the spec (``seed + 1000 · rep``, the seed repo's
-formula), so the latency samples are bit-identical to the serial path
-for any worker count, and a whole Fig. 7 suite fans its profile ×
-repeat grid across cores in a single pool.
+A ``latency`` scenario (:mod:`repro.scenarios`) runs one campaign
+work unit per (workload, repeat): each unit is a self-contained
+co-simulation whose fault seed is fixed by the spec (``seed + 1000 ·
+rep``, the seed repo's formula), so the latency samples are
+bit-identical for any worker count, and a whole Fig. 7 suite fans its
+profile × repeat grid across cores in a single pool.
 
 Beyond the paper's fixed grid, the unit is parameterised over the full
 fault model (multi-bit bursts, per-segment arming rate, checker-side
@@ -36,7 +36,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..campaign import run_campaign, run_grouped_campaign
 from ..config import SoCConfig
 from ..flexstep.faults import (
     FaultInjector,
@@ -44,44 +43,10 @@ from ..flexstep.faults import (
     FaultTarget,
     install_injector,
 )
-from ..flexstep.soc import FlexStepSoC, soc_sched_override
+from ..flexstep.soc import FlexStepSoC
 from ..sim.stats import Histogram, percentile
 from ..workloads.generator import GeneratorOptions, cached_program
 from ..workloads.profiles import WorkloadProfile
-
-#: Default checker service pause between segments (cycles): models the
-#: checker core spending ~12 µs on other tasks before returning to the
-#: checker thread (asynchronous verification, Sec. II).
-DEFAULT_SERVICE_PAUSE = 20_000
-
-#: Default DMA spill-buffer entries backing the on-chip FIFO
-#: (Sec. III-C: "additional buffering can be allocated in main memory,
-#: accessed via DMA").
-DEFAULT_DMA_SPILL = 4_096
-
-#: Single source of the Fig. 7 experiment defaults, shared by
-#: :func:`detection_latency_experiment`'s signature and
-#: :func:`latency_suite`'s option merging — one place to change.
-#: The fault-model/topology generalisation keys (``burst_bits``,
-#: ``segment_rate``, ``side``, ``pairs``, ``checkers``,
-#: ``fifo_entries``) default to the paper's setup: single-bit faults on
-#: a fixed every-other-segment schedule, injected checker-side into one
-#: dual-core pair with the Table II FIFO depth.
-FIG7_DEFAULTS: dict = {
-    "target_instructions": 60_000,
-    "target": FaultTarget.ANY,
-    "segment_interval": 2,
-    "segment_rate": None,
-    "burst_bits": 1,
-    "side": "checker",
-    "pairs": 1,
-    "checkers": 1,
-    "fifo_entries": None,
-    "service_pause_cycles": DEFAULT_SERVICE_PAUSE,
-    "dma_spill_entries": DEFAULT_DMA_SPILL,
-    "seed": 7,
-    "repeats": 1,
-}
 
 
 @dataclass
@@ -252,60 +217,3 @@ def merge_latency_units(workload: str,
                          detected=detected, injected=injected,
                          records=records, armed_unfired=armed_unfired,
                          misattributed=misattributed)
-
-
-def detection_latency_experiment(
-        profile: WorkloadProfile, *,
-        workers: int | None = None,
-        cache: object = "auto",
-        soc_sched: str | None = None,
-        **kwargs) -> LatencyResult:
-    """Inject faults into one workload's verification stream.
-
-    Options default to :data:`FIG7_DEFAULTS`.  ``segment_interval``
-    arms every N-th segment with one fault (``segment_rate`` arms each
-    segment with a probability instead), so a single run yields many
-    independent latency samples; ``repeats`` reruns with different
-    fault seeds to grow the sample count (the paper uses 5 000–10 000
-    faults per workload; scale ``repeats`` and ``target_instructions``
-    to taste).  Repetitions are independent work units and fan out
-    across ``workers`` processes.
-    """
-    unknown = set(kwargs) - set(FIG7_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            f"detection_latency_experiment got unknown options {unknown}")
-    options = {**FIG7_DEFAULTS, **kwargs}
-    specs = _fig7_specs(profile, **options)
-    with soc_sched_override(soc_sched):
-        run = run_campaign(_fig7_unit, specs, seed=options["seed"],
-                           workers=workers, cache=cache)
-    return merge_latency_units(profile.name, run.results)
-
-
-def latency_suite(profiles: Sequence[WorkloadProfile],
-                  workers: int | None = None,
-                  cache: object = "auto",
-                  soc_sched: str | None = None,
-                  **kwargs) -> list[LatencyResult]:
-    """Fig. 7: one latency distribution per workload.
-
-    The whole profile × repeat grid is submitted as a single campaign,
-    so slow workloads overlap with fast ones instead of serialising at
-    suite boundaries.  ``soc_sched`` pins the (result-invariant) co-sim
-    scheduler across the fan-out.
-    """
-    unknown = set(kwargs) - set(FIG7_DEFAULTS)
-    if unknown:
-        raise TypeError(f"latency_suite got unknown options {unknown}")
-    options = {**FIG7_DEFAULTS, **kwargs}
-    groups = {
-        profile.name: _fig7_specs(profile, **options)
-        for profile in profiles
-    }
-    with soc_sched_override(soc_sched):
-        sliced, _stats = run_grouped_campaign(
-            _fig7_unit, groups, seed=options["seed"], workers=workers,
-            cache=cache)
-    return [merge_latency_units(profile.name, sliced[profile.name])
-            for profile in profiles]

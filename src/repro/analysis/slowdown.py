@@ -7,12 +7,13 @@ synchronous per-cycle checking adds no main-core stalls (its cost is
 the duplicated silicon, charged by :mod:`repro.analysis.power`).
 Slowdown is main-core cycles normalised to the vanilla run.
 
-The per-workload measurements are independent co-simulations, so both
-suites fan out over the campaign engine (:mod:`repro.campaign`): one
-work unit measures one workload end-to-end (vanilla + FlexStep + Nzdc
-for Fig. 4; vanilla + dual + triple for Fig. 6).  Program generation is
-fully deterministic from the profile's own seed, so results are
-independent of worker count and cacheable on disk.
+The per-workload measurements are independent co-simulations, so the
+``slowdown`` and ``modes`` scenarios (:mod:`repro.scenarios`) fan them
+out over the campaign engine: one work unit measures one workload
+end-to-end (vanilla + FlexStep + Nzdc for Fig. 4; vanilla + dual +
+triple for Fig. 6).  Program generation is fully deterministic from
+the profile's own seed, so results are independent of worker count
+and cacheable on disk.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..campaign import run_campaign
 from ..config import SoCConfig, soc_config_from_dict, soc_config_to_dict
 from ..errors import VerificationMismatch
-from ..flexstep.soc import FlexStepSoC, soc_sched_override
+from ..flexstep.soc import FlexStepSoC
 from ..isa.program import Program
 from ..sim.stats import geomean
 from ..workloads.generator import (
@@ -134,26 +134,6 @@ def _fig4_unit(spec: dict, rng_seed: int) -> dict:
 _fig4_unit.campaign_version = "1"
 
 
-def slowdown_suite(profiles: Sequence[WorkloadProfile], *,
-                   target_instructions: int = 40_000,
-                   config: SoCConfig | None = None,
-                   workers: int | None = None,
-                   cache: object = "auto",
-                   soc_sched: str | None = None) -> list[SlowdownRow]:
-    """Fig. 4 rows for a workload suite (LockStep, FlexStep, Nzdc).
-
-    ``soc_sched`` pins the co-sim scheduler for every unit (worker
-    processes inherit it); results are scheduler-invariant, so it is
-    an execution knob only — never part of unit identity.
-    """
-    with soc_sched_override(soc_sched):
-        run = run_campaign(
-            _fig4_unit,
-            _suite_specs(profiles, target_instructions, config),
-            workers=workers, cache=cache)
-    return [SlowdownRow(**row) for row in run.results]
-
-
 def geomean_row(rows: Sequence[SlowdownRow]) -> SlowdownRow:
     """The 'geomean' bar group of Fig. 4."""
     return SlowdownRow(
@@ -185,20 +165,6 @@ def _fig6_unit(spec: dict, rng_seed: int) -> dict:
 
 
 _fig6_unit.campaign_version = "1"
-
-
-def verification_mode_comparison(profiles: Sequence[WorkloadProfile], *,
-                                 target_instructions: int = 40_000,
-                                 workers: int | None = None,
-                                 cache: object = "auto",
-                                 soc_sched: str | None = None,
-                                 ) -> list[ModeRow]:
-    """Fig. 6: FlexStep slowdown in dual- vs triple-core mode."""
-    with soc_sched_override(soc_sched):
-        run = run_campaign(
-            _fig6_unit, _suite_specs(profiles, target_instructions, None),
-            workers=workers, cache=cache)
-    return [ModeRow(**row) for row in run.results]
 
 
 def geomean_mode_row(rows: Sequence[ModeRow]) -> ModeRow:

@@ -290,7 +290,10 @@ class Core:
         )
 
     def restore(self, snap: ArchSnapshot) -> None:
-        """Apply a Register Checkpoint (the checker's ``C.apply``+``C.jal``)."""
+        """Apply a Register Checkpoint.
+
+        The checker's ``C.apply`` + ``C.jal``.
+        """
         self.regs.load(snap.regs)
         for idx, value in zip(SNAPSHOT_CSRS, snap.csrs):
             self.csrs.raw_write(idx, value)

@@ -11,7 +11,7 @@ sit on the same die); in a message-passing simulation that sideband must
 be made explicit, otherwise the checker could replay past an
 asynchronously-cut segment boundary.  Progress packets are emitted at
 most once per ``progress_interval`` user instructions and cost one FIFO
-entry, so their bandwidth is negligible (see DESIGN.md).
+entry, so their bandwidth is negligible.
 
 Each packet knows its ``entries`` cost — the number of FIFO slots it
 occupies — which drives capacity accounting and backpressure.

@@ -657,8 +657,10 @@ class FlexStepSoC:
         if adapter is None and not core._hooks and free is None \
                 and max_cycles is None:
             # Sole candidate, no FlexStep units attached: the core
-            # cannot interact with anything mid-round, so take the
-            # record-free block-dispatch path.
+            # cannot interact with anything mid-round, so run it
+            # through Core.advance without commit records.  Every SoC
+            # core has an L1I, so that is its per-instruction fetch
+            # loop; block kernels run only on bare DirectPort cores.
             return core.advance(budget)
         if adapter is not None and adapter.enabled and adapter.blocked:
             adapter.try_flush()
@@ -713,8 +715,10 @@ class FlexStepSoC:
         adapter = self._adapters.get(cid)
         if adapter is None and not core._hooks and horizon is None:
             # Sole candidate, no FlexStep units attached: the core
-            # cannot interact with anything mid-round, so take the
-            # record-free block-dispatch path.
+            # cannot interact with anything mid-round, so run it
+            # through Core.advance without commit records.  Every SoC
+            # core has an L1I, so that is its per-instruction fetch
+            # loop; block kernels run only on bare DirectPort cores.
             return core.advance(budget)
         done = 0
         while done < budget:

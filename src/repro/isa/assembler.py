@@ -77,7 +77,8 @@ def _parse_int(token: str, line: int) -> int:
     try:
         return int(token.strip(), 0)
     except ValueError:
-        raise AssemblerError(f"expected integer, got {token!r}", line) from None
+        raise AssemblerError(f"expected integer, got {token!r}",
+                             line) from None
 
 
 def _split_operands(rest: str) -> list[str]:

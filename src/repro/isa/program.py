@@ -71,7 +71,8 @@ class Program:
         return self.base + len(self.instructions) * INST_BYTES
 
     def contains(self, pc: int) -> bool:
-        return self.base <= pc < self.end and (pc - self.base) % INST_BYTES == 0
+        return (self.base <= pc < self.end
+                and (pc - self.base) % INST_BYTES == 0)
 
     def fetch(self, pc: int) -> Instruction:
         """Instruction at byte address ``pc``."""

@@ -111,7 +111,7 @@ class Knob:
 
     name: str
     env: str
-    type: str                      # bool|int|float|str|path|csv|json|choice
+    type: str                      # bool|int|float|str|path|json|choice
     default: Any
     scope: str
     help: str
@@ -169,13 +169,6 @@ def _parse_path(knob: Knob, raw: Any, where: str) -> Path:
     return raw if isinstance(raw, Path) else Path(str(raw).strip())
 
 
-def _parse_csv(knob: Knob, raw: Any, where: str) -> tuple:
-    if isinstance(raw, (tuple, list)):
-        return tuple(raw)
-    return tuple(part.strip() for part in str(raw).split(",")
-                 if part.strip())
-
-
 def _parse_json(knob: Knob, raw: Any, where: str) -> Any:
     if not isinstance(raw, str):
         return raw
@@ -202,7 +195,6 @@ _PARSERS = {
     "float": _parse_float,
     "str": _parse_str,
     "path": _parse_path,
-    "csv": _parse_csv,
     "json": _parse_json,
     "choice": _parse_choice,
 }

@@ -72,12 +72,15 @@ def _render_modes(doc: dict) -> str:
     return format_fig6(rows, "FlexStep slowdown by verification mode")
 
 
+def _sched_points(payload: dict) -> list[SchedulabilityPoint]:
+    return [SchedulabilityPoint(utilization=p["utilization"],
+                                ratios=dict(p["ratios"]))
+            for p in payload["points"]]
+
+
 def _render_sched(doc: dict) -> str:
     payload = doc["payload"]
-    points = [SchedulabilityPoint(utilization=p["utilization"],
-                                  ratios=dict(p["ratios"]))
-              for p in payload["points"]]
-    return render_curves(points, payload["schemes"])
+    return render_curves(_sched_points(payload), payload["schemes"])
 
 
 _RENDERERS = {

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..analysis.latency import (
-    FIG7_DEFAULTS,
-    _fig7_specs,
-    _fig7_unit,
-    merge_latency_units,
-)
+from ..analysis.latency import _fig7_specs, _fig7_unit, merge_latency_units
 from ..analysis.slowdown import _fig4_unit, _fig6_unit, _suite_specs
 from ..campaign import CampaignStats, run_campaign, run_grouped_campaign
 from ..config import SoCConfig
@@ -42,7 +37,7 @@ from .spec import Scenario
 
 
 def default_report_dir() -> Path:
-    """Report root: ``REPRO_REPORT_DIR`` env, else ``<repo>/.repro_reports``."""
+    """Report root: ``REPRO_REPORT_DIR``, else ``<repo>/.repro_reports``."""
     return knobs.value("report_dir")
 
 
@@ -104,7 +99,6 @@ def saved_results(directory: "Path | str | None" = None) -> list[str]:
 def _latency_options(scenario: Scenario, seed: int) -> dict:
     topo, faults = scenario.topology, scenario.faults
     return {
-        **FIG7_DEFAULTS,
         "target_instructions": scenario.target_instructions,
         "target": FaultTarget(faults.target),
         "segment_interval": faults.segment_interval,

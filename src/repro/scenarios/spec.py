@@ -79,7 +79,11 @@ class Topology:
     pairs: int = 1
     checkers: int = 1
     fifo_entries: Optional[int] = None      # None = Table II default
+    #: DMA spill-buffer entries backing the on-chip FIFO (Sec. III-C:
+    #: "additional buffering can be allocated in main memory").
     dma_spill_entries: int = 4096
+    #: Checker service pause between segments (cycles): ~12 µs the
+    #: checker core spends on other tasks (asynchronous verification).
     service_pause_cycles: int = 20_000
 
     def __post_init__(self) -> None:

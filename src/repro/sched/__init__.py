@@ -44,8 +44,6 @@ from .result import Assignment, PartitionResult, Role
 from .simulation import EdfSimulator, SimJob, simulate_partition
 from .experiments import (
     SchedulabilityPoint,
-    schedulability_curve,
-    fig5_campaign,
     task_set_seed,
     FIG5_CONFIGS,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "SimJob",
     "simulate_partition",
     "SchedulabilityPoint",
-    "schedulability_curve",
-    "fig5_campaign",
     "task_set_seed",
     "FIG5_CONFIGS",
 ]

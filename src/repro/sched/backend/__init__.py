@@ -5,7 +5,7 @@ oracle) and ``numpy`` (vectorized arrays, verdict-identical).  Pick one
 with, in priority order:
 
 1. an explicit ``backend=`` argument (``get_backend("numpy")``, or the
-   ``backend=`` keyword on :func:`repro.sched.schedulability_curve` /
+   ``backend=`` keyword on :func:`repro.scenarios.run_scenario` /
    ``python -m repro run --backend``),
 2. the ``REPRO_SCHED_BACKEND`` environment variable,
 3. ``auto`` — numpy when importable, the scalar oracle otherwise.

@@ -1,14 +1,15 @@
-"""Schedulability experiment driver (paper Fig. 5).
+"""Schedulability experiment units (paper Fig. 5).
 
 Sweeps normalised task-set utilisation (x-axis: total utilisation
 divided by m) and reports the percentage of randomly generated task
 sets each scheme's test accepts, for the paper's six configurations.
 
-The sweep runs on the campaign engine (:mod:`repro.campaign`): one
-work unit generates a **batch** of task sets and judges each under
-every scheme through the multi-backend engine (:mod:`.backend` —
-scalar oracle or vectorized numpy), so the 6 × 13 × 100 grid fans out
-across cores, caches on disk, and evaluates whole batches as arrays.
+A ``sched`` scenario (:mod:`repro.scenarios`) runs the sweep on the
+campaign engine: one work unit generates a **batch** of task sets and
+judges each under every scheme through the multi-backend engine
+(:mod:`.backend` — scalar oracle or vectorized numpy), so the grid
+fans out across cores, caches on disk, and evaluates whole batches as
+arrays.
 Task-set identity derives from ``spawn_seed`` over the generation
 parameters alone — ``(seed, m, n, α, β, x, set index)`` — never from
 process state, scheme selection, batch boundaries, backend choice or
@@ -21,10 +22,10 @@ only) remains as the oracle path the equivalence tests replay against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Sequence
 
-from ..campaign import run_campaign, run_grouped_campaign, spawn_seed
-from .backend import backend_override, get_backend
+from ..campaign import spawn_seed
+from .backend import get_backend
 from .hmr import partition_hmr
 from .lockstep import partition_lockstep
 from .partition import partition_flexstep
@@ -120,51 +121,18 @@ def _fig5_batch_unit(spec: dict, rng_seed: int) -> list[dict]:
 _fig5_batch_unit.campaign_version = "1"
 
 
-def _fig5_specs(*, m: int, n: int, alpha: float, beta: float,
-                utilizations: Sequence[float], sets_per_point: int,
-                seed: int, schemes: Sequence[str]) -> list[dict]:
-    return [
-        {"m": m, "n": n, "alpha": alpha, "beta": beta, "x": x,
-         "set": index, "seed": seed, "schemes": list(schemes)}
-        for x in utilizations for index in range(sets_per_point)
-    ]
-
-
 def _fig5_batch_specs(*, m: int, n: int, alpha: float, beta: float,
                       utilizations: Sequence[float], sets_per_point: int,
-                      seed: int, schemes: Sequence[str],
-                      batch_size: Optional[int] = None) -> list[dict]:
-    """The batched grid: one unit per (utilisation point, set chunk).
+                      seed: int, schemes: Sequence[str]) -> list[dict]:
+    """The batched grid: one unit per utilisation point.
 
-    ``batch_size`` defaults to ``sets_per_point`` — one unit per x-axis
-    point, the sweet spot for the vectorized backend; smaller batches
-    trade vector width for campaign fan-out.
+    A whole x-axis point's task sets form one batch, the sweet spot for
+    the vectorized backend.
     """
-    size = sets_per_point if batch_size is None else batch_size
-    if size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {size}")
     return [
         {"m": m, "n": n, "alpha": alpha, "beta": beta, "x": x,
-         "set_start": start,
-         "set_count": min(size, sets_per_point - start),
+         "set_start": 0, "set_count": sets_per_point,
          "seed": seed, "schemes": list(schemes)}
-        for x in utilizations
-        for start in range(0, sets_per_point, size)
-    ]
-
-
-def _aggregate_points(specs: Sequence[dict], verdicts: Sequence[dict],
-                      utilizations: Sequence[float], sets_per_point: int,
-                      schemes: Sequence[str]) -> list[SchedulabilityPoint]:
-    accepted: dict[float, dict[str, int]] = {
-        x: {s: 0 for s in schemes} for x in utilizations}
-    for spec, verdict in zip(specs, verdicts):
-        for s in schemes:
-            accepted[spec["x"]][s] += bool(verdict[s])
-    return [
-        SchedulabilityPoint(
-            utilization=x,
-            ratios={s: accepted[x][s] / sets_per_point for s in schemes})
         for x in utilizations
     ]
 
@@ -189,79 +157,6 @@ def _aggregate_batch_points(specs: Sequence[dict],
             ratios={s: accepted[x][s] / sets_per_point for s in schemes})
         for x in utilizations
     ]
-
-
-def schedulability_curve(*, m: int, n: int, alpha: float, beta: float,
-                         utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-                         sets_per_point: int = 100,
-                         seed: int = 2025,
-                         schemes: Sequence[str] = ("lockstep", "hmr",
-                                                   "flexstep"),
-                         workers: int | None = None,
-                         cache: object = "auto",
-                         backend: str | None = None,
-                         batch_size: int | None = None,
-                         ) -> list[SchedulabilityPoint]:
-    """Generate the Fig. 5 curve for one configuration.
-
-    Every scheme judges the *same* task sets at each utilisation point,
-    so curves are directly comparable.  ``workers``/``cache`` follow the
-    campaign-engine defaults (``REPRO_WORKERS``, ``REPRO_CACHE_DIR``);
-    ``backend`` pins the schedulability backend for this run (default:
-    ``REPRO_SCHED_BACKEND`` / auto).  Results are independent of all
-    three — and of ``batch_size``.
-    """
-    specs = _fig5_batch_specs(m=m, n=n, alpha=alpha, beta=beta,
-                              utilizations=utilizations,
-                              sets_per_point=sets_per_point, seed=seed,
-                              schemes=schemes, batch_size=batch_size)
-    with backend_override(backend):
-        run = run_campaign(_fig5_batch_unit, specs, seed=seed,
-                           workers=workers, cache=cache)
-    return _aggregate_batch_points(specs, run.results, utilizations,
-                                   sets_per_point, schemes)
-
-
-def fig5_campaign(configs: Mapping[str, dict] | Sequence[str] | None = None,
-                  *,
-                  utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-                  sets_per_point: int = 100,
-                  seed: int = 2025,
-                  schemes: Sequence[str] = ("lockstep", "hmr", "flexstep"),
-                  workers: int | None = None,
-                  cache: object = "auto",
-                  backend: str | None = None,
-                  batch_size: int | None = None,
-                  ) -> dict[str, list[SchedulabilityPoint]]:
-    """All Fig. 5 configurations as **one** campaign grid.
-
-    Fanning the full config × point × replicate product into a single
-    unit pool keeps every core busy through the tail of each curve
-    (the per-config loop of the seed repo drained to one worker at each
-    curve boundary).  Returns ``{config key: curve}``.
-    """
-    if configs is None:
-        chosen: Mapping[str, dict] = FIG5_CONFIGS
-    elif isinstance(configs, Mapping):
-        chosen = configs
-    else:
-        chosen = {key: FIG5_CONFIGS[key] for key in configs}
-    per_config = {
-        key: _fig5_batch_specs(
-            m=cfg["m"], n=cfg["n"], alpha=cfg["alpha"], beta=cfg["beta"],
-            utilizations=utilizations, sets_per_point=sets_per_point,
-            seed=seed, schemes=schemes, batch_size=batch_size)
-        for key, cfg in chosen.items()
-    }
-    with backend_override(backend):
-        grouped, _stats = run_grouped_campaign(
-            _fig5_batch_unit, per_config, seed=seed, workers=workers,
-            cache=cache)
-    return {
-        key: _aggregate_batch_points(specs, grouped[key], utilizations,
-                                     sets_per_point, schemes)
-        for key, specs in per_config.items()
-    }
 
 
 def weighted_schedulability(points: Sequence[SchedulabilityPoint],

@@ -25,7 +25,8 @@ class TraceEvent:
     def __str__(self) -> str:
         core = f" core={self.core}" if self.core is not None else ""
         data = f" {self.data}" if self.data else ""
-        return f"[{self.time:10.3f}] {self.kind:<18} {self.subject}{core}{data}"
+        return (f"[{self.time:10.3f}] {self.kind:<18} "
+                f"{self.subject}{core}{data}")
 
 
 class TraceRecorder:

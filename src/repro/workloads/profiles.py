@@ -67,7 +67,8 @@ PARSEC: tuple[WorkloadProfile, ...] = (
        branch_ratio=0.15, branch_entropy=0.50, amo_ratio=0.006,
        syscall_interval=2500, working_set_words=16384,
        nzdc_compiles=False, seed=13),
-    _p("dedup", mem_ratio=0.33, store_fraction=0.38, dead_alu_fraction=0.50, nzdc_branch_check=0.4,
+    _p("dedup", mem_ratio=0.33, store_fraction=0.38,
+       dead_alu_fraction=0.50, nzdc_branch_check=0.4,
        branch_ratio=0.13, branch_entropy=0.40, amo_ratio=0.008,
        syscall_interval=2000, working_set_words=16384, seed=14),
     _p("fluidanimate", mem_ratio=0.29, store_fraction=0.35,
@@ -78,7 +79,8 @@ PARSEC: tuple[WorkloadProfile, ...] = (
        branch_ratio=0.09, branch_entropy=0.20, mul_ratio=0.02,
        dead_alu_fraction=0.65, nzdc_branch_check=0.4,
        syscall_interval=15000, working_set_words=2048, seed=16),
-    _p("x264", mem_ratio=0.31, store_fraction=0.30, dead_alu_fraction=0.50, nzdc_branch_check=0.4,
+    _p("x264", mem_ratio=0.31, store_fraction=0.30,
+       dead_alu_fraction=0.50, nzdc_branch_check=0.4,
        branch_ratio=0.12, branch_entropy=0.35, amo_ratio=0.003,
        syscall_interval=3000, working_set_words=8192, seed=17),
     _p("streamcluster", mem_ratio=0.35, store_fraction=0.20,
@@ -90,24 +92,28 @@ PARSEC: tuple[WorkloadProfile, ...] = (
 #: Full SPECint CPU2006 profiles (paper Fig. 4b).
 SPECINT: tuple[WorkloadProfile, ...] = (
     _s("bzip2", mem_ratio=0.26, store_fraction=0.30,
-       branch_ratio=0.13, branch_entropy=0.40, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.13, branch_entropy=0.40,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=8000, working_set_words=8192, seed=21),
     _s("gcc", mem_ratio=0.32, store_fraction=0.35,
        branch_ratio=0.17, branch_entropy=0.55,
        syscall_interval=2500, working_set_words=16384,
        nzdc_compiles=False, seed=22),
     _s("mcf", mem_ratio=0.35, store_fraction=0.25,
-       branch_ratio=0.15, branch_entropy=0.50, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.15, branch_entropy=0.50,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=9000, working_set_words=32768, seed=23),
     _s("gobmk", mem_ratio=0.25, store_fraction=0.32,
-       branch_ratio=0.16, branch_entropy=0.60, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.16, branch_entropy=0.60,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=7000, working_set_words=8192, seed=24),
     _s("hmmer", mem_ratio=0.28, store_fraction=0.30,
        branch_ratio=0.08, branch_entropy=0.15, mul_ratio=0.03,
        dead_alu_fraction=0.20, nzdc_branch_check=1.0,
        syscall_interval=12000, working_set_words=4096, seed=25),
     _s("sjeng", mem_ratio=0.24, store_fraction=0.30,
-       branch_ratio=0.16, branch_entropy=0.55, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.16, branch_entropy=0.55,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=9000, working_set_words=8192, seed=26),
     _s("libquantum", mem_ratio=0.22, store_fraction=0.25,
        branch_ratio=0.12, branch_entropy=0.10, mul_ratio=0.05,
@@ -118,13 +124,16 @@ SPECINT: tuple[WorkloadProfile, ...] = (
        dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=5000, working_set_words=8192, seed=28),
     _s("omnetpp", mem_ratio=0.33, store_fraction=0.35,
-       branch_ratio=0.15, branch_entropy=0.50, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.15, branch_entropy=0.50,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=3000, working_set_words=16384, seed=29),
     _s("astar", mem_ratio=0.30, store_fraction=0.28,
-       branch_ratio=0.15, branch_entropy=0.45, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.15, branch_entropy=0.45,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=8000, working_set_words=16384, seed=30),
     _s("xalancbmk", mem_ratio=0.34, store_fraction=0.33,
-       branch_ratio=0.17, branch_entropy=0.50, dead_alu_fraction=0.15, nzdc_branch_check=1.0,
+       branch_ratio=0.17, branch_entropy=0.50,
+       dead_alu_fraction=0.15, nzdc_branch_check=1.0,
        syscall_interval=2500, working_set_words=16384, seed=31),
 )
 

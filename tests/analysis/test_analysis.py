@@ -1,10 +1,10 @@
-"""Tests for the experiment drivers and analytic models."""
+"""Tests for the figure experiments (run as scenarios) and the analytic
+models."""
 
 import pytest
 
 from repro.analysis import (
     PowerAreaModel,
-    detection_latency_experiment,
     format_fig4,
     format_fig6,
     format_fig8,
@@ -12,17 +12,44 @@ from repro.analysis import (
     measure_flexstep,
     measure_vanilla_cycles,
     scalability_sweep,
-    slowdown_suite,
-    verification_mode_comparison,
 )
 from repro.analysis.power import is_nearly_linear
 from repro.analysis.reporting import format_fig7, format_fig7_density, \
     format_table2
-from repro.analysis.slowdown import geomean_mode_row, geomean_row
+from repro.analysis.slowdown import (
+    ModeRow,
+    SlowdownRow,
+    geomean_mode_row,
+    geomean_row,
+)
+from repro.scenarios import Scenario, Topology, run_scenario
+from repro.scenarios.report import _latency_results
 from repro.workloads import GeneratorOptions, build_program, get_profile
 
 
 SMALL = 12_000  # instructions per measurement in these tests
+
+
+def _slowdown_rows(*workloads):
+    result = run_scenario(Scenario(
+        name="slowdown", kind="slowdown", workloads=workloads,
+        target_instructions=SMALL))
+    return [SlowdownRow(**row) for row in result.payload["rows"]]
+
+
+def _mode_rows(*workloads):
+    result = run_scenario(Scenario(
+        name="modes", kind="modes", workloads=workloads,
+        target_instructions=SMALL))
+    return [ModeRow(**row) for row in result.payload["rows"]]
+
+
+def _latency(workload, target_instructions, **topology):
+    result = run_scenario(Scenario(
+        name="latency", kind="latency", workloads=(workload,),
+        target_instructions=target_instructions,
+        topology=Topology(**topology)))
+    return _latency_results(result.payload)[0]
 
 
 class TestSlowdown:
@@ -35,9 +62,7 @@ class TestSlowdown:
         assert soc.all_results()
 
     def test_triple_mode_slower_than_dual(self):
-        rows = verification_mode_comparison(
-            [get_profile("swaptions"), get_profile("blackscholes")],
-            target_instructions=SMALL)
+        rows = _mode_rows("swaptions", "blackscholes")
         for row in rows:
             assert row.triple >= row.dual >= 1.0
         geo = geomean_mode_row(rows)
@@ -45,9 +70,7 @@ class TestSlowdown:
         assert geo.triple >= geo.dual
 
     def test_suite_rows(self):
-        rows = slowdown_suite([get_profile("hmmer"),
-                               get_profile("bodytrack")],
-                              target_instructions=SMALL)
+        rows = _slowdown_rows("hmmer", "bodytrack")
         by_name = {r.workload: r for r in rows}
         assert by_name["bodytrack"].nzdc is None      # fails to compile
         assert by_name["hmmer"].nzdc > 1.3
@@ -58,8 +81,7 @@ class TestSlowdown:
 
     def test_scheme_ordering_matches_fig4(self):
         """LockStep ≤ FlexStep ≪ Nzdc for every compilable workload."""
-        rows = slowdown_suite([get_profile("streamcluster")],
-                              target_instructions=SMALL)
+        rows = _slowdown_rows("streamcluster")
         row = rows[0]
         assert row.lockstep <= row.flexstep < row.nzdc
 
@@ -67,8 +89,7 @@ class TestSlowdown:
 class TestLatency:
     @pytest.fixture(scope="class")
     def result(self):
-        return detection_latency_experiment(
-            get_profile("x264"), target_instructions=40_000)
+        return _latency("x264", 40_000)
 
     def test_everything_detected(self, result):
         assert result.injected >= 3
@@ -86,9 +107,8 @@ class TestLatency:
 
     def test_dedicated_checker_is_faster(self):
         """Ablation: no service pause + tiny spill → sub-µs latency."""
-        tight = detection_latency_experiment(
-            get_profile("x264"), target_instructions=30_000,
-            service_pause_cycles=0, dma_spill_entries=0)
+        tight = _latency("x264", 30_000, service_pause_cycles=0,
+                         dma_spill_entries=0)
         assert tight.latencies_us
         assert tight.mean_us < 2.0
 
@@ -136,25 +156,21 @@ class TestPowerArea:
 
 class TestReporting:
     def test_fig4_format(self):
-        rows = slowdown_suite([get_profile("hmmer")],
-                              target_instructions=SMALL)
+        rows = _slowdown_rows("hmmer")
         text = format_fig4(rows, "Fig. 4(b)")
         assert "hmmer" in text and "FlexStep" in text
 
     def test_fig4_handles_missing_nzdc(self):
-        rows = slowdown_suite([get_profile("ferret")],
-                              target_instructions=SMALL)
+        rows = _slowdown_rows("ferret")
         assert "n/a" in format_fig4(rows, "x")
 
     def test_fig6_format(self):
-        rows = verification_mode_comparison(
-            [get_profile("swaptions")], target_instructions=SMALL)
+        rows = _mode_rows("swaptions")
         text = format_fig6(rows)
         assert "dual-core" in text and "swaptions" in text
 
     def test_fig7_formats(self):
-        res = detection_latency_experiment(
-            get_profile("swaptions"), target_instructions=25_000)
+        res = _latency("swaptions", 25_000)
         summary = format_fig7([res])
         assert "swaptions" in summary
         density = format_fig7_density(res)

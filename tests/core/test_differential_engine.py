@@ -295,14 +295,14 @@ _FAULT_SCENARIOS = {
 
 
 def _latency_payload(engine: str, overrides: dict) -> dict:
-    from repro.analysis.latency import FIG7_DEFAULTS, _fig7_specs, _fig7_unit
-    from repro.workloads.profiles import get_profile
+    from repro.scenarios import FaultModel, Scenario, run_scenario
 
-    options = {**FIG7_DEFAULTS, "target_instructions": 8000,
-               "seed": 11, "repeats": 1, **overrides}
-    spec, = _fig7_specs(get_profile("dedup"), **options)
-    with engine_override(engine):
-        return _fig7_unit(spec, 0)
+    scenario = Scenario(name="engine-faults", kind="latency",
+                        workloads=("dedup",), target_instructions=8000,
+                        seed=11, faults=FaultModel(**overrides))
+    workload, = run_scenario(scenario, engine=engine, workers=1,
+                             cache=None).payload["workloads"]
+    return workload
 
 
 @pytest.mark.parametrize("scenario", sorted(_FAULT_SCENARIOS))

@@ -43,6 +43,11 @@ class TestRegistryShape:
         assert knob.scope in knobs.SCOPES
         assert knob.env.startswith(knobs.ENV_PREFIX)
 
+    def test_every_parser_type_is_used(self):
+        """A value type no registered knob declares is dead code."""
+        used = {knob.type for knob in knobs.REGISTRY.values()}
+        assert set(knobs._PARSERS) <= used, set(knobs._PARSERS) - used
+
     def test_duplicate_name_rejected(self):
         existing = next(iter(knobs.REGISTRY.values()))
         with pytest.raises(ValueError, match="duplicate"):

@@ -41,11 +41,8 @@ from repro.sched.edf import (
     total_dbf,
 )
 from repro.sched.uunifast import uunifast
-from repro.sched.experiments import (
-    FIG5_CONFIGS,
-    fig5_campaign,
-    task_set_seed,
-)
+from repro.sched.experiments import FIG5_CONFIGS, task_set_seed
+from repro.scenarios import Scenario, SchedGrid, run_scenario
 
 needs_numpy = pytest.mark.skipif(
     "numpy" not in available_backends(),
@@ -399,11 +396,12 @@ class TestFig5TableEquality:
     backends produce **identical** acceptance-ratio tables."""
 
     def test_all_configs_exact(self):
-        kwargs = dict(sets_per_point=6, seed=2025, workers=1, cache=None)
-        ref = fig5_campaign(backend="python", **kwargs)
-        vec = fig5_campaign(backend="numpy", **kwargs)
-        assert set(ref) == set(FIG5_CONFIGS)
-        for key in FIG5_CONFIGS:
-            ref_table = [(p.utilization, p.ratios) for p in ref[key]]
-            vec_table = [(p.utilization, p.ratios) for p in vec[key]]
-            assert ref_table == vec_table, key
+        for key, cfg in FIG5_CONFIGS.items():
+            scenario = Scenario(name=f"fig5-{key}", kind="sched",
+                                seed=2025,
+                                sched=SchedGrid(**cfg, sets_per_point=6))
+            ref = run_scenario(scenario, backend="python", workers=1,
+                               cache=None)
+            vec = run_scenario(scenario, backend="numpy", workers=1,
+                               cache=None)
+            assert ref.payload == vec.payload, key

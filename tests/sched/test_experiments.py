@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from repro.sched import FIG5_CONFIGS, schedulability_curve, task_set_seed
+from repro.scenarios import Scenario, SchedGrid, run_scenario
+from repro.scenarios.report import _sched_points
+from repro.sched import FIG5_CONFIGS, task_set_seed
 from repro.sched.experiments import (
     SCHEMES,
     _fig5_unit,
@@ -15,13 +17,17 @@ from repro.sched.experiments import (
 from repro.sched.uunifast import generate_task_set, seeded_rng
 
 
+def _curve(seed, cache="auto", **grid):
+    scenario = Scenario(name="fig5", kind="sched", seed=seed,
+                        sched=SchedGrid(**grid))
+    return _sched_points(run_scenario(scenario, cache=cache).payload)
+
+
 @pytest.fixture(scope="module")
 def curve_a():
-    cfg = FIG5_CONFIGS["a"]
-    return schedulability_curve(
-        m=cfg["m"], n=cfg["n"], alpha=cfg["alpha"], beta=cfg["beta"],
-        utilizations=(0.35, 0.45, 0.55, 0.65, 0.75, 0.85),
-        sets_per_point=30, seed=99)
+    return _curve(99, **FIG5_CONFIGS["a"],
+                  utilizations=(0.35, 0.45, 0.55, 0.65, 0.75, 0.85),
+                  sets_per_point=30)
 
 
 class TestCurveDriver:
@@ -112,19 +118,19 @@ class TestSpawnKeyDeterminism:
         kwargs = dict(m=4, n=16, alpha=0.25, beta=0.0,
                       utilizations=(0.5, 0.7), sets_per_point=10,
                       seed=17, cache=None)
-        a = schedulability_curve(**kwargs)
-        b = schedulability_curve(**kwargs)
+        a = _curve(**kwargs)
+        b = _curve(**kwargs)
         assert [(p.utilization, p.ratios) for p in a] \
             == [(p.utilization, p.ratios) for p in b]
 
     def test_sets_independent_of_point_count(self):
         """Set i at utilisation x is the same task set whether the sweep
         has 1 point or 13 — spawn keys, not shared RNG streams."""
-        wide = schedulability_curve(
+        wide = _curve(
             m=4, n=16, alpha=0.25, beta=0.0,
             utilizations=(0.5, 0.6, 0.7), sets_per_point=8, seed=21,
             cache=None)
-        narrow = schedulability_curve(
+        narrow = _curve(
             m=4, n=16, alpha=0.25, beta=0.0, utilizations=(0.6,),
             sets_per_point=8, seed=21, cache=None)
         wide_at = {p.utilization: p.ratios for p in wide}
@@ -137,8 +143,8 @@ class TestTripleCheckPressure:
         demand and lowers acceptance at the same utilisation."""
         common = dict(m=8, n=64, sets_per_point=25, seed=5,
                       utilizations=(0.55, 0.65))
-        with_v3 = schedulability_curve(alpha=0.125, beta=0.125, **common)
-        without = schedulability_curve(alpha=0.25, beta=0.0, **common)
+        with_v3 = _curve(alpha=0.125, beta=0.125, **common)
+        without = _curve(alpha=0.25, beta=0.0, **common)
         for scheme in ("flexstep", "hmr"):
             total_with = sum(p.ratios[scheme] for p in with_v3)
             total_without = sum(p.ratios[scheme] for p in without)
@@ -149,6 +155,6 @@ class TestTripleCheckPressure:
         when fewer tasks need verification."""
         common = dict(m=8, n=64, sets_per_point=25, seed=6,
                       utilizations=(0.65,))
-        few = schedulability_curve(alpha=0.0625, beta=0.0625, **common)
-        many = schedulability_curve(alpha=0.25, beta=0.25, **common)
+        few = _curve(alpha=0.0625, beta=0.0625, **common)
+        many = _curve(alpha=0.25, beta=0.25, **common)
         assert few[0].ratios["flexstep"] >= many[0].ratios["flexstep"]
