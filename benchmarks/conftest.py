@@ -18,6 +18,16 @@ BENCH_INSTRUCTIONS = knobs.value("bench_instructions")
 BENCH_SETS_PER_POINT = knobs.value("bench_sets")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """Campaign results cache under a temporary root, not the repo's
+    ``.repro_cache``: every source edit rotates the digests, so a cache
+    kept across runs only grows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def bench_instructions():
     return BENCH_INSTRUCTIONS

@@ -13,6 +13,11 @@ schemes compared in the evaluation:
 
 :mod:`simulation` provides a task-level preemptive EDF simulator used to
 validate the analytical tests and to reconstruct the Fig. 1 schedules.
+:mod:`edf` holds the exact one-processor EDF tests (QPA and the
+processor-demand scan) that re-judge a partition.  Fig. 5 itself runs
+through one call, :meth:`~.backend.SchedBackend.judge_fig5`: generate a
+batch of task sets, then judge it under every scheme, on the scalar
+oracle or the verdict-identical numpy backend (:mod:`backend`).
 """
 
 from .model import (
@@ -26,14 +31,13 @@ from .edf import (
     DemandTask,
     dbf_scan_schedulable,
     qpa_schedulable,
-    qpa_schedulable_batch,
     qpa_judge_partition,
     total_dbf,
 )
 from .uunifast import uunifast, generate_task_set
-from .partition import partition_flexstep, partition_flexstep_batch
-from .lockstep import partition_lockstep, partition_lockstep_batch
-from .hmr import partition_hmr, partition_hmr_batch
+from .partition import partition_flexstep
+from .lockstep import partition_lockstep
+from .hmr import partition_hmr
 from .backend import (
     TaskSetBatch,
     available_backends,
@@ -57,17 +61,13 @@ __all__ = [
     "DemandTask",
     "dbf_scan_schedulable",
     "qpa_schedulable",
-    "qpa_schedulable_batch",
     "qpa_judge_partition",
     "total_dbf",
     "uunifast",
     "generate_task_set",
     "partition_flexstep",
-    "partition_flexstep_batch",
     "partition_lockstep",
-    "partition_lockstep_batch",
     "partition_hmr",
-    "partition_hmr_batch",
     "TaskSetBatch",
     "available_backends",
     "backend_override",

@@ -1,9 +1,8 @@
 """Backend contract for batched schedulability evaluation.
 
 A backend evaluates the Fig. 5 machinery — UUniFast task-set
-generation, the three partitioning schemes' accept/reject tests, and
-the exact DBF/QPA layer — over a whole *batch* of task sets at once.
-Two implementations exist:
+generation and the three partitioning schemes' accept/reject tests —
+over a whole *batch* of task sets at once.  Two implementations exist:
 
 * ``python`` (:mod:`.python_backend`) — the original scalar code,
   looped.  It is the **oracle**: its verdicts define correctness.
@@ -35,13 +34,10 @@ provable rather than probabilistic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ...errors import TaskModelError
 from ..model import RTTask, TaskClass, TaskSet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..edf import DemandTask
 
 #: Integer class codes used by the array representation.
 CLASS_CODES: dict[TaskClass, int] = {
@@ -86,12 +82,6 @@ class TaskSetBatch:
         return cls(arrays=(wcet, period, codes))
 
     # ------------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        if self._task_sets is not None:
-            return len(self._task_sets)
-        return int(self._arrays[0].shape[0])
 
     @property
     def set_size(self) -> int:
@@ -155,24 +145,6 @@ class SchedBackend(ABC):
     def judge_batch(self, batch: TaskSetBatch, num_cores: int,
                     schemes: Sequence[str]) -> list[dict[str, bool]]:
         """Accept/reject verdict of every scheme on every set."""
-
-    @abstractmethod
-    def partition_verdicts(self, batch: TaskSetBatch, num_cores: int,
-                           scheme: str, *, mode: str = "auto",
-                           ) -> list[bool]:
-        """One scheme's verdict per set; ``mode`` selects the FlexStep
-        Algorithm 3 variant (strict / relaxed / auto) and must stay
-        ``"auto"`` for the mode-less baselines."""
-
-    @abstractmethod
-    def qpa_batch(self, demand_sets: Sequence[Sequence["DemandTask"]],
-                  *, max_points: int = 200_000) -> list[bool]:
-        """Exact EDF (processor-demand) verdict per demand-task set."""
-
-    @abstractmethod
-    def total_dbf_batch(self, tasks: Sequence["DemandTask"],
-                        times: Sequence[float]) -> list[float]:
-        """``total_dbf(tasks, t)`` evaluated at every ``t``."""
 
     # ------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Vectorized (numpy) schedulability backend.
 
-Evaluates UUniFast generation, the three partitioners' accept/reject
-tests and the exact DBF/QPA layer over a whole batch of task sets as
-float64 arrays, producing verdicts **bit-identical** to the scalar
-oracle in :mod:`.python_backend`.
+Evaluates UUniFast generation and the three partitioners'
+accept/reject tests over a whole batch of task sets as float64 arrays,
+producing verdicts **bit-identical** to the scalar oracle in
+:mod:`.python_backend`.
 
 Identity strategy (see the :mod:`.base` module docstring): every RNG
 variate is drawn from the same scalar ``random.Random`` stream as the
@@ -47,17 +47,10 @@ from __future__ import annotations
 
 import math
 from itertools import repeat, starmap
-from typing import Sequence
 
 import numpy as np
 
 from ...errors import PartitioningError, TaskModelError
-from ..edf import (
-    DBF_JOB_EPS,
-    QPA_DEMAND_EPS,
-    _deadlines_up_to,
-    qpa_interval_bound,
-)
 from ..model import OPT_V2_FACTOR, OPT_V3_FACTOR
 from ..uunifast import class_counts, seeded_rng
 from .base import SchedBackend, TaskSetBatch
@@ -144,18 +137,12 @@ def _flexstep_pass(v3: _ClassView, v2: _ClassView, tn: _ClassView,
     return ~(loads > _OVER).any(axis=1)
 
 
-def _flexstep(v3: _ClassView, v2: _ClassView, tn: _ClassView, m: int,
-              mode: str = "auto"):
-    if mode not in ("auto", "strict", "relaxed"):
-        raise PartitioningError(
-            "mode must be one of ('auto', 'strict', 'relaxed')")
+def _flexstep(v3: _ClassView, v2: _ClassView, tn: _ClassView, m: int):
+    """Algorithm 3 with the paper's fallback: strict first, the relaxed
+    variant for the rows it rejects."""
     B = v3.u.shape[0]
     if m < _needed_cores(v3, v2):
         return np.zeros(B, bool)
-    if mode == "strict":
-        return _flexstep_pass(v3, v2, tn, m, virtual=True)
-    if mode == "relaxed":
-        return _flexstep_pass(v3, v2, tn, m, virtual=False)
     ok = _flexstep_pass(v3, v2, tn, m, virtual=True)
     retry = ~ok
     if retry.any():
@@ -426,14 +413,12 @@ class NumpyBackend(SchedBackend):
 
     # -- judging --------------------------------------------------------
 
-    @staticmethod
-    def _grouped(batch, num_cores, kernels: dict):
-        """Run verdict kernels over the batch, per class-count group.
+    def judge_batch(self, batch, num_cores, schemes):
+        """Run the schemes' verdict kernels, per class-count group.
 
         The kernels assume uniform class counts across their rows; rows
         are grouped by the ``(n_v3, n_v2)`` signature (a single group
-        for a Fig. 5 batch, where α/β fix the counts).  Returns one
-        ``{name: bool}`` dict per set, in batch order.
+        for a Fig. 5 batch, where α/β fix the counts).
         """
         if num_cores < 1:
             raise PartitioningError("need at least one core")
@@ -450,98 +435,8 @@ class NumpyBackend(SchedBackend):
             v3 = _sorted_class_view(*sub, code=2)
             v2 = _sorted_class_view(*sub, code=1)
             tn = _sorted_class_view(*sub, code=0)
-            verdicts = {name: kernel(v3, v2, tn, num_cores)
-                        for name, kernel in kernels.items()}
+            verdicts = {s: _KERNELS[s](v3, v2, tn, num_cores)
+                        for s in schemes}
             for pos, b in enumerate(idx):
-                out[int(b)] = {name: bool(verdicts[name][pos])
-                               for name in kernels}
+                out[int(b)] = {s: bool(verdicts[s][pos]) for s in schemes}
         return out
-
-    def judge_batch(self, batch, num_cores, schemes):
-        kernels = {s: _KERNELS[s] for s in schemes}
-        return self._grouped(batch, num_cores, kernels)
-
-    def partition_verdicts(self, batch, num_cores, scheme, *,
-                           mode="auto"):
-        if scheme == "flexstep":
-            def kernel(v3, v2, tn, m):
-                return _flexstep(v3, v2, tn, m, mode=mode)
-        else:
-            if mode != "auto":
-                raise PartitioningError(
-                    f"scheme {scheme!r} has no mode variants")
-            kernel = _KERNELS[scheme]
-        rows = self._grouped(batch, num_cores, {scheme: kernel})
-        return [row[scheme] for row in rows]
-
-    # -- exact DBF / QPA layer ------------------------------------------
-
-    @staticmethod
-    def _step_points(task_list, limit, max_points):
-        """All dbf step points <= limit, value-identical to the scalar
-        enumeration: per-task ``cumsum`` reproduces the oracle's
-        repeated-addition floats bit-for-bit."""
-        eps_limit = limit + 1e-12
-        raw_bound = 0
-        for task in task_list:
-            if task.deadline <= eps_limit:
-                raw_bound += int((eps_limit - task.deadline)
-                                 // task.period) + 2
-        if raw_bound > max_points:
-            # defer to the scalar enumerator: identical distinct-point
-            # cap semantics (raises AnalysisError) without allocating
-            # the pathological raw sequence
-            return np.asarray(_deadlines_up_to(
-                task_list, limit, max_points=max_points))
-        parts = []
-        for task in task_list:
-            d, period = task.deadline, task.period
-            if d > eps_limit:
-                continue
-            count = int((eps_limit - d) // period) + 2
-            while True:
-                seq = np.cumsum(
-                    np.concatenate(([d], np.full(count - 1, period))))
-                if seq[-1] > eps_limit:
-                    break
-                count *= 2   # analytic count undershot (float drift)
-            parts.append(seq[seq <= eps_limit])
-        if not parts:
-            return np.empty(0)
-        return np.unique(np.concatenate(parts))
-
-    @staticmethod
-    def _dbf_sum(task_list, t):
-        """``total_dbf`` at an array of times; accumulates in task
-        order, matching the oracle's ``sum()``."""
-        h = np.zeros(t.shape)
-        for task in task_list:
-            h = h + np.where(
-                t < task.deadline, 0.0,
-                (np.floor((t - task.deadline) / task.period
-                          + DBF_JOB_EPS) + 1.0) * task.wcet)
-        return h
-
-    def _qpa_one(self, tasks, max_points) -> bool:
-        task_list = list(tasks)
-        if not task_list:
-            return True
-        total_u = 0.0
-        for task in task_list:
-            total_u += task.wcet / task.period
-        if total_u > 1.0 + 1e-12:
-            return False
-        bound = qpa_interval_bound(task_list)
-        points = self._step_points(task_list, bound, max_points)
-        if points.size == 0:
-            return True
-        h = self._dbf_sum(task_list, points)
-        return not bool((h > points + QPA_DEMAND_EPS).any())
-
-    def qpa_batch(self, demand_sets, *, max_points=200_000):
-        return [self._qpa_one(tasks, max_points)
-                for tasks in demand_sets]
-
-    def total_dbf_batch(self, tasks: Sequence, times):
-        h = self._dbf_sum(list(tasks), np.asarray(times, dtype=float))
-        return [float(x) for x in h]

@@ -1,31 +1,17 @@
 """The scalar (pure-Python) schedulability backend — the oracle.
 
 Wraps the original per-set code paths unchanged: UUniFast generation
-via :func:`repro.sched.uunifast.generate_task_set`, the three
-partitioners' :class:`PartitionResult` success flags, and the scalar
-QPA iteration.  Every other backend is judged against this one.
+via :func:`repro.sched.uunifast.generate_task_set` and the three
+partitioners' :class:`PartitionResult` success flags, looked up in
+:data:`repro.sched.experiments.SCHEMES`.  Every other backend is judged
+against this one.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ...errors import PartitioningError
-from ..edf import qpa_schedulable, total_dbf
-from ..hmr import partition_hmr
-from ..lockstep import partition_lockstep
-from ..partition import partition_flexstep
+from ..experiments import SCHEMES
 from ..uunifast import generate_task_set, seeded_rng
 from .base import SchedBackend, TaskSetBatch
-
-#: The paper's three partitioning schemes (shared with
-#: :data:`repro.sched.experiments.SCHEMES`; the partitioner modules are
-#: the single source of truth).
-SCHEME_FUNCS = {
-    "lockstep": partition_lockstep,
-    "hmr": partition_hmr,
-    "flexstep": partition_flexstep,
-}
 
 
 class PythonBackend(SchedBackend):
@@ -45,27 +31,7 @@ class PythonBackend(SchedBackend):
 
     def judge_batch(self, batch, num_cores, schemes):
         return [
-            {s: bool(SCHEME_FUNCS[s](task_set, num_cores).success)
+            {s: bool(SCHEMES[s](task_set, num_cores).success)
              for s in schemes}
             for task_set in batch.as_task_sets()
         ]
-
-    def partition_verdicts(self, batch, num_cores, scheme, *,
-                           mode="auto"):
-        if scheme == "flexstep":
-            return [bool(partition_flexstep(ts, num_cores,
-                                            mode=mode).success)
-                    for ts in batch.as_task_sets()]
-        if mode != "auto":
-            raise PartitioningError(
-                f"scheme {scheme!r} has no mode variants")
-        return [bool(SCHEME_FUNCS[scheme](ts, num_cores).success)
-                for ts in batch.as_task_sets()]
-
-    def qpa_batch(self, demand_sets, *, max_points=200_000):
-        return [qpa_schedulable(tasks, max_points=max_points)
-                for tasks in demand_sets]
-
-    def total_dbf_batch(self, tasks: Sequence, times):
-        task_list = list(tasks)
-        return [total_dbf(task_list, t) for t in times]

@@ -30,9 +30,7 @@ from .result import PartitionResult, Role
 #: exactly on a deadline multiple (``(0.3 - 0.1) / 0.1`` is
 #: ``1.9999999999999998``), silently dropping a whole job.  The fuzz is
 #: on the dimensionless job-count axis, so it is scale-free; job counts
-#: are bounded by the step-point cap (200k), far below 1/eps.  Every
-#: backend must use this same constant so demand at a step point is
-#: identical no matter which float path produced ``t``.
+#: are bounded by the step-point cap (200k), far below 1/eps.
 DBF_JOB_EPS = 1e-9
 
 #: Slack allowed on the processor-demand comparison ``h(t) <= t``.
@@ -136,9 +134,8 @@ def qpa_interval_bound(task_list: Sequence[DemandTask]) -> float:
     """The analysis interval bound L of the QPA test.
 
     ``dbf(t) <= t`` can only be violated below this bound, so the
-    step-point enumeration stops there.  Shared verbatim by every
-    backend — the bound decides which points exist, so it is part of
-    the verdict contract.
+    step-point enumeration stops there.  QPA and the demand scan share
+    it, so both test the same points.
     """
     total_u = sum(t.utilization for t in task_list)
     if total_u < 1.0 - 1e-9:
@@ -200,8 +197,7 @@ def dbf_scan_schedulable(tasks: Iterable[DemandTask], *,
     This is the processor-demand criterion stated directly — the oracle
     the QPA paper defines its fixed-point iteration against.  QPA must
     agree with this scan on every input (the differential suite asserts
-    it); the vectorized backend implements exactly this scan, so scan
-    agreement is what makes QPA-vs-numpy verdict equality meaningful.
+    it).
     """
     task_list = [t for t in tasks]
     if not task_list:
@@ -213,20 +209,6 @@ def dbf_scan_schedulable(tasks: Iterable[DemandTask], *,
     points = _deadlines_up_to(task_list, bound, max_points=max_points)
     return all(total_dbf(task_list, p) <= p + QPA_DEMAND_EPS
                for p in points)
-
-
-def qpa_schedulable_batch(demand_sets: Sequence[Sequence[DemandTask]], *,
-                          backend: "str | None" = None,
-                          max_points: int = 200_000) -> list[bool]:
-    """Exact EDF verdict for many demand-task sets at once.
-
-    Multi-backend: ``backend=None`` follows ``REPRO_SCHED_BACKEND`` /
-    auto-detection; the vectorized backend evaluates the full demand
-    scan as arrays.  Verdicts are backend-invariant.
-    """
-    from .backend import get_backend
-    return get_backend(backend).qpa_batch(demand_sets,
-                                          max_points=max_points)
 
 
 def _largest_leq(points: list[float], value: float) -> int:

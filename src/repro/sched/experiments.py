@@ -15,8 +15,9 @@ parameters alone — ``(seed, m, n, α, β, x, set index)`` — never from
 process state, scheme selection, batch boundaries, backend choice or
 unit-function version, so ``workers=1`` and ``workers=N`` (and the
 cached replay, and either backend) are bit-identical, and every scheme
-judges the *same* task sets.  ``_fig5_unit`` (one set per unit, scalar
-only) remains as the oracle path the equivalence tests replay against.
+judges the *same* task sets.  The scalar oracle is the ``python``
+backend: pin it with ``REPRO_SCHED_BACKEND=python`` to replay any unit
+through the original per-set code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .hmr import partition_hmr
 from .lockstep import partition_lockstep
 from .partition import partition_flexstep
 from .result import PartitionResult
-from .uunifast import generate_task_set, seeded_rng
 
 #: The six (m, n, α, β) configurations of Fig. 5(a)–(f).
 FIG5_CONFIGS: dict[str, dict] = {
@@ -46,6 +46,8 @@ FIG5_CONFIGS: dict[str, dict] = {
 DEFAULT_UTILIZATIONS: tuple[float, ...] = tuple(
     round(0.35 + 0.05 * i, 2) for i in range(13))  # 0.35 .. 0.95
 
+#: The paper's three partitioning schemes; the scalar backend judges
+#: each set with these.
 SCHEMES: dict[str, Callable[..., PartitionResult]] = {
     "lockstep": partition_lockstep,
     "hmr": partition_hmr,
@@ -75,34 +77,12 @@ def task_set_seed(seed: int, m: int, n: int, alpha: float, beta: float,
     return spawn_seed(seed, "fig5-task-set", m, n, alpha, beta, x, index)
 
 
-def _fig5_unit(spec: dict, rng_seed: int) -> dict:
-    """One scalar work unit: generate one task set, judge it per scheme.
-
-    The oracle-path unit: always the original scalar code, regardless
-    of ``REPRO_SCHED_BACKEND``.  Production sweeps use
-    :func:`_fig5_batch_unit`; this one remains for the equivalence
-    tests and for rebuilding any single task set from its spawn key.
-    """
-    del rng_seed   # identity must not depend on unit version or schemes
-    task_set = generate_task_set(
-        spec["n"], spec["x"] * spec["m"], alpha=spec["alpha"],
-        beta=spec["beta"],
-        rng=seeded_rng(task_set_seed(
-            spec["seed"], spec["m"], spec["n"], spec["alpha"],
-            spec["beta"], spec["x"], spec["set"])))
-    return {s: bool(SCHEMES[s](task_set, spec["m"]).success)
-            for s in spec["schemes"]}
-
-
-_fig5_unit.campaign_version = "1"
-
-
 def _fig5_batch_unit(spec: dict, rng_seed: int) -> list[dict]:
     """One batched work unit: ``set_count`` task sets judged per scheme.
 
     Set ``set_start + j`` derives its RNG stream from
-    :func:`task_set_seed` exactly as the scalar unit does, so batch
-    boundaries never move task-set identity; the active backend
+    :func:`task_set_seed` alone, so batch boundaries never move
+    task-set identity; the active backend
     (``REPRO_SCHED_BACKEND`` — inherited by campaign workers) only
     decides *how* the batch is evaluated, never the verdicts.
     """

@@ -31,22 +31,12 @@ only to the non-preemptable verification chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from ..errors import PartitioningError
 from .model import TaskClass, TaskSet
 from .result import Assignment, PartitionResult, Role
 
 _ROLES = (Role.ORIGINAL, Role.CHECK, Role.CHECK2)
-
-
-def partition_hmr_batch(task_sets: Iterable[TaskSet], num_cores: int, *,
-                        backend: Optional[str] = None) -> list[bool]:
-    """HMR accept/reject verdicts over a batch of task sets
-    (multi-backend; see :func:`partition_flexstep_batch`)."""
-    from .backend import TaskSetBatch, get_backend
-    return get_backend(backend).partition_verdicts(
-        TaskSetBatch.from_task_sets(task_sets), num_cores, "hmr")
 
 
 @dataclass

@@ -27,32 +27,11 @@ compares them).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from ..errors import PartitioningError
 from .model import TaskClass, TaskSet
 from .result import Assignment, PartitionResult, Role
 
 _MODES = ("auto", "strict", "relaxed")
-
-
-def partition_flexstep_batch(task_sets: Iterable[TaskSet],
-                             num_cores: int, *, mode: str = "auto",
-                             backend: Optional[str] = None) -> list[bool]:
-    """Algorithm 3 accept/reject verdicts over a batch of task sets.
-
-    The batched entry point of the multi-backend engine: verdicts are
-    backend-invariant (``backend=None`` follows ``REPRO_SCHED_BACKEND``
-    / auto-detection), and the vectorized backend evaluates the whole
-    batch without materialising per-assignment objects.  Use
-    :func:`partition_flexstep` when the placement itself is needed.
-    """
-    if mode not in _MODES:
-        raise PartitioningError(f"mode must be one of {_MODES}")
-    from .backend import TaskSetBatch, get_backend
-    return get_backend(backend).partition_verdicts(
-        TaskSetBatch.from_task_sets(task_sets), num_cores, "flexstep",
-        mode=mode)
 
 
 def _argmin_load(loads: list[float], exclude: set[int]) -> int:

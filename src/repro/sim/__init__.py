@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate used across the library."""
 
-from .engine import Event, EventQueue, Simulator, Process
+from .engine import Event, EventQueue
 from .stats import (
     Histogram,
     OnlineStats,
@@ -13,8 +13,6 @@ from .trace import TraceEvent, TraceRecorder
 __all__ = [
     "Event",
     "EventQueue",
-    "Simulator",
-    "Process",
     "Histogram",
     "OnlineStats",
     "geomean",

@@ -1,18 +1,11 @@
-"""A small, deterministic discrete-event simulation engine.
+"""A deterministic event queue for discrete-event simulation.
 
-The scheduling-level experiments (Fig. 1 reconstruction, task-level EDF
-simulation) and several integration tests run on this engine.  Design
-goals:
-
-* **Determinism** — ties in time are broken by (priority, sequence
-  number), so two runs of the same scenario produce identical traces.
-* **Simplicity** — events are callbacks; longer behaviours are modelled
-  with :class:`Process`, a thin generator-based coroutine wrapper that
-  yields delays.
-
-The instruction-level core models do *not* run on this engine (they are
-simple cycle-cost loops for speed); they only share its statistics and
-tracing helpers.
+The SoC co-simulation's heap scheduler
+(:class:`~repro.flexstep.soc.FlexStepSoC`) orders its per-core events
+on :class:`EventQueue`.  Ties in time are broken by (priority, sequence
+number), so two runs of the same scenario pop events in the same order.
+The task-level EDF simulator (:mod:`repro.sched.simulation`) keeps its
+own ``heapq`` loop.
 """
 
 from __future__ import annotations
@@ -20,13 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
-
-from ..errors import ReproError
-
-
-class SimulationError(ReproError):
-    """Raised on misuse of the simulation engine."""
+from typing import Callable, Optional
 
 
 @dataclass(order=True, slots=True)
@@ -134,116 +121,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-
-class Simulator:
-    """Event loop with a monotonically advancing clock.
-
-    Time units are whatever the caller chooses (the scheduling layer uses
-    abstract time units; latency analysis uses microseconds).
-    """
-
-    def __init__(self) -> None:
-        self.queue = EventQueue()
-        self.now: float = 0.0
-        self._running = False
-        self.events_processed = 0
-
-    def at(self, time: float, callback: Callable[[], None], *,
-           priority: int = 0, name: str = "") -> Event:
-        """Schedule ``callback`` at absolute ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time} < now {self.now}")
-        return self.queue.push(time, callback, priority=priority, name=name)
-
-    def after(self, delay: float, callback: Callable[[], None], *,
-              priority: int = 0, name: str = "") -> Event:
-        """Schedule ``callback`` after a relative ``delay >= 0``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback,
-                       priority=priority, name=name)
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Process events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the final simulation time."""
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        try:
-            fired = 0
-            while True:
-                next_time = self.queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self.now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                event = self.queue.pop()
-                assert event is not None
-                self.now = event.time
-                event.callback()
-                self.events_processed += 1
-                fired += 1
-        finally:
-            self._running = False
-        return self.now
-
-    def spawn(self, generator: Generator[float, None, Any], *,
-              name: str = "") -> "Process":
-        """Run a generator-based process; each yielded value is a delay."""
-        return Process(self, generator, name=name)
-
-
-class Process:
-    """Generator-driven coroutine: ``yield delay`` sleeps for ``delay``.
-
-    The process starts immediately (its first segment runs at spawn time's
-    next event boundary, i.e. scheduled with zero delay).
-    """
-
-    def __init__(self, sim: Simulator,
-                 generator: Generator[float, None, Any], *, name: str = ""):
-        self.sim = sim
-        self.generator = generator
-        self.name = name
-        self.finished = False
-        self.result: Any = None
-        self._pending: Optional[Event] = None
-        self._pending = sim.after(0.0, self._step, name=name or "process")
-
-    def _step(self) -> None:
-        self._pending = None
-        try:
-            delay = next(self.generator)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = getattr(stop, "value", None)
-            return
-        if delay < 0:
-            raise SimulationError(
-                f"process {self.name!r} yielded negative delay {delay}")
-        self._pending = self.sim.after(delay, self._step,
-                                       name=self.name or "process")
-
-    def cancel(self) -> None:
-        """Stop the process before its next step."""
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self.finished = True
-
-
-def run_all(sim: Simulator, processes: Iterable[Process],
-            until: Optional[float] = None) -> float:
-    """Convenience: run ``sim`` until done and assert processes finished."""
-    end = sim.run(until=until)
-    for proc in processes:
-        if not proc.finished and until is None:
-            raise SimulationError(
-                f"process {proc.name!r} did not finish by simulation end")
-    return end

@@ -31,6 +31,16 @@ src:
 """
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """Campaign results cache under a temporary root, not the repo's
+    ``.repro_cache``: every source edit rotates the digests, so a cache
+    kept across runs only grows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 def make_sum_program(n: int = 100, value: int = 7):
     """A small load/accumulate/store loop; result n*value at 0x2000."""
     return assemble(SUM_LOOP_SRC.format(n=n, value=value), name="sum")

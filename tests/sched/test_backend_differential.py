@@ -27,18 +27,13 @@ from repro.sched import (
     generate_task_set,
     get_backend,
     partition_flexstep,
-    partition_flexstep_batch,
     partition_hmr,
-    partition_hmr_batch,
     partition_lockstep,
-    partition_lockstep_batch,
 )
 from repro.sched.edf import (
     DemandTask,
     dbf_scan_schedulable,
     qpa_schedulable,
-    qpa_schedulable_batch,
-    total_dbf,
 )
 from repro.sched.uunifast import uunifast
 from repro.sched.experiments import FIG5_CONFIGS, task_set_seed
@@ -142,8 +137,11 @@ class TestVerdictEquivalence:
 
     def test_fig5_grid_corpus(self):
         """All six Fig. 5 shapes × three utilisation pressures; both
-        accept and reject outcomes must be exercised."""
+        accept and reject outcomes must be exercised, and so must
+        FlexStep's relaxed fallback (strict Algorithm 3 rejects, the
+        ``auto`` retry accepts)."""
         outcomes = set()
+        fallbacks = 0
         py, vec = get_backend("python"), get_backend("numpy")
         for cfg in FIG5_CONFIGS.values():
             for x in (0.45, 0.65, 0.9):
@@ -159,7 +157,12 @@ class TestVerdictEquivalence:
                 assert expected == actual
                 for verdict in expected:
                     outcomes.update(verdict.values())
+                fallbacks += sum(
+                    verdict["flexstep"] and not partition_flexstep(
+                        ts, cfg["m"], mode="strict").success
+                    for ts, verdict in zip(ref.as_task_sets(), expected))
         assert outcomes == {True, False}
+        assert fallbacks > 0
 
     def test_heterogeneous_class_counts(self):
         """Batches mixing different (n_v3, n_v2) signatures exercise
@@ -256,8 +259,8 @@ class TestTieHeavyCorpus:
         batch = TaskSetBatch.from_task_sets([tied, shorter])
         assert [partition_hmr(ts, 3).success for ts in (tied, shorter)] \
             == [True, False]
-        assert partition_hmr_batch([tied, shorter], 3, backend="numpy") \
-            == [True, False]
+        assert get_backend("numpy").judge_batch(batch, 3, ["hmr"]) \
+            == [{"hmr": True}, {"hmr": False}]
         assert get_backend("numpy").judge_batch(batch, 3, SCHEMES) \
             == get_backend("python").judge_batch(batch, 3, SCHEMES)
 
@@ -267,7 +270,8 @@ class TestTieHeavyCorpus:
         ts = _task_set([(0.1, 20.0, self.T_V3), (0.3, 100.0, self.T_V2),
                         (0.35, 50.0, self.T_N)])
         assert partition_hmr(ts, 3).success
-        assert partition_hmr_batch([ts], 3, backend="numpy") == [True]
+        assert get_backend("numpy").judge_batch(
+            TaskSetBatch.from_task_sets([ts]), 3, ["hmr"]) == [{"hmr": True}]
 
     @pytest.mark.parametrize("m,n", [(3, 8), (4, 8), (4, 12)])
     def test_random_tied_corpus(self, m, n):
@@ -282,35 +286,39 @@ class TestTieHeavyCorpus:
 
 @needs_numpy
 class TestPartitionBatchApis:
-    """The per-scheme batch entry points match the scalar partitioners
-    one-to-one, including FlexStep's mode variants."""
+    """Each scheme judged alone through ``judge_batch`` matches its
+    scalar partitioner one-to-one, in every backend."""
 
     @pytest.fixture(scope="class")
-    def task_sets(self):
-        return [generate_task_set(20, 2.6, alpha=0.25, beta=0.125,
-                                  rng=random.Random(s))
-                for s in range(30)]
+    def batch(self):
+        return TaskSetBatch.from_task_sets(
+            generate_task_set(20, 2.6, alpha=0.25, beta=0.125,
+                              rng=random.Random(s))
+            for s in range(30))
 
-    @pytest.mark.parametrize("mode", ["auto", "strict", "relaxed"])
-    def test_flexstep_modes(self, task_sets, mode):
+    @staticmethod
+    def _judged(backend, batch, m, scheme):
+        return [v[scheme] for v in
+                get_backend(backend).judge_batch(batch, m, [scheme])]
+
+    @pytest.mark.parametrize("mode", ["auto"])
+    def test_flexstep_modes(self, batch, mode):
         expected = [partition_flexstep(ts, 4, mode=mode).success
-                    for ts in task_sets]
+                    for ts in batch.as_task_sets()]
         for backend in available_backends():
-            assert partition_flexstep_batch(
-                task_sets, 4, mode=mode, backend=backend) == expected
+            assert self._judged(backend, batch, 4, "flexstep") == expected
 
-    def test_lockstep(self, task_sets):
+    def test_lockstep(self, batch):
         expected = [partition_lockstep(ts, 8).success
-                    for ts in task_sets]
+                    for ts in batch.as_task_sets()]
         for backend in available_backends():
-            assert partition_lockstep_batch(
-                task_sets, 8, backend=backend) == expected
+            assert self._judged(backend, batch, 8, "lockstep") == expected
 
-    def test_hmr(self, task_sets):
-        expected = [partition_hmr(ts, 8).success for ts in task_sets]
+    def test_hmr(self, batch):
+        expected = [partition_hmr(ts, 8).success
+                    for ts in batch.as_task_sets()]
         for backend in available_backends():
-            assert partition_hmr_batch(
-                task_sets, 8, backend=backend) == expected
+            assert self._judged(backend, batch, 8, "hmr") == expected
 
 
 class TestQpaAgreesWithDemandScan:
@@ -347,47 +355,6 @@ class TestQpaAgreesWithDemandScan:
         except AnalysisError:
             return
         assert fast == dbf_scan_schedulable(tasks)
-
-
-@needs_numpy
-class TestQpaBackendEquivalence:
-    def test_random_corpus(self):
-        demand_sets, expected = [], []
-        for seed in range(300):
-            tasks = _random_demand_tasks(seed)
-            try:
-                expected.append(qpa_schedulable(tasks))
-            except AnalysisError:
-                continue
-            demand_sets.append(tasks)
-        assert qpa_schedulable_batch(demand_sets, backend="numpy") \
-            == expected
-        assert True in expected and False in expected
-
-    def test_decimal_boundary_corpus(self):
-        demand_sets, expected = [], []
-        for seed in range(300):
-            tasks = _decimal_demand_tasks(seed)
-            try:
-                expected.append(qpa_schedulable(tasks))
-            except AnalysisError:
-                continue
-            demand_sets.append(tasks)
-        assert qpa_schedulable_batch(demand_sets, backend="numpy") \
-            == expected
-
-    def test_empty_and_overload(self):
-        over = [DemandTask(wcet=6, deadline=10, period=10),
-                DemandTask(wcet=5, deadline=10, period=10)]
-        assert qpa_schedulable_batch([[], over], backend="numpy") \
-            == [True, False]
-
-    def test_total_dbf_batch_matches_scalar(self):
-        tasks = _random_demand_tasks(77)
-        times = [0.5 * k for k in range(1, 120)]
-        vec = get_backend("numpy").total_dbf_batch(tasks, times)
-        ref = [total_dbf(tasks, t) for t in times]
-        assert vec == ref
 
 
 @needs_numpy

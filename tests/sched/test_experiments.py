@@ -10,7 +10,7 @@ from repro.scenarios.report import _sched_points
 from repro.sched import FIG5_CONFIGS, task_set_seed
 from repro.sched.experiments import (
     SCHEMES,
-    _fig5_unit,
+    _fig5_batch_unit,
     render_curves,
     weighted_schedulability,
 )
@@ -84,18 +84,19 @@ class TestSpawnKeyDeterminism:
     path, the campaign layer and any external reproduction."""
 
     SPEC = {"m": 4, "n": 16, "alpha": 0.25, "beta": 0.0, "x": 0.6,
-            "set": 3, "seed": 314, "schemes": ["lockstep", "flexstep"]}
+            "set_start": 3, "set_count": 1, "seed": 314,
+            "schemes": ["lockstep", "flexstep"]}
 
     def test_task_set_reproducible_from_spawn_key(self):
         """The exact task set a campaign unit judges can be rebuilt from
         ``task_set_seed`` alone — no campaign machinery required."""
-        verdicts = _fig5_unit(self.SPEC, rng_seed=0)
+        [verdicts] = _fig5_batch_unit(self.SPEC, rng_seed=0)
         s = self.SPEC
         rebuilt = generate_task_set(
             s["n"], s["x"] * s["m"], alpha=s["alpha"], beta=s["beta"],
             rng=random.Random(task_set_seed(
                 s["seed"], s["m"], s["n"], s["alpha"], s["beta"],
-                s["x"], s["set"])))
+                s["x"], s["set_start"])))
         assert verdicts == {
             scheme: SCHEMES[scheme](rebuilt, s["m"]).success
             for scheme in s["schemes"]}
@@ -103,9 +104,9 @@ class TestSpawnKeyDeterminism:
     def test_scheme_subset_judges_identical_task_sets(self):
         """Task-set identity derives from generation parameters only:
         judging with fewer schemes must not change the sets."""
-        all_schemes = _fig5_unit(self.SPEC, rng_seed=0)
-        subset = _fig5_unit({**self.SPEC, "schemes": ["flexstep"]},
-                            rng_seed=0)
+        [all_schemes] = _fig5_batch_unit(self.SPEC, rng_seed=0)
+        [subset] = _fig5_batch_unit(
+            {**self.SPEC, "schemes": ["flexstep"]}, rng_seed=0)
         assert subset["flexstep"] == all_schemes["flexstep"]
 
     def test_seeded_rng_matches_fresh_random(self):

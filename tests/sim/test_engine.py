@@ -1,8 +1,6 @@
-"""Discrete-event engine tests."""
+"""Event queue tests."""
 
-import pytest
-
-from repro.sim.engine import EventQueue, Simulator, SimulationError
+from repro.sim.engine import EventQueue
 
 
 class TestEventQueue:
@@ -119,158 +117,3 @@ class TestEventQueue:
         assert len(q._heap) < 100
         assert len(q) == 1
         assert q.peek_time() == 0.0
-
-
-class TestSimulator:
-    def test_clock_advances(self):
-        sim = Simulator()
-        times = []
-        sim.at(3.0, lambda: times.append(sim.now))
-        sim.at(1.0, lambda: times.append(sim.now))
-        end = sim.run()
-        assert times == [1.0, 3.0]
-        assert end == 3.0
-
-    def test_after_relative(self):
-        sim = Simulator()
-        sim.at(2.0, lambda: sim.after(3.0, lambda: None))
-        assert sim.run() == 5.0
-
-    def test_past_scheduling_rejected(self):
-        sim = Simulator()
-        sim.at(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.at(1.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().after(-1.0, lambda: None)
-
-    def test_until_limit(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.at(10.0, lambda: fired.append(2))
-        sim.run(until=5.0)
-        assert fired == [1]
-        assert sim.now == 5.0
-
-    def test_max_events(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.at(t, lambda: None)
-        sim.run(max_events=2)
-        assert sim.events_processed == 2
-
-    def test_determinism(self):
-        def build():
-            sim = Simulator()
-            log = []
-            for t in (1.0, 1.0, 2.0):
-                sim.at(t, lambda t=t: log.append((sim.now, t)))
-            sim.run()
-            return log
-        assert build() == build()
-
-    def test_until_equal_to_event_time_fires_it(self):
-        sim = Simulator()
-        fired = []
-        sim.at(5.0, lambda: fired.append(1))
-        sim.run(until=5.0)
-        assert fired == [1]
-        assert sim.now == 5.0
-
-    def test_until_before_everything_only_advances_clock(self):
-        sim = Simulator()
-        fired = []
-        sim.at(10.0, lambda: fired.append(1))
-        assert sim.run(until=3.0) == 3.0
-        assert not fired
-        # the event is still queued and fires on a later run
-        sim.run()
-        assert fired == [1]
-
-    def test_max_events_zero_is_a_no_op(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.run(max_events=0)
-        assert not fired and sim.events_processed == 0
-        assert sim.now == 0.0
-
-    def test_max_events_counts_only_fired(self):
-        sim = Simulator()
-        cancelled = sim.at(1.0, lambda: None)
-        sim.at(2.0, lambda: None)
-        sim.at(3.0, lambda: None)
-        cancelled.cancel()
-        sim.run(max_events=2)
-        assert sim.events_processed == 2
-        assert sim.queue.peek_time() is None
-
-    def test_run_inside_callback_rejected(self):
-        sim = Simulator()
-        caught = []
-
-        def reenter():
-            try:
-                sim.run()
-            except SimulationError as exc:
-                caught.append(str(exc))
-
-        sim.at(1.0, reenter)
-        sim.run()
-        assert caught and "already running" in caught[0]
-
-    def test_run_usable_again_after_reentrancy_error(self):
-        sim = Simulator()
-        sim.at(1.0, lambda: None)
-        sim.run()
-        sim.at(2.0, lambda: None)
-        assert sim.run() == 2.0
-
-
-class TestProcess:
-    def test_generator_delays(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield 2.0
-            trace.append(sim.now)
-            yield 3.0
-            trace.append(sim.now)
-            return "done"
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert trace == [0.0, 2.0, 5.0]
-        assert p.finished and p.result == "done"
-
-    def test_cancel_stops_process(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append("a")
-            yield 1.0
-            trace.append("b")
-            yield 1.0
-            trace.append("c")
-
-        p = sim.spawn(proc())
-        sim.at(1.5, p.cancel)
-        sim.run()
-        assert trace == ["a", "b"]
-
-    def test_negative_yield_rejected(self):
-        sim = Simulator()
-
-        def proc():
-            yield -1.0
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
