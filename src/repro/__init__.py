@@ -17,7 +17,6 @@ Package map (EXPERIMENTS.md documents the experiment layers):
 ``repro.sched``     task model, Algorithm 3, LockStep/HMR baselines,
                     UUnifast, EDF simulator (Figs. 1 & 5)
 ``repro.workloads`` synthetic Parsec/SPECint profiles + Nzdc transform
-``repro.baselines`` cycle-level DCLS/TCLS execution model
 ``repro.analysis``  slowdown/latency work units and rows, power/area
 ``repro.scenarios`` the experiment front end: ``Scenario`` +
                     ``run_scenario`` over the campaign engine

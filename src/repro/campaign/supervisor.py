@@ -489,11 +489,6 @@ class WorkerPool:
                         continue
             worker.shutdown(kill=kill)
 
-    @property
-    def idle_workers(self) -> "list[_Worker]":
-        with self._lock:
-            return list(self._idle)
-
     def close(self) -> None:
         """Shut down every idle worker; subsequent leases fail."""
         with self._lock:

@@ -113,11 +113,6 @@ class CoreConfig:
                 f"engine must be one of {CORE_ENGINE_CHOICES}, "
                 f"got {self.engine!r}")
 
-    @property
-    def cycle_time_s(self) -> float:
-        """Seconds per clock cycle."""
-        return 1.0 / self.clock_hz
-
     def cycles_to_us(self, cycles: int | float) -> float:
         """Convert a cycle count to microseconds at this core's clock."""
         return cycles * 1e6 / self.clock_hz
@@ -200,10 +195,6 @@ class SoCConfig:
             raise ConfigurationError(
                 f"soc_sched must be one of {SOC_SCHED_CHOICES}, "
                 f"got {self.soc_sched!r}")
-
-    def with_cores(self, num_cores: int) -> "SoCConfig":
-        """Return a copy of this config with a different core count."""
-        return dataclasses.replace(self, num_cores=num_cores)
 
     def with_flexstep(self, **kwargs) -> "SoCConfig":
         """Return a copy with FlexStep parameters overridden."""

@@ -19,12 +19,6 @@ class BranchStats:
     predictions: int = 0
     mispredictions: int = 0
 
-    @property
-    def mispredict_rate(self) -> float:
-        if not self.predictions:
-            return 0.0
-        return self.mispredictions / self.predictions
-
 
 class BranchPredictor:
     """Combined BHT + BTB + RAS predictor."""
@@ -42,10 +36,6 @@ class BranchPredictor:
 
     # -- conditional branches -----------------------------------------
 
-    def predict_branch(self, pc: int) -> bool:
-        """Predicted direction for the branch at ``pc``."""
-        return self._bht[self._bht_index(pc)] >= 2
-
     def update_branch(self, pc: int, taken: bool) -> bool:
         """Train on the resolved branch; returns True on mispredict."""
         idx = self._bht_index(pc)
@@ -61,10 +51,6 @@ class BranchPredictor:
         return mispredicted
 
     # -- indirect jumps (jalr) ------------------------------------------
-
-    def predict_target(self, pc: int) -> int | None:
-        """BTB target prediction for the indirect jump at ``pc``."""
-        return self._btb.get(pc)
 
     def update_target(self, pc: int, target: int) -> bool:
         """Train the BTB; returns True on target mispredict."""
@@ -89,15 +75,5 @@ class BranchPredictor:
         if len(self._ras) > self.config.ras_entries:
             self._ras.pop(0)
 
-    def predict_return(self) -> int | None:
-        """Peek the RAS for a return target."""
-        return self._ras[-1] if self._ras else None
-
     def pop_return(self) -> int | None:
         return self._ras.pop() if self._ras else None
-
-    def reset(self) -> None:
-        """Clear all state (used on hard context switches in tests)."""
-        self._bht = [2] * self.config.bht_entries
-        self._btb.clear()
-        self._ras.clear()

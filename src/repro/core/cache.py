@@ -28,10 +28,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """One level of set-associative cache with LRU replacement."""
@@ -44,11 +40,11 @@ class Cache:
             OrderedDict() for _ in range(config.sets)]
         self._set_mask = config.sets - 1
         self.line_shift = config.line_bytes.bit_length() - 1
-        #: Line of the last :meth:`access` (-1: none since the last
-        #: invalidate).  That line is present and MRU in its set, so a
-        #: read of it is a hit that changes nothing but ``stats.hits``:
-        #: the fetch sites take that shortcut when ``pc >> line_shift``
-        #: matches (see :meth:`MemoryHierarchy.fetch_access`).
+        #: Line of the last :meth:`access` (-1: none yet).  That line is
+        #: present and MRU in its set, so a read of it is a hit that
+        #: changes nothing but ``stats.hits``: the fetch sites take that
+        #: shortcut when ``pc >> line_shift`` matches (see
+        #: :meth:`MemoryHierarchy.fetch_access`).
         self.last_line = -1
         # sets is a power of two for all Table II configs; fall back to
         # modulo indexing otherwise.
@@ -90,11 +86,6 @@ class Cache:
             return line in self._sets[line & self._set_mask]
         return line in self._sets[line % self.config.sets]
 
-    def invalidate_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()
-        self.last_line = -1
-
 
 @dataclass
 class HierarchyStats:
@@ -102,10 +93,6 @@ class HierarchyStats:
 
     accesses: int = 0
     total_cycles: int = 0
-
-    @property
-    def average_latency(self) -> float:
-        return self.total_cycles / self.accesses if self.accesses else 0.0
 
 
 class MemoryHierarchy:

@@ -164,10 +164,6 @@ class CommitRecord:
         self.trap = trap
         self.trap_cause = trap_cause
 
-    @property
-    def is_memory(self) -> bool:
-        return bool(self.mem_ops)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommitRecord):
             return NotImplemented
@@ -201,10 +197,6 @@ class CoreStats:
     stall_cycles: int = 0
     traps: int = 0
     memory_ops: int = 0
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
 
 
 CommitHook = Callable[[CommitRecord], None]
@@ -273,9 +265,6 @@ class Core:
 
     def add_commit_hook(self, hook: CommitHook) -> None:
         self._hooks.append(hook)
-
-    def remove_commit_hook(self, hook: CommitHook) -> None:
-        self._hooks.remove(hook)
 
     def raise_interrupt(self, cause: int) -> None:
         """Post an asynchronous interrupt taken before the next step."""

@@ -79,18 +79,10 @@ _WRAP = 1 << 64
 #: Clear bit 0 of a jalr target (RISC-V alignment rule).
 _EVEN = MASK64 & ~1
 
-# Integer kind codes, re-exported for table-driven consumers (checker).
-K_ALU = KIND_CODES[OpKind.ALU]
-K_MUL = KIND_CODES[OpKind.MUL]
-K_DIV = KIND_CODES[OpKind.DIV]
-K_LOAD = KIND_CODES[OpKind.LOAD]
-K_STORE = KIND_CODES[OpKind.STORE]
-K_LR = KIND_CODES[OpKind.LR]
+# Integer codes of the kinds the replay loops test one by one
+# (rcpm.py and checker.py compare per-entry kind codes against these).
 K_SC = KIND_CODES[OpKind.SC]
 K_AMO = KIND_CODES[OpKind.AMO]
-K_BRANCH = KIND_CODES[OpKind.BRANCH]
-K_JUMP = KIND_CODES[OpKind.JUMP]
-K_CSR = KIND_CODES[OpKind.CSR]
 K_SYSTEM = KIND_CODES[OpKind.SYSTEM]
 K_HALT = KIND_CODES[OpKind.HALT]
 

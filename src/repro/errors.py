@@ -86,10 +86,6 @@ class ChannelError(FlexStepError):
     """Interconnect channel misuse (unconnected, conflicting, etc.)."""
 
 
-class BufferOverflowError(FlexStepError):
-    """A DBC FIFO was pushed beyond capacity without backpressure."""
-
-
 class VerificationMismatch(FlexStepError):
     """Raised (optionally) when a checker detects a divergence.
 
@@ -118,10 +114,6 @@ class KernelError(ReproError):
 
 class SchedulerError(KernelError):
     """Scheduler invariant violated (e.g. running task not in ready queue)."""
-
-
-class ContextError(KernelError):
-    """Context save/restore misuse."""
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .rcpm import MainCoreAdapter
 from .checker import CheckerEngine, SegmentResult, CheckerState
 from .soc import (
     CoreAttr,
-    ENV_SOC_SCHED,
     FlexStepControl,
     FlexStepSoC,
     resolve_soc_sched,
@@ -51,7 +50,6 @@ __all__ = [
     "SegmentResult",
     "CheckerState",
     "CoreAttr",
-    "ENV_SOC_SCHED",
     "FlexStepSoC",
     "FlexStepControl",
     "resolve_soc_sched",

@@ -126,31 +126,9 @@ class Channel:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def drain(self) -> list[Packet]:
-        """Remove and return everything (checker released / reset)."""
-        out = list(self._queue)
-        self._queue.clear()
-        self.occupancy = 0
-        return out
-
     def iter_packets(self) -> Iterable[Packet]:
         """Inspection without consumption (fault-injection targeting)."""
         return iter(self._queue)
-
-    def replace_packet(self, index: int, packet: Packet) -> Packet:
-        """Swap the packet at queue position ``index`` (fault injection).
-
-        Returns the original packet.  Occupancy is kept consistent.
-        """
-        if not 0 <= index < len(self._queue):
-            raise ChannelError(f"no packet at index {index}")
-        self._queue.rotate(-index)
-        original = self._queue.popleft()
-        self._queue.appendleft(packet)
-        self._queue.rotate(index)
-        self.occupancy += packet.entries - original.entries
-        return original
-
 
 class SystemInterconnect:
     """Global-register-controlled MUX/DEMUX network between core FIFOs.
@@ -232,10 +210,3 @@ class SystemInterconnect:
 
     def main_of(self, checker_id: int) -> Optional[int]:
         return self._main_of.get(checker_id)
-
-    @property
-    def wiring_complexity(self) -> int:
-        """Fully connected MUX/DEMUX pairs: grows quadratically — the
-        reason the paper notes the interconnect would become a bus/NoC
-        at scale (Sec. III-C)."""
-        return self.num_cores * (self.num_cores - 1)

@@ -328,11 +328,6 @@ class FaultInjector:
             return 0.0
         return sum(r.detected for r in self.records) / len(self.records)
 
-    @property
-    def misattributed_count(self) -> int:
-        """Records whose segment failed before their injection."""
-        return sum(r.misattributed for r in self.records)
-
 
 def install_injector(soc, main_id: int, *,
                      side: str = "checker",

@@ -426,11 +426,3 @@ class MainCoreAdapter:
         self.core.stats.cycles += cost
         self.core.stats.stall_cycles += cost
         self.stats.extraction_stall_cycles += cost
-
-    @property
-    def open_segment_id(self) -> Optional[int]:
-        return self._segment_id if self._segment_open else None
-
-    @property
-    def current_count(self) -> int:
-        return self._count

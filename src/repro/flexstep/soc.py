@@ -69,9 +69,6 @@ from .checker import CheckerEngine, SegmentResult
 from .dbc import SystemInterconnect
 from .rcpm import MainCoreAdapter
 
-#: Environment variable selecting the default co-sim scheduler.
-ENV_SOC_SCHED = "REPRO_SOC_SCHED"
-
 
 def resolve_soc_sched(name: Optional[str] = None) -> str:
     """Resolve a scheduler: argument > ``REPRO_SOC_SCHED`` > auto."""
@@ -108,7 +105,7 @@ class FlexStepControl:
     ==================  =============================================
     Instruction         Method
     ==================  =============================================
-    ``G.IDs.contain``   :meth:`ids_contain` / :meth:`attr_of`
+    ``G.IDs.contain``   :meth:`attr_of`
     ``G.Configure``     :meth:`configure`
     ``M.associate``     :meth:`associate`
     ``M.check``         :meth:`check_enable` / :meth:`check_disable`
@@ -123,10 +120,6 @@ class FlexStepControl:
         self._soc = soc
 
     # -- global instructions -------------------------------------------
-
-    def ids_contain(self, attr: CoreAttr, core_id: int) -> bool:
-        """``G.IDs.contain``: is ``core_id`` currently of ``attr``?"""
-        return self._soc.attrs[core_id] is attr
 
     def attr_of(self, core_id: int) -> CoreAttr:
         return self._soc.attrs[core_id]
@@ -381,13 +374,9 @@ class FlexStepSoC:
         runnable: list[int] = []
         for cid in sorted(active_mains):
             if self.cores[cid].halted:
-                adapter = self._adapters.get(cid)
-                if adapter is not None and adapter.enabled:
-                    adapter.disable()
-                    adapter.try_flush()
-                    if adapter.blocked:
-                        runnable.append(cid)
-                        continue
+                if self.retire_main(cid):
+                    runnable.append(cid)
+                    continue
                 active_mains.discard(cid)
             else:
                 runnable.append(cid)
@@ -398,7 +387,7 @@ class FlexStepSoC:
             main_id = self.interconnect.main_of(cid)
             main_done = main_id is None or (
                 main_id not in active_mains
-                and not self._adapter_blocked(main_id))
+                and not self.main_blocked(main_id))
             if engine.drained and main_done:
                 continue
             checker_pending.append(cid)
@@ -519,7 +508,7 @@ class FlexStepSoC:
             nothing left to wait for and leave the heap too."""
             active.discard(cid)
             _drop_event(cid)
-            if self._adapter_blocked(cid):
+            if self.main_blocked(cid):
                 return
             for chk in interconnect.checkers_of(cid):
                 engine = engines.get(chk)
@@ -531,12 +520,8 @@ class FlexStepSoC:
 
             Returns True when the main stays a candidate for one more
             round because its outbox is still backpressured."""
-            adapter = self._adapters.get(cid)
-            if adapter is not None and adapter.enabled:
-                adapter.disable()
-                adapter.try_flush()
-                if adapter.blocked:
-                    return True
+            if self.retire_main(cid):
+                return True
             _discard_main(cid)
             return False
 
@@ -614,7 +599,7 @@ class FlexStepSoC:
                 main_id = interconnect.main_of(cid)
                 main_done = main_id is None or (
                     main_id not in active
-                    and not self._adapter_blocked(main_id))
+                    and not self.main_blocked(main_id))
                 if engine.drained and main_done:
                     continue
                 limit = cores[main_id].stats.cycles \
@@ -693,11 +678,43 @@ class FlexStepSoC:
             done += 1
         return done
 
-    def _adapter_blocked(self, main_id: int) -> bool:
+    def main_blocked(self, main_id: int) -> bool:
+        """Whether ``main_id``'s outbox is backpressured by a full DBC."""
         adapter = self._adapters.get(main_id)
         return adapter is not None and adapter.blocked
 
-    def _step_main(self, cid: int) -> int:
+    def retire_main(self, main_id: int) -> bool:
+        """Post-halt teardown of a main core: ``M.check(disable)`` and one
+        flush attempt of its outbox.
+
+        The one place the halted-main rule lives; both schedulers and
+        :class:`~repro.kernel.FlexKernel` call it.  Returns True while
+        the outbox is still backpressured."""
+        adapter = self._adapters.get(main_id)
+        if adapter is None or not adapter.enabled:
+            return False
+        adapter.disable()
+        adapter.try_flush()
+        return adapter.blocked
+
+    def flush_blocked(self) -> None:
+        """Retry every backpressured outbox once."""
+        for adapter in self._adapters.values():
+            if adapter.blocked:
+                adapter.try_flush()
+
+    def checkers_drained(self) -> bool:
+        """Every bound checker has drained its channel and no main core
+        feeding one is still backpressured."""
+        for cid, engine in self._engines.items():
+            if not engine.drained:
+                return False
+            main_id = self.interconnect.main_of(cid)
+            if main_id is not None and self.main_blocked(main_id):
+                return False
+        return True
+
+    def step_main(self, cid: int) -> int:
         """Advance a main/compute core by one instruction or stall."""
         return self._advance_main(cid, None, 1)
 

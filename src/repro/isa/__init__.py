@@ -9,7 +9,6 @@ written as readable source.
 
 from .instructions import (
     OPS,
-    AMO_OPS,
     Instruction,
     OpInfo,
     OpKind,
@@ -23,7 +22,6 @@ from .assembler import assemble, AssemblerError
 
 __all__ = [
     "OPS",
-    "AMO_OPS",
     "Instruction",
     "OpInfo",
     "OpKind",

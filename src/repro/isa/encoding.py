@@ -32,11 +32,6 @@ _IMM_MIN = -(1 << (_IMM_BITS - 1))
 _IMM_MAX = (1 << (_IMM_BITS - 1)) - 1
 
 
-def imm_range() -> tuple[int, int]:
-    """Inclusive (min, max) encodable immediate."""
-    return _IMM_MIN, _IMM_MAX
-
-
 def encode(inst: Instruction) -> int:
     """Encode ``inst`` into its 64-bit word."""
     opcode = _OPCODE_OF.get(inst.op)

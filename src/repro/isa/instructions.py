@@ -59,21 +59,6 @@ class OpInfo:
     reads_rs2: bool = False
     has_imm: bool = False
 
-    @property
-    def is_memory(self) -> bool:
-        """True for every op the MAL unit must log."""
-        return self.kind in (OpKind.LOAD, OpKind.STORE, OpKind.LR,
-                             OpKind.SC, OpKind.AMO)
-
-    @property
-    def is_multi_entry(self) -> bool:
-        """LR/SC/AMO are packaged into multiple MAL entries (Sec. III-B)."""
-        return self.kind in (OpKind.LR, OpKind.SC, OpKind.AMO)
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind in (OpKind.BRANCH, OpKind.JUMP)
-
 
 def _op(name: str, kind: OpKind, *, rd: bool = False, rs1: bool = False,
         rs2: bool = False, imm: bool = False) -> OpInfo:
@@ -141,10 +126,6 @@ _OP_LIST = [
 #: Operation registry: name -> OpInfo.
 OPS: dict[str, OpInfo] = {info.name: info for info in _OP_LIST}
 
-#: The atomic read-modify-write subset (for quick membership tests).
-AMO_OPS = frozenset(name for name, info in OPS.items()
-                    if info.kind is OpKind.AMO)
-
 
 def reg_name(index: int) -> str:
     """Architectural name of register ``index`` (``x0`` .. ``x31``)."""
@@ -209,8 +190,3 @@ def to_signed64(value: int) -> int:
     if value >= 1 << 63:
         value -= 1 << 64
     return value
-
-
-def to_unsigned64(value: int) -> int:
-    """The low 64 bits of ``value`` as an unsigned integer."""
-    return value & MASK64

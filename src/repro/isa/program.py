@@ -22,9 +22,6 @@ class DataSegment:
             raise IsaError(f"negative data address {addr:#x}")
         self.words[addr] = value & ((1 << 64) - 1)
 
-    def get_word(self, addr: int) -> int:
-        return self.words.get(addr, 0)
-
     def items(self) -> Iterable[tuple[int, int]]:
         return self.words.items()
 
@@ -80,22 +77,3 @@ class Program:
             raise IsaError(
                 f"pc {pc:#x} outside program [{self.base:#x}, {self.end:#x})")
         return self.instructions[(pc - self.base) // INST_BYTES]
-
-    def address_of(self, label: str) -> int:
-        try:
-            return self.labels[label]
-        except KeyError:
-            raise IsaError(f"unknown label {label!r}") from None
-
-    def disassemble(self) -> str:
-        """Human-readable listing with labels inlined."""
-        by_addr: dict[int, list[str]] = {}
-        for label, addr in self.labels.items():
-            by_addr.setdefault(addr, []).append(label)
-        lines = []
-        for idx, inst in enumerate(self.instructions):
-            addr = self.base + idx * INST_BYTES
-            for label in sorted(by_addr.get(addr, [])):
-                lines.append(f"{label}:")
-            lines.append(f"  {addr:#06x}  {inst}")
-        return "\n".join(lines)

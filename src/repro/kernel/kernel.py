@@ -182,11 +182,11 @@ class FlexKernel:
         executed = 0
         stalled = 0
         while executed < self.quantum and not core.halted:
-            progressed = self.soc._step_main(core_id)
+            progressed = self.soc.step_main(core_id)
             executed += progressed
             if progressed:
                 stalled = 0
-            elif self.soc._adapter_blocked(core_id):
+            elif self.soc.main_blocked(core_id):
                 # Backpressure: the DBC is full and only the (currently
                 # unscheduled) checker can drain it.  Yield the quantum
                 # so other cores advance — in hardware the core would
@@ -200,10 +200,7 @@ class FlexKernel:
             task.state = TaskState.FINISHED
             self.current[core_id] = None
             self.stats.tasks_finished += 1
-            adapter = self.soc._adapters.get(core_id)
-            if adapter is not None and adapter.enabled:
-                self.control.check_disable(core_id)
-                adapter.try_flush()
+            self.soc.retire_main(core_id)
             self.trace.record(core.stats.cycles, "task_finished",
                               task.name, core=core_id)
 
@@ -212,9 +209,7 @@ class FlexKernel:
         for _ in range(max_quanta):
             # Drain any leftover staged packets (a finished task may
             # have closed its last segment against a full channel).
-            for adapter in self.soc._adapters.values():
-                if adapter.blocked:
-                    adapter.try_flush()
+            self.soc.flush_blocked()
             if self._all_done():
                 return self.stats
             for core_id in range(self.soc.config.num_cores):
@@ -233,11 +228,4 @@ class FlexKernel:
             for t in self.ready[core_id]:
                 if not t.checker_thread:
                     return False
-        for cid, engine in self.soc._engines.items():
-            if not engine.drained:
-                return False
-            adapter_main = self.soc.interconnect.main_of(cid)
-            if adapter_main is not None \
-                    and self.soc._adapter_blocked(adapter_main):
-                return False
-        return True
+        return self.soc.checkers_drained()

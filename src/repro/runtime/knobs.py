@@ -273,10 +273,6 @@ def identity_knobs() -> tuple[Knob, ...]:
     return tuple(k for k in REGISTRY.values() if k.scope == "identity")
 
 
-def execution_knobs() -> tuple[Knob, ...]:
-    return tuple(k for k in REGISTRY.values() if k.scope == "execution")
-
-
 def identity_fingerprint(
         environ: Optional[Mapping[str, str]] = None) -> str:
     """Canonical JSON of every identity-scoped knob's resolved value.
@@ -345,16 +341,6 @@ def env_override(name: str, raw: Optional[str]) -> Iterator[None]:
             os.environ.pop(knob.env, None)
         else:
             os.environ[knob.env] = previous
-
-
-def env_get(name: str) -> Optional[str]:
-    """The raw environment value of one knob (``None`` when unset).
-
-    The escape hatch for the few call sites that must *propagate* a
-    knob verbatim (e.g. snapshotting the environment for a subprocess)
-    rather than consume its parsed value.
-    """
-    return os.environ.get(get(name).env)
 
 
 def render_value(value: Any) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..flexstep.faults import FaultTarget
@@ -223,8 +223,3 @@ class Scenario:
         data["faults"] = FaultModel(**data["faults"])
         data["sched"] = SchedGrid(**data["sched"])
         return cls(**data)
-
-
-def suite_names(profiles: Sequence[WorkloadProfile]) -> list[str]:
-    """Workload names of a resolved profile sequence (display order)."""
-    return [p.name for p in profiles]

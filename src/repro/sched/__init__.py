@@ -40,7 +40,6 @@ from .lockstep import partition_lockstep
 from .hmr import partition_hmr
 from .backend import (
     TaskSetBatch,
-    available_backends,
     backend_override,
     get_backend,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "partition_lockstep",
     "partition_hmr",
     "TaskSetBatch",
-    "available_backends",
     "backend_override",
     "get_backend",
     "Assignment",

@@ -32,9 +32,6 @@ from ...errors import ConfigurationError, SchedBackendError
 from ...runtime import knobs
 from .base import SchedBackend, TaskSetBatch
 
-#: Environment variable selecting the default backend.
-ENV_BACKEND = "REPRO_SCHED_BACKEND"
-
 #: Names accepted by :func:`get_backend` (and the CLI flag) — declared
 #: once, in the runtime knob registry.
 BACKEND_CHOICES = knobs.SCHED_BACKEND_CHOICES
@@ -48,11 +45,6 @@ def numpy_available() -> bool:
         return importlib.util.find_spec("numpy") is not None
     except ImportError:
         return False
-
-
-def available_backends() -> tuple[str, ...]:
-    """Concrete backend names usable on this host."""
-    return ("python", "numpy") if numpy_available() else ("python",)
 
 
 def default_backend_name() -> str:
@@ -102,11 +94,9 @@ def backend_override(name: Optional[str]) -> Iterator[None]:
 
 
 __all__ = [
-    "ENV_BACKEND",
     "BACKEND_CHOICES",
     "SchedBackend",
     "TaskSetBatch",
-    "available_backends",
     "backend_override",
     "default_backend_name",
     "get_backend",

@@ -3,9 +3,9 @@
 The paper's Fig. 5 uses the (sufficient) density test, as Algorithm 3
 prescribes.  This module provides the exact counterpart for sporadic
 task systems on one processor — the demand bound function (Baruah et
-al.) and Quick Processor-demand Analysis (Zhang & Burns) — so partition
-results can be re-judged exactly, and so the pessimism of the density
-test is measurable (the strict-vs-relaxed ablation uses this).
+al.) and Quick Processor-demand Analysis (Zhang & Burns) — so tests
+can re-judge partition results exactly.  No scenario runs it: it is the
+reference the density test is checked against.
 
 A computation placed on a core is abstracted as a ``(C, D, T)`` triple;
 for FlexStep's virtual-deadline model the original computation of a
@@ -245,15 +245,3 @@ def qpa_judge_partition(result: PartitionResult) -> bool:
     return all(
         qpa_schedulable(demand_tasks_for_core(result, core))
         for core in range(result.num_cores))
-
-
-def density_pessimism(tasks: Sequence[DemandTask]) -> float:
-    """Ratio between the density-test load and the exact dbf slope —
-    quantifies how conservative the sufficient test is for this core."""
-    density = sum(t.wcet / min(t.deadline, t.period) for t in tasks)
-    if not tasks:
-        return 1.0
-    horizon = max(t.deadline + 2 * t.period for t in tasks)
-    exact = max((total_dbf(tasks, p) / p
-                 for p in _deadlines_up_to(tasks, horizon)), default=0.0)
-    return density / exact if exact else math.inf

@@ -105,11 +105,6 @@ class RTTask:
             return 0.0
         return self.wcet / (self.deadline - self.virtual_deadline)
 
-    @property
-    def total_density(self) -> float:
-        """δo + copies · δv — FlexStep's worst-case provisioning."""
-        return self.density_original + self.cls.copies * self.density_check
-
     def with_class(self, cls: TaskClass) -> "RTTask":
         return RTTask(task_id=self.task_id, wcet=self.wcet,
                       period=self.period, cls=cls)
@@ -137,33 +132,5 @@ class TaskSet:
     def utilization(self) -> float:
         return sum(t.utilization for t in self.tasks)
 
-    @property
-    def total_density(self) -> float:
-        """Aggregate FlexStep density, including duplicated computations."""
-        return sum(t.total_density for t in self.tasks)
-
     def by_class(self, cls: TaskClass) -> list[RTTask]:
         return [t for t in self.tasks if t.cls is cls]
-
-    @property
-    def verification_tasks(self) -> list[RTTask]:
-        return [t for t in self.tasks if t.is_verification]
-
-    @property
-    def normal_tasks(self) -> list[RTTask]:
-        return [t for t in self.tasks if not t.is_verification]
-
-    def class_fractions(self) -> dict[TaskClass, float]:
-        n = len(self.tasks) or 1
-        return {cls: len(self.by_class(cls)) / n for cls in TaskClass}
-
-
-def optimal_virtual_deadline_factor(copies: int) -> float:
-    """Minimiser of 1/x + copies/(1−x) over x ∈ (0, 1).
-
-    Closed form: x* = 1 / (1 + √copies).  Recovers the paper's D/2
-    (copies=1) and (√2−1)D (copies=2).
-    """
-    if copies < 1:
-        return 1.0
-    return 1.0 / (1.0 + math.sqrt(copies))

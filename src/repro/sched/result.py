@@ -42,15 +42,6 @@ class PartitionResult:
     def core_assignments(self, core: int) -> list[Assignment]:
         return [a for a in self.assignments if a.core == core]
 
-    def cores_of(self, task_id: int) -> dict[Role, int]:
-        """Where each computation of ``task_id`` landed."""
-        return {a.role: a.core for a in self.assignments
-                if a.task.task_id == task_id}
-
-    @property
-    def max_load(self) -> float:
-        return max(self.loads) if self.loads else 0.0
-
     def validate_disjoint_copies(self) -> bool:
         """Original and check copies of a task must sit on distinct cores
         (a check on the same core could share the fault)."""

@@ -3,10 +3,8 @@
 from .engine import Event, EventQueue
 from .stats import (
     Histogram,
-    OnlineStats,
     geomean,
     percentile,
-    summarize,
 )
 from .trace import TraceEvent, TraceRecorder
 
@@ -14,10 +12,8 @@ __all__ = [
     "Event",
     "EventQueue",
     "Histogram",
-    "OnlineStats",
     "geomean",
     "percentile",
-    "summarize",
     "TraceEvent",
     "TraceRecorder",
 ]

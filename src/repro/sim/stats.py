@@ -1,8 +1,8 @@
 """Statistics helpers shared by the analysis and benchmark layers.
 
 Includes the geometric mean (the paper reports geomean slowdowns),
-streaming moments, percentiles and a fixed-bin histogram used for the
-Fig. 7 detection-latency density plot.
+percentiles and a fixed-bin histogram used for the Fig. 7
+detection-latency density plot.
 """
 
 from __future__ import annotations
@@ -48,63 +48,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-class OnlineStats:
-    """Streaming count/mean/variance/min/max (Welford's algorithm)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
-
-    @property
-    def variance(self) -> float:
-        """Population variance; 0 for fewer than two samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two streams into a new OnlineStats (Chan's method)."""
-        merged = OnlineStats()
-        if self.count == 0:
-            merged.count, merged.mean, merged._m2 = (
-                other.count, other.mean, other._m2)
-            merged.min, merged.max = other.min, other.max
-            return merged
-        if other.count == 0:
-            merged.count, merged.mean, merged._m2 = (
-                self.count, self.mean, self._m2)
-            merged.min, merged.max = self.min, self.max
-            return merged
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        merged.count = n
-        merged.mean = self.mean + delta * other.count / n
-        merged._m2 = (self._m2 + other._m2
-                      + delta * delta * self.count * other.count / n)
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
-
-
 @dataclass
 class HistogramBin:
     """One histogram bin: [lo, hi) with its sample count."""
@@ -112,10 +55,6 @@ class HistogramBin:
     lo: float
     hi: float
     count: int
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 class Histogram:
@@ -155,28 +94,3 @@ class Histogram:
         if self.total == 0:
             return [0.0] * len(self.counts)
         return [c / (self.total * self._width) for c in self.counts]
-
-    def mode_bin(self) -> HistogramBin:
-        """The bin with the largest count."""
-        if self.total == 0:
-            raise ValueError("mode of empty histogram")
-        idx = max(range(len(self.counts)), key=self.counts.__getitem__)
-        return self.bins()[idx]
-
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """A compact summary dict used by benchmark reports."""
-    if not values:
-        raise ValueError("summarize of empty sequence")
-    stats = OnlineStats()
-    stats.extend(values)
-    return {
-        "count": float(stats.count),
-        "mean": stats.mean,
-        "stddev": stats.stddev,
-        "min": stats.min,
-        "p50": percentile(values, 50),
-        "p90": percentile(values, 90),
-        "p99": percentile(values, 99),
-        "max": stats.max,
-    }

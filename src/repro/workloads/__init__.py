@@ -14,9 +14,7 @@ from .profiles import (
     SPECINT,
     WorkloadProfile,
     get_profile,
-    parsec_profiles,
     resolve_profiles,
-    specint_profiles,
 )
 from .generator import build_program, GeneratorOptions
 
@@ -25,9 +23,7 @@ __all__ = [
     "SPECINT",
     "WorkloadProfile",
     "get_profile",
-    "parsec_profiles",
     "resolve_profiles",
-    "specint_profiles",
     "build_program",
     "GeneratorOptions",
 ]

@@ -150,14 +150,6 @@ def get_profile(name: str) -> WorkloadProfile:
         ) from None
 
 
-def parsec_profiles() -> tuple[WorkloadProfile, ...]:
-    return PARSEC
-
-
-def specint_profiles() -> tuple[WorkloadProfile, ...]:
-    return SPECINT
-
-
 _SUITES = {
     "parsec": PARSEC,
     "specint": SPECINT,

@@ -310,7 +310,7 @@ class TestWorkerPool:
         try:
             first = run_campaign(_units.pid_unit, specs, seed=1,
                                  workers=2, cache=None, pool=pool)
-            assert len(pool.idle_workers) == 2   # released warm
+            assert len(pool._idle) == 2   # released warm
             second = run_campaign(_units.pid_unit, specs, seed=1,
                                   workers=2, cache=None, pool=pool)
         finally:
@@ -346,11 +346,11 @@ class TestWorkerPool:
         pool = self._pool()
         run_campaign(_units.pid_unit, specs, seed=1, workers=2,
                      cache=None, pool=pool)
-        idle = pool.idle_workers
+        idle = list(pool._idle)
         assert len(idle) == 2
         pids = [w.process.pid for w in idle]
         pool.close()   # joins and reaps every idle worker
-        assert pool.idle_workers == []
+        assert pool._idle == []
 
         def alive(pid):
             try:

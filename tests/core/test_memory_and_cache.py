@@ -107,18 +107,6 @@ class TestCache:
         assert not cache.contains(0x500)
         assert cache.stats.hits == hits_before
 
-    def test_invalidate_all(self):
-        cache = self._tiny()
-        cache.access(0, False)
-        cache.invalidate_all()
-        assert not cache.contains(0)
-
-    def test_hit_rate(self):
-        cache = self._tiny()
-        cache.access(0, False)
-        cache.access(0, False)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
 
 class TestHierarchy:
     def _setup(self):
@@ -153,7 +141,7 @@ class TestHierarchy:
         hier.data_access(l1, 0, False)
         hier.data_access(l1, 0, False)
         assert hier.stats.accesses == 2
-        assert hier.stats.average_latency > 2
+        assert hier.stats.total_cycles == (2 + 40 + 120) + 2
 
 
 def _last_line_fetch(hier, l1i, addr):
@@ -213,15 +201,6 @@ class TestLastLineFetch:
         assert l1i.last_line == 0
         assert _last_line_fetch(hier, l1i, 0x008) == 0
         assert l1i.stats.hits == 1
-
-    def test_invalidate_all_resets_last_line(self):
-        l1i, _l2, hier = self._setup()
-        _last_line_fetch(hier, l1i, 0x000)
-        l1i.invalidate_all()
-        assert l1i.last_line == -1
-        # line 0 is gone, so the next fetch of it must miss
-        assert _last_line_fetch(hier, l1i, 0x000) == 40
-        assert (l1i.stats.hits, l1i.stats.misses) == (0, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stream_matches_plain_access(self, seed):

@@ -104,7 +104,7 @@ class TestCheckerControl:
         engine = soc.engine_of(1)
         # advance until the checker is mid-replay
         for _ in range(40000):
-            soc._step_main(0)
+            soc.step_main(0)
             engine.step()
             if engine.state is CheckerState.REPLAY \
                     and engine._executed > 3:
@@ -131,7 +131,7 @@ class TestCheckerControl:
         engine.stop_checking()
         # main core runs to completion with the checker offline
         while not soc.cores[0].halted:
-            soc._step_main(0)
+            soc.step_main(0)
         soc.adapter_of(0).disable()
         soc.adapter_of(0).try_flush()
         channel = soc.interconnect.channels_of(0)[0]
@@ -148,7 +148,7 @@ class TestControlISA:
         soc.control.configure([0, 2], [1, 3])
         assert soc.control.attr_of(0) is CoreAttr.MAIN
         assert soc.control.attr_of(1) is CoreAttr.CHECKER
-        assert soc.control.ids_contain(CoreAttr.MAIN, 2)
+        assert soc.control.attr_of(2) is CoreAttr.MAIN
         soc.control.configure([0], [1])
         assert soc.control.attr_of(2) is CoreAttr.COMPUTE
 

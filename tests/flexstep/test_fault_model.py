@@ -85,7 +85,6 @@ class TestNegativeLatencySurfaced:
         record = injector.records[0]
         assert record.misattributed
         assert not record.detected
-        assert injector.misattributed_count == 1
         assert injector.latencies_cycles() == []
         assert "before injection" in record.detail
 

@@ -118,22 +118,6 @@ class TestChannel:
         ch.push(MemPacket(segment=1, push_cycle=0, data=0))
         assert ch.pop(10).data == 1
 
-    def test_drain(self):
-        ch = Channel(0, 1, capacity_entries=8)
-        ch.push(MemPacket(segment=1, push_cycle=0))
-        dropped = ch.drain()
-        assert len(dropped) == 1 and len(ch) == 0 and ch.occupancy == 0
-
-    def test_replace_packet(self):
-        ch = Channel(0, 1, capacity_entries=8)
-        ch.push(MemPacket(segment=1, push_cycle=0, data=1))
-        ch.push(MemPacket(segment=1, push_cycle=0, data=2))
-        original = ch.replace_packet(
-            1, MemPacket(segment=1, push_cycle=0, data=9))
-        assert original.data == 2
-        ch.pop(10)
-        assert ch.pop(10).data == 9
-
     def test_max_occupancy_tracked(self):
         ch = Channel(0, 1, capacity_entries=8)
         ch.push(MemPacket(segment=1, push_cycle=0))
@@ -202,7 +186,3 @@ class TestInterconnect:
     def test_empty_checkers_rejected(self):
         with pytest.raises(ConfigurationError):
             self._ic().configure(0, [])
-
-    def test_wiring_complexity_quadratic(self):
-        assert self._ic(cores=4).wiring_complexity == 12
-        assert self._ic(cores=8).wiring_complexity == 56

@@ -106,11 +106,11 @@ class TestSegmentCuts:
         soc, packets = capture_stream(program, run=False)
         # run a few instructions, then disable mid-segment
         for _ in range(40):
-            soc._step_main(0)
+            soc.step_main(0)
         adapter = soc.adapter_of(0)
-        assert adapter.open_segment_id is not None
+        assert adapter._segment_open
         soc.control.check_disable(0)
-        assert adapter.open_segment_id is None
+        assert not adapter._segment_open
         assert isinstance(packets[-1], EcpPacket)
         reasons = [p.reason for p in packets if isinstance(p, IcPacket)]
         assert SegmentCloseReason.CHECK_DISABLED in reasons

@@ -32,11 +32,11 @@ from repro.flexstep.packets import (
     ScpPacket,
 )
 from repro.flexstep.soc import (
-    ENV_SOC_SCHED,
     FlexStepSoC,
     resolve_soc_sched,
     soc_sched_override,
 )
+from repro.runtime import knobs
 
 from ..conftest import (
     make_ecall_program,
@@ -45,6 +45,7 @@ from ..conftest import (
 )
 
 SCHEDS = ("loop", "heap")
+ENV_SOC_SCHED = knobs.get("soc_sched").env
 
 
 def check_cosim_contracts(soc, *, clean):

@@ -119,7 +119,7 @@ class TestLabels:
             .word 99
         """)
         assert prog.instructions[0].imm == 0x100
-        assert prog.data.get_word(0x100) == 99
+        assert prog.data.words[0x100] == 99
 
 
 class TestPseudoInstructions:
@@ -173,7 +173,7 @@ class TestDataSection:
         vals:
             .word 1, 2, 3
         """)
-        assert [prog.data.get_word(0x80 + 8 * i) for i in range(3)] \
+        assert [prog.data.words[0x80 + 8 * i] for i in range(3)] \
             == [1, 2, 3]
 
     def test_zero_directive(self):
@@ -186,7 +186,7 @@ class TestDataSection:
             .word 9
         """)
         assert prog.labels["after"] == 0x40 + 3 * 8
-        assert prog.data.get_word(prog.labels["after"]) == 9
+        assert prog.data.words[prog.labels["after"]] == 9
 
     def test_sequential_allocation_without_org(self):
         prog = assemble("""

@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import DecodingError, EncodingError
 from repro.isa import OPS, Instruction, decode, encode
-from repro.isa.encoding import imm_range
-
-_IMM_MIN, _IMM_MAX = imm_range()
+from repro.isa.encoding import _IMM_MAX, _IMM_MIN
 
 
 def _instruction_strategy():

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.errors import IsaError
-from repro.isa import OPS, AMO_OPS, Instruction, OpKind, reg_name
+from repro.isa import OPS, Instruction, OpKind, reg_name
 from repro.isa.instructions import (
     nop,
     to_signed64,
-    to_unsigned64,
     MASK64,
 )
 
@@ -19,30 +18,6 @@ class TestRegistry:
     def test_registry_covers_all_kinds(self):
         kinds = {info.kind for info in OPS.values()}
         assert kinds == set(OpKind)
-
-    def test_memory_ops_flagged(self):
-        for name in ("ld", "sd", "lr", "sc", "amoadd", "amoswap"):
-            assert OPS[name].is_memory, name
-        for name in ("add", "beq", "jal", "ecall", "halt"):
-            assert not OPS[name].is_memory, name
-
-    def test_multi_entry_ops(self):
-        assert OPS["lr"].is_multi_entry
-        assert OPS["sc"].is_multi_entry
-        assert OPS["amoxor"].is_multi_entry
-        assert not OPS["ld"].is_multi_entry
-        assert not OPS["sd"].is_multi_entry
-
-    def test_amo_set_matches_kind(self):
-        assert AMO_OPS == {name for name, info in OPS.items()
-                           if info.kind is OpKind.AMO}
-        assert "amoadd" in AMO_OPS
-        assert len(AMO_OPS) == 7
-
-    def test_control_ops(self):
-        assert OPS["beq"].is_control
-        assert OPS["jalr"].is_control
-        assert not OPS["add"].is_control
 
     def test_branch_ops_read_both_sources(self):
         for name in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
@@ -103,7 +78,3 @@ class TestNumericHelpers:
     ])
     def test_to_signed64(self, value, expected):
         assert to_signed64(value) == expected
-
-    def test_to_unsigned64_wraps(self):
-        assert to_unsigned64(-1) == MASK64
-        assert to_unsigned64(1 << 64) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IsaError
-from repro.isa import DataSegment, Instruction, Program, assemble
+from repro.isa import DataSegment, Instruction, Program
 from repro.isa.instructions import INST_BYTES
 
 
@@ -48,34 +48,17 @@ class TestProgram:
         with pytest.raises(IsaError):
             Program([Instruction("halt")], base=2)
 
-    def test_address_of(self):
-        prog = self._prog()
-        assert prog.address_of("main") == 0
-        with pytest.raises(IsaError):
-            prog.address_of("missing")
-
-    def test_disassemble_includes_labels_and_ops(self):
-        text = assemble("""
-        main:
-            addi x1, x0, 1
-            halt
-        """).disassemble()
-        assert "main:" in text
-        assert "addi x1, x0, 1" in text
-        assert "halt" in text
-
 
 class TestDataSegment:
     def test_set_get(self):
         seg = DataSegment()
         seg.set_word(0x10, 42)
-        assert seg.get_word(0x10) == 42
-        assert seg.get_word(0x18) == 0
+        assert seg.words == {0x10: 42}
 
     def test_values_wrap_to_64bit(self):
         seg = DataSegment()
         seg.set_word(0, -1)
-        assert seg.get_word(0) == (1 << 64) - 1
+        assert seg.words[0] == (1 << 64) - 1
 
     def test_misaligned_rejected(self):
         seg = DataSegment()

@@ -51,7 +51,7 @@ def test_only_the_knob_registry_reads_the_environment():
     assert not violations, (
         "environment access outside repro/runtime/knobs.py — resolve "
         "through the knob registry instead (knobs.value / knobs.resolve "
-        "/ knobs.env_override / knobs.env_get):\n  "
+        "/ knobs.env_override):\n  "
         + "\n  ".join(violations))
 
 

@@ -8,6 +8,8 @@ buys it arg > config > env > default coverage for free.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -222,29 +224,29 @@ class TestEnvOverride:
     def test_sets_and_restores_unset_var(self, monkeypatch):
         monkeypatch.delenv("REPRO_CORE_ENGINE", raising=False)
         with knobs.env_override("core_engine", "interp"):
-            assert knobs.env_get("core_engine") == "interp"
+            assert os.environ.get("REPRO_CORE_ENGINE") == "interp"
             assert knobs.value("core_engine") == "interp"
-        assert knobs.env_get("core_engine") is None
+        assert os.environ.get("REPRO_CORE_ENGINE") is None
 
     def test_restores_previous_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE_ENGINE", "decoded")
         with knobs.env_override("core_engine", "interp"):
             assert knobs.value("core_engine") == "interp"
-        assert knobs.env_get("core_engine") == "decoded"
+        assert os.environ.get("REPRO_CORE_ENGINE") == "decoded"
 
     def test_none_and_skip_are_no_ops(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE_ENGINE", "interp")
         with knobs.env_override("core_engine", None):
-            assert knobs.env_get("core_engine") == "interp"
+            assert os.environ.get("REPRO_CORE_ENGINE") == "interp"
         with knobs.env_override("core_engine", "auto"):
-            assert knobs.env_get("core_engine") == "interp"
+            assert os.environ.get("REPRO_CORE_ENGINE") == "interp"
 
     def test_invalid_override_fails_eagerly(self, monkeypatch):
         monkeypatch.delenv("REPRO_CORE_ENGINE", raising=False)
         with pytest.raises(ConfigurationError):
             with knobs.env_override("core_engine", "jit"):
                 raise AssertionError("must not enter the extent")
-        assert knobs.env_get("core_engine") is None
+        assert os.environ.get("REPRO_CORE_ENGINE") is None
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,9 @@ class TestScope:
 
     def test_no_execution_knob_reaches_the_fingerprint(self, monkeypatch):
         baseline = knobs.identity_fingerprint()
-        for knob in knobs.execution_knobs():
+        for knob in knobs.REGISTRY.values():
+            if knob.scope != "execution":
+                continue
             monkeypatch.setenv(knob.env, knob.examples[0])
             assert knobs.identity_fingerprint() == baseline, (
                 f"execution knob {knob.name} leaked into the identity "

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sched import available_backends, generate_task_set, get_backend
+from repro.sched import generate_task_set, get_backend
+from repro.sched.backend import numpy_available
 from repro.sched.experiments import task_set_seed
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "task_set_identity.json"
@@ -94,7 +95,7 @@ class TestGenerationGolden:
                 entry["beta"])
             assert current == entry["tasks"], entry["rng_seed"]
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
+    @pytest.mark.skipif(not numpy_available(),
                         reason="numpy optional extra not installed")
     def test_numpy_generation_matches_golden(self, golden):
         """The vectorized generator reproduces the pinned sets too —

@@ -9,7 +9,6 @@ from repro.errors import AnalysisError
 from repro.sched.edf import (
     DemandTask,
     demand_tasks_for_core,
-    density_pessimism,
     qpa_judge_partition,
     qpa_schedulable,
     total_dbf,
@@ -120,7 +119,6 @@ class TestQpa:
         density = sum(t.wcet / min(t.deadline, t.period) for t in tasks)
         assert density > 1.0
         assert qpa_schedulable(tasks)
-        assert density_pessimism(tasks) > 1.0
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))

@@ -13,11 +13,15 @@ from repro.sched import (
     TaskClass,
     TaskSet,
 )
-from repro.sched.model import optimal_virtual_deadline_factor
 
 
 def task(c, t, cls=TaskClass.TN, tid=0):
     return RTTask(task_id=tid, wcet=c, period=t, cls=cls)
+
+
+def total_density(t):
+    """δo + copies · δv — FlexStep's worst-case provisioning."""
+    return t.density_original + t.cls.copies * t.density_check
 
 
 class TestRTTask:
@@ -63,25 +67,25 @@ class TestVirtualDeadlines:
         t = task(1, 10, TaskClass.TV2)
         assert t.density_original == pytest.approx(0.2)   # C/(D/2)
         assert t.density_check == pytest.approx(0.2)
-        assert t.total_density == pytest.approx(0.4)      # 4u
+        assert total_density(t) == pytest.approx(0.4)     # 4u
 
     def test_v3_densities(self):
         t = task(1, 10, TaskClass.TV3)
         u = 0.1
-        assert t.total_density == pytest.approx(
+        assert total_density(t) == pytest.approx(
             u * (3 + 2 * math.sqrt(2)), rel=1e-9)         # 5.828u
 
     def test_tn_density_is_utilization(self):
         t = task(3, 10)
         assert t.density_original == t.utilization
         assert t.density_check == 0.0
-        assert t.total_density == t.utilization
+        assert total_density(t) == t.utilization
 
     @given(st.floats(0.01, 0.99), st.floats(1.0, 1000.0))
     def test_paper_factors_are_optimal_v2(self, frac, period):
         """D/2 minimises C/D' + C/(D−D') over D' (paper Sec. V)."""
         t = task(frac * period, period, TaskClass.TV2)
-        optimal = t.total_density
+        optimal = total_density(t)
 
         def density(dp):
             return t.wcet / dp + t.wcet / (period - dp)
@@ -92,7 +96,7 @@ class TestVirtualDeadlines:
     @given(st.floats(0.01, 0.99), st.floats(1.0, 1000.0))
     def test_paper_factors_are_optimal_v3(self, frac, period):
         t = task(frac * period, period, TaskClass.TV3)
-        optimal = t.total_density
+        optimal = total_density(t)
 
         def density(dp):
             return t.wcet / dp + 2 * t.wcet / (period - dp)
@@ -101,11 +105,9 @@ class TestVirtualDeadlines:
             assert optimal <= density(factor * period) + 1e-9
 
     def test_closed_form_factor(self):
-        assert optimal_virtual_deadline_factor(1) \
-            == pytest.approx(OPT_V2_FACTOR)
-        assert optimal_virtual_deadline_factor(2) \
-            == pytest.approx(OPT_V3_FACTOR)
-        assert optimal_virtual_deadline_factor(0) == 1.0
+        """x* = 1 / (1 + √copies) minimises 1/x + copies/(1−x)."""
+        assert 1 / (1 + math.sqrt(1)) == pytest.approx(OPT_V2_FACTOR)
+        assert 1 / (1 + math.sqrt(2)) == pytest.approx(OPT_V3_FACTOR)
 
 
 class TestTaskSet:
@@ -119,19 +121,10 @@ class TestTaskSet:
     def test_aggregate_utilization(self):
         assert self._set().utilization == pytest.approx(0.3)
 
-    def test_total_density_includes_copies(self):
-        ts = self._set()
-        assert ts.total_density > ts.utilization
-
     def test_class_queries(self):
         ts = self._set()
-        assert len(ts.verification_tasks) == 2
-        assert len(ts.normal_tasks) == 1
-        assert len(ts.by_class(TaskClass.TV3)) == 1
-
-    def test_class_fractions(self):
-        fr = self._set().class_fractions()
-        assert fr[TaskClass.TV2] == pytest.approx(1 / 3)
+        assert [t.task_id for t in ts.by_class(TaskClass.TN)] == [0]
+        assert [t.task_id for t in ts.by_class(TaskClass.TV3)] == [2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(TaskModelError):

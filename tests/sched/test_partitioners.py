@@ -22,6 +22,12 @@ def t(c, p, cls=TaskClass.TN, tid=0):
     return RTTask(task_id=tid, wcet=c, period=p, cls=cls)
 
 
+def cores_of(res, task_id):
+    """Where each computation of ``task_id`` landed."""
+    return {a.role: a.core for a in res.assignments
+            if a.task.task_id == task_id}
+
+
 def small_mixed_set():
     return TaskSet([
         t(2, 10, TaskClass.TV2, 0),
@@ -39,7 +45,7 @@ class TestFlexStepPartition:
 
     def test_copies_on_distinct_cores(self):
         res = partition_flexstep(small_mixed_set(), 8)
-        v3 = res.cores_of(1)
+        v3 = cores_of(res, 1)
         assert len({v3[Role.ORIGINAL], v3[Role.CHECK],
                     v3[Role.CHECK2]}) == 3
 
@@ -105,7 +111,7 @@ class TestFlexStepPartition:
         res = partition_flexstep(ts, 8)
         if res.success:
             for task in ts:
-                roles = res.cores_of(task.task_id)
+                roles = cores_of(res, task.task_id)
                 assert len(roles) == 1 + task.cls.copies
 
 
@@ -123,7 +129,7 @@ class TestLockStepPartition:
         res = partition_lockstep(ts, 8)
         assert res.success
         groups = dict(res.meta["groups"])
-        v3_core = res.cores_of(0)[Role.ORIGINAL]
+        v3_core = cores_of(res, 0)[Role.ORIGINAL]
         assert groups[v3_core] == 2        # two checkers
 
     def test_capacity_half_for_tn_only(self):
@@ -142,7 +148,7 @@ class TestLockStepPartition:
         res = partition_lockstep(ts, 8)
         assert res.success
         # 3 * 0.3 fits one DCLS group
-        v2_mains = {res.cores_of(i)[Role.ORIGINAL] for i in range(3)}
+        v2_mains = {cores_of(res, i)[Role.ORIGINAL] for i in range(3)}
         assert len(v2_mains) == 1
 
     def test_empty_set_trivially_schedulable(self):
@@ -158,7 +164,7 @@ class TestHmrPartition:
         ts = TaskSet([t(2, 10, TaskClass.TV2, 0)])
         res = partition_hmr(ts, 4)
         assert res.success
-        cores = res.cores_of(0)
+        cores = cores_of(res, 0)
         assert cores[Role.ORIGINAL] != cores[Role.CHECK]
         # utilisation lands on both coupled cores
         assert sum(1 for load in res.loads if load > 0) == 2
@@ -166,14 +172,14 @@ class TestHmrPartition:
     def test_v3_couples_three_cores(self):
         ts = TaskSet([t(1, 10, TaskClass.TV3, 0)])
         res = partition_hmr(ts, 4)
-        assert len(res.cores_of(0)) == 3
+        assert len(cores_of(res, 0)) == 3
 
     def test_tn_prefers_clean_cores(self):
         ts = TaskSet([t(2, 10, TaskClass.TV2, 0),
                       t(1, 10, TaskClass.TN, 1)])
         res = partition_hmr(ts, 4)
-        verif_cores = set(res.cores_of(0).values())
-        assert res.cores_of(1)[Role.ORIGINAL] not in verif_cores
+        verif_cores = set(cores_of(res, 0).values())
+        assert cores_of(res, 1)[Role.ORIGINAL] not in verif_cores
 
     def test_blocking_fails_short_deadline_tn(self):
         # long non-preemptable verification + short-deadline TN sharing

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Histogram, OnlineStats, geomean, percentile, summarize
+from repro.sim import Histogram, geomean, percentile
 
 
 class TestGeomean:
@@ -65,51 +65,6 @@ class TestPercentile:
         assert min(values) - tol <= p <= max(values) + tol
 
 
-class TestOnlineStats:
-    def test_moments(self):
-        stats = OnlineStats()
-        stats.extend([2.0, 4.0, 6.0])
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.variance == pytest.approx(8.0 / 3.0)
-        assert stats.min == 2.0 and stats.max == 6.0
-
-    def test_variance_of_singleton_zero(self):
-        stats = OnlineStats()
-        stats.add(5.0)
-        assert stats.variance == 0.0
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=50))
-    def test_matches_batch_computation(self, values):
-        stats = OnlineStats()
-        stats.extend(values)
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert stats.mean == pytest.approx(mean, abs=1e-6)
-        assert stats.variance == pytest.approx(var, abs=1e-5)
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
-           st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
-    def test_merge_equals_concatenation(self, a, b):
-        sa, sb, sc = OnlineStats(), OnlineStats(), OnlineStats()
-        sa.extend(a)
-        sb.extend(b)
-        sc.extend(a + b)
-        merged = sa.merge(sb)
-        assert merged.count == sc.count
-        assert merged.mean == pytest.approx(sc.mean, abs=1e-6)
-        assert merged.variance == pytest.approx(sc.variance, abs=1e-4)
-        assert merged.min == sc.min and merged.max == sc.max
-
-    def test_merge_with_empty(self):
-        sa, sb = OnlineStats(), OnlineStats()
-        sa.extend([1.0, 2.0])
-        merged = sa.merge(sb)
-        assert merged.count == 2 and merged.mean == pytest.approx(1.5)
-        merged2 = sb.merge(sa)
-        assert merged2.count == 2
-
-
 class TestHistogram:
     def test_binning(self):
         hist = Histogram(0.0, 10.0, 5)
@@ -130,33 +85,12 @@ class TestHistogram:
         assert sum(d * width for d in hist.density()) \
             == pytest.approx(1.0)
 
-    def test_mode_bin(self):
-        hist = Histogram(0.0, 10.0, 5)
-        hist.extend([4.5, 4.6, 9.0])
-        mode = hist.mode_bin()
-        assert mode.lo <= 4.5 < mode.hi
-        assert mode.mid == pytest.approx(5.0)
-
     def test_empty_density_and_mode(self):
         hist = Histogram(0.0, 1.0, 2)
         assert hist.density() == [0.0, 0.0]
-        with pytest.raises(ValueError):
-            hist.mode_bin()
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             Histogram(1.0, 1.0, 2)
         with pytest.raises(ValueError):
             Histogram(0.0, 1.0, 0)
-
-
-class TestSummarize:
-    def test_keys_and_values(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert summary["count"] == 3
-        assert summary["p50"] == 2.0
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])

@@ -71,12 +71,6 @@ class TestDerivedValues:
     def test_cycles_to_us(self):
         core = CoreConfig()
         assert core.cycles_to_us(1600) == pytest.approx(1.0)
-        assert core.cycle_time_s == pytest.approx(1 / 1.6e9)
-
-    def test_with_cores(self):
-        cfg = table2_config().with_cores(16)
-        assert cfg.num_cores == 16
-        assert cfg.core == table2_config().core
 
     def test_with_flexstep_override(self):
         cfg = table2_config().with_flexstep(segment_limit=100)
