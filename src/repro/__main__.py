@@ -133,9 +133,7 @@ def _cmd_knobs(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ReproService, ServiceError
     with knobs.env_override("log_json", args.log_json or None):
-        service = ReproService(max_jobs=args.max_jobs,
-                               job_ttl=args.job_ttl,
-                               workers=args.workers,
+        service = ReproService(workers=args.workers,
                                cache=None if args.no_cache else "auto")
         try:
             if args.pipe:
@@ -190,15 +188,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         for name in names:
             response = client.request(
                 "submit", scenario=name, seed=args.seed,
-                priority=args.priority, workers=args.workers,
                 instructions=args.instructions, repeats=args.repeats,
                 sets=args.sets)
             if not response.get("ok"):
                 print(f"error: {response.get('error')}", file=sys.stderr)
                 return 1
             job_ids.append(response["job"])
-            tag = " (deduplicated)" if response.get("dedup") else ""
-            print(f"submitted {name} as {response['job']}{tag}",
+            print(f"submitted {name} as {response['job']}",
                   file=sys.stderr)
         if args.no_wait:
             for job_id in job_ids:
@@ -319,19 +315,12 @@ def main(argv: "list[str] | None" = None) -> int:
     serve.add_argument("--pipe", action="store_true",
                        help="speak the protocol over stdin/stdout "
                             "instead of a socket (tests, CI)")
-    serve.add_argument("--max-jobs", type=int, default=None,
-                       help="concurrently running jobs (default "
-                            "REPRO_SERVE_MAX_JOBS or 2)")
-    serve.add_argument("--job-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="how long finished jobs stay queryable "
-                            "(default REPRO_SERVE_JOB_TTL or 1 hour)")
     serve.add_argument("--workers", type=int, default=None,
                        help="campaign workers per job (default "
                             "REPRO_WORKERS or cpu_count)")
     serve.add_argument("--no-cache", action="store_true",
                        help="run without the result cache (disables "
-                            "dedup-by-digest and restart resume)")
+                            "cached replay and restart resume)")
     serve.add_argument("--log-json", default=None, metavar="SINK",
                        help="structured JSON-lines event sink "
                             "(default REPRO_LOG_JSON or off)")
@@ -344,13 +333,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="submit every catalog scenario")
     submit.add_argument("--socket", default=None, metavar="PATH",
                         help="daemon socket (default REPRO_SERVE_SOCKET)")
-    submit.add_argument("--priority", type=int, default=None,
-                        help="job priority; higher runs sooner "
-                             "(default 0)")
     submit.add_argument("--seed", type=int, default=None,
                         help="override the scenario's built-in seed")
-    submit.add_argument("--workers", type=int, default=None,
-                        help="campaign workers for these jobs")
     submit.add_argument("--instructions", type=int, default=None,
                         help="override target_instructions "
                              "(quick scaling)")

@@ -297,9 +297,7 @@ class CheckerEngine:
         """
         stats = self.stats
         core_stats = self.core.stats
-        core = self.core
-        if core.l1i is not None and core.hierarchy is not None:
-            self._fetch_gate = free
+        self._fetch_gate = free
         try:
             while True:
                 if self.state is CheckerState.REPLAY and self._ic is None \
@@ -363,10 +361,9 @@ class CheckerEngine:
         user = core.priv is Privilege.USER
         gate = self._fetch_gate
         hierarchy = core.hierarchy
-        l1i = core.l1i if hierarchy is not None else None
-        if l1i is not None:
-            line_shift = l1i.line_shift
-            l1i_stats = l1i.stats
+        l1i = core.l1i
+        line_shift = l1i.line_shift
+        l1i_stats = l1i.stats
         channel = self.channel
         latency = channel.latency
         head = channel.head()
@@ -400,9 +397,7 @@ class CheckerEngine:
                 memory = MAL_ENTRIES_BY_KIND[kind]
                 if memory and not ready:
                     break
-                if l1i is None:
-                    extra = 0
-                elif pc >> line_shift == l1i.last_line:
+                if pc >> line_shift == l1i.last_line:
                     l1i_stats.hits += 1
                     extra = 0
                 elif gate is not None and now >= gate \

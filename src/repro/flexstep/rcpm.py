@@ -248,12 +248,11 @@ class MainCoreAdapter:
         mem_operands = decoded.mem_operands
         regs = core.regs._regs
         csrd = core.csrs._csrs
+        # every SoC core has an L1I on the shared hierarchy
         hierarchy = core.hierarchy
-        # the L1I is timed (and reaches the L2) only with a hierarchy
-        l1i = core.l1i if hierarchy is not None else None
-        if l1i is not None:
-            line_shift = l1i.line_shift
-            l1i_stats = l1i.stats
+        l1i = core.l1i
+        line_shift = l1i.line_shift
+        l1i_stats = l1i.stats
         l1d = getattr(core.port, "l1d", None)
         outbox = self._outbox
         channels = self.channels
@@ -285,8 +284,8 @@ class MainCoreAdapter:
                     # shared-step test (pure): yield before the step
                     if kind < 0 or kind == K_HALT:
                         break
-                    if l1i is not None and pc >> line_shift != \
-                            l1i.last_line and not l1i.contains(pc):
+                    if pc >> line_shift != l1i.last_line \
+                            and not l1i.contains(pc):
                         break
                     if operands is not None and (
                             shared_memory or l1d is None
@@ -303,9 +302,7 @@ class MainCoreAdapter:
                     self.before_step()
                 if operands is not None:
                     core._mem_scratch = ()
-                if l1i is None:
-                    extra = 0
-                elif pc >> line_shift == l1i.last_line:
+                if pc >> line_shift == l1i.last_line:
                     l1i_stats.hits += 1
                     extra = 0
                 else:

@@ -76,8 +76,7 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "scenario.start": ("scenario", "kind"),
     "scenario.end": ("scenario", "kind", "seconds"),
     # service daemon (`repro serve`) job lifecycle
-    "job.submit": ("job", "scenario", "priority"),
-    "job.dedup": ("job", "scenario"),
+    "job.submit": ("job", "scenario"),
     "job.start": ("job", "scenario"),
     "job.end": ("job", "scenario", "state", "seconds"),
     "job.cancel": ("job", "state"),

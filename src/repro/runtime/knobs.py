@@ -527,20 +527,6 @@ _register(Knob(
     help="unix-domain socket path the campaign service daemon listens "
          "on (default: <repo>/.repro_serve.sock)"))
 
-_register(Knob(
-    name="serve_max_jobs", env="REPRO_SERVE_MAX_JOBS", type="int",
-    default=2, scope="execution", validator=_at_least(1),
-    cli="--max-jobs", examples=("1", "4"),
-    help="scenario jobs the service daemon runs concurrently; queued "
-         "jobs wait in priority order (default 2)"))
-
-_register(Knob(
-    name="serve_job_ttl", env="REPRO_SERVE_JOB_TTL", type="float",
-    default=3600.0, scope="execution", validator=_positive,
-    cli="--job-ttl", examples=("60", "120"),
-    help="seconds a finished job's record (result payload, buffered "
-         "events) stays queryable before pruning (default 3600)"))
-
 # -- reporting / observability ----------------------------------------------
 
 _register(Knob(

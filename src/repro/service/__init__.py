@@ -10,7 +10,7 @@ by ``python -m repro submit``.
 
 from .client import ServiceClient, ServiceUnavailable
 from .daemon import SERVICE_MANIFEST_KEY, ReproService, ServiceError
-from .jobs import Job, JobTable, job_key
+from .jobs import Job, JobTable
 
 __all__ = [
     "Job",
@@ -20,5 +20,4 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",
-    "job_key",
 ]

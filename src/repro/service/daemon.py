@@ -1,8 +1,10 @@
 """The resident campaign service — ``python -m repro serve``.
 
-One daemon process owns a warm :class:`~repro.campaign.WorkerPool`, a
-:class:`~repro.service.jobs.JobTable` and the shared on-disk result
-cache, and accepts **JSON-lines requests** over a unix-domain socket
+One daemon process for one user owns a warm
+:class:`~repro.campaign.WorkerPool`, a FIFO
+:class:`~repro.service.jobs.JobTable` drained by one runner thread,
+and the shared on-disk result cache, and accepts **JSON-lines
+requests** over a unix-domain socket
 (``REPRO_SERVE_SOCKET``) or, for tests and CI, over stdin/stdout
 (``--pipe``).  Each request is one JSON object per line::
 
@@ -14,11 +16,10 @@ fields.  The command table:
 ========== ==========================================================
 command     semantics
 ========== ==========================================================
-submit      enqueue a scenario run (``scenario`` name or full
-            ``spec`` dict; optional ``seed``/``priority``/``workers``
-            and the quick-scaling ``instructions``/``repeats``/
-            ``sets``); concurrent duplicates collapse onto the live
-            job (``"dedup": true``)
+submit      enqueue a catalog scenario run (``scenario`` name;
+            optional ``seed`` and the quick-scaling
+            ``instructions``/``repeats``/``sets``) behind every job
+            already queued
 status      one job's lifecycle record, or all jobs
 result      block until a job finishes; returns the full scenario
             result document (and the saved report path)
@@ -38,7 +39,11 @@ automatically — and because every completed unit is already in the
 content-addressed cache, the resumed jobs replay to the oracle result
 with zero recompute.
 
-The daemon is threaded (a transport reader plus runner threads), so
+A second daemon will not take over a socket a live one listens on:
+``serve_socket`` probes the path first and only replaces a stale
+socket nobody accepts on.
+
+The daemon is threaded (a transport reader plus the runner thread), so
 its worker pool never forks: processes come from a ``forkserver``
 context (``spawn`` where forkserver is unavailable) unless
 ``REPRO_MP_START`` pins a start method.  A child forked from a
@@ -101,32 +106,25 @@ class ReproService:
 
     ``runner`` is the job executor — injectable for tests; the default
     runs :func:`repro.scenarios.runner.run_scenario` on the shared
-    warm pool.  ``max_jobs`` bounds concurrently *running* jobs
-    (``REPRO_SERVE_MAX_JOBS``), ``job_ttl`` how long finished jobs stay
-    queryable (``REPRO_SERVE_JOB_TTL``).
+    warm pool with ``workers`` campaign workers.  One runner thread
+    executes the queued jobs one at a time, in submission order.
     """
 
-    def __init__(self, *, max_jobs: Optional[int] = None,
-                 job_ttl: Optional[float] = None,
-                 workers: Optional[int] = None,
+    def __init__(self, *, workers: Optional[int] = None,
                  cache: Any = "auto",
                  save_reports: bool = True,
                  report_dir: Optional[str] = None,
                  runner: Optional[Callable[[Job], Any]] = None):
-        self.max_jobs = (max_jobs if max_jobs is not None
-                         else knobs.value("serve_max_jobs"))
-        ttl = (job_ttl if job_ttl is not None
-               else knobs.value("serve_job_ttl"))
         self.workers = workers
         self.cache = resolve_cache(cache)
         self.save_reports = save_reports
         self.report_dir = report_dir
-        self.table = JobTable(ttl=ttl)
+        self.table = JobTable()
         self.pool: Optional[WorkerPool] = None
         self._runner = runner or self._default_runner
         self._stop = threading.Event()
         self._stop_reason: Optional[str] = None
-        self._threads: list[threading.Thread] = []
+        self._runner_thread: Optional[threading.Thread] = None
         self._subscription: Optional[int] = None
         self._local = threading.local()
         self._started = False
@@ -145,7 +143,7 @@ class ReproService:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> int:
-        """Arm the service: event routing, warm pool, runner threads.
+        """Arm the service: event routing, warm pool, runner thread.
 
         Returns how many jobs were resumed from a previous daemon's
         service manifest.
@@ -159,12 +157,10 @@ class ReproService:
             pool_context(),
             None if chaos is None else dataclasses.asdict(chaos))
         resumed = self._resume_persisted()
-        self._threads = [
-            threading.Thread(target=self._runner_loop,
-                             name=f"repro-serve-runner-{i}", daemon=True)
-            for i in range(self.max_jobs)]
-        for thread in self._threads:
-            thread.start()
+        self._runner_thread = threading.Thread(
+            target=self._runner_loop, name="repro-serve-runner",
+            daemon=True)
+        self._runner_thread.start()
         return resumed
 
     def request_shutdown(self, reason: str) -> None:
@@ -185,9 +181,9 @@ class ReproService:
         self.request_shutdown(reason or "shutdown")
         for job in self.table.unfinished():
             job.shutdown.set()
-        grace = knobs.value("shutdown_grace") + 10.0
-        for thread in self._threads:
-            thread.join(timeout=grace)
+        if self._runner_thread is not None:
+            self._runner_thread.join(
+                timeout=knobs.value("shutdown_grace") + 10.0)
         pending = self._persist_pending()
         events.emit("serve.stop", reason=self._stop_reason,
                     jobs=pending)
@@ -212,8 +208,7 @@ class ReproService:
             self.cache.put_manifest(SERVICE_MANIFEST_KEY, {
                 "v": 1,
                 "jobs": [{"scenario": job.scenario.to_dict(),
-                          "seed": job.seed,
-                          "priority": job.priority}
+                          "seed": job.seed}
                          for job in pending],
                 "written_at_unix": round(time.time(), 3),
             })
@@ -233,27 +228,20 @@ class ReproService:
         for entry in doc.get("jobs", []):
             try:
                 scenario = Scenario.from_dict(entry["scenario"])
-                job, deduped = self.table.submit(
-                    scenario, int(entry["seed"]),
-                    priority=int(entry.get("priority", 0)))
+                job = self.table.submit(scenario, int(entry["seed"]))
             except Exception:
                 continue    # a corrupt entry must not block the rest
-            if not deduped:
-                events.emit("job.submit", job=job.id,
-                            scenario=scenario.name,
-                            priority=job.priority)
-                resumed += 1
+            events.emit("job.submit", job=job.id, scenario=scenario.name)
+            resumed += 1
         return resumed
 
     # -- job execution ------------------------------------------------------
 
     def _default_runner(self, job: Job):
         return run_scenario(
-            job.scenario, seed=job.seed,
-            workers=job.workers if job.workers is not None
-            else self.workers,
-            cache=self.cache if self.cache is not None else None,
-            pool=self.pool, shutdown_event=job.shutdown)
+            job.scenario, seed=job.seed, workers=self.workers,
+            cache=self.cache, pool=self.pool,
+            shutdown_event=job.shutdown)
 
     def _runner_loop(self) -> None:
         while not self._stop.is_set():
@@ -298,7 +286,7 @@ class ReproService:
 
         ``job.*`` records carry their job id; everything else (the
         campaign/cache/scenario stream) is attributed to whatever job
-        the emitting thread is running — runner threads set the
+        the emitting thread is running — the runner thread sets the
         thread-local around :meth:`_run_job`.
         """
         job_id = record.get("job") \
@@ -334,39 +322,20 @@ class ReproService:
             response["id"] = req_id
         return response
 
-    def _resolve_scenario(self, request: dict) -> Scenario:
-        if "spec" in request:
-            scenario = Scenario.from_dict(request["spec"])
-        else:
-            name = request.get("scenario")
-            if not name:
-                raise ServiceError(
-                    "submit needs 'scenario' (a catalog name) or "
-                    "'spec' (a full scenario document)")
-            scenario = get_scenario(name)
-        return scenario.scaled(
-            instructions=request.get("instructions"),
-            repeats=request.get("repeats"),
-            sets=request.get("sets"))
-
     def _cmd_submit(self, request: dict) -> dict:
         if self._stop.is_set():
             return {"ok": False, "error": "service is shutting down"}
-        scenario = self._resolve_scenario(request)
+        name = request.get("scenario")
+        if not name:
+            raise ServiceError("submit needs 'scenario' (a catalog name)")
+        scenario = get_scenario(name).scaled(
+            instructions=request.get("instructions"),
+            repeats=request.get("repeats"),
+            sets=request.get("sets"))
         seed = int(request.get("seed", scenario.seed))
-        priority = int(request.get("priority", 0))
-        workers = request.get("workers")
-        job, deduped = self.table.submit(
-            scenario, seed, priority=priority,
-            workers=None if workers is None else int(workers))
-        if deduped:
-            events.emit("job.dedup", job=job.id,
-                        scenario=scenario.name)
-        else:
-            events.emit("job.submit", job=job.id,
-                        scenario=scenario.name, priority=priority)
-        return {"ok": True, "job": job.id, "key": job.key,
-                "state": job.state, "dedup": deduped}
+        job = self.table.submit(scenario, seed)
+        events.emit("job.submit", job=job.id, scenario=scenario.name)
+        return {"ok": True, "job": job.id, "state": job.state}
 
     def _require_job(self, request: dict) -> Job:
         job_id = request.get("job")
@@ -432,6 +401,20 @@ class ReproService:
         self.request_shutdown("client")
         return {"ok": True, "pending": pending}
 
+    def _answer(self, line: str) -> Optional[str]:
+        """One JSON-lines request in, its response line out (``None``
+        for a blank line) — the part both transports share."""
+        line = line.strip()
+        if not line:
+            return None
+        try:
+            request = json.loads(line)
+        except json.JSONDecodeError as exc:
+            response = {"ok": False, "error": f"malformed request: {exc}"}
+        else:
+            response = self.handle(request)
+        return json.dumps(response, sort_keys=True) + "\n"
+
     # -- transports ---------------------------------------------------------
 
     def _install_signals(self) -> None:
@@ -477,18 +460,11 @@ class ReproService:
             if line is None:
                 reason = "eof"
                 break
-            line = line.strip()
-            if not line:
+            reply = self._answer(line)
+            if reply is None:
                 continue
             try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response = {"ok": False,
-                            "error": f"malformed request: {exc}"}
-            else:
-                response = self.handle(request)
-            try:
-                stdout.write(json.dumps(response, sort_keys=True) + "\n")
+                stdout.write(reply)
                 stdout.flush()
             except (ValueError, OSError):
                 reason = "client-gone"
@@ -497,14 +473,31 @@ class ReproService:
         return 0
 
     def serve_socket(self, path=None) -> int:
-        """JSON-lines over a unix-domain socket, one thread per client."""
+        """JSON-lines over a unix-domain socket, one thread per client.
+
+        Raises :class:`ServiceError` when another daemon already
+        accepts connections on the path; a stale socket left by a
+        daemon that died is replaced.
+        """
         sock_path = Path(path if path is not None
                          else knobs.value("serve_socket"))
         sock_path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            sock_path.unlink()
-        except OSError:
-            pass
+        if sock_path.is_socket():
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(str(sock_path))
+            except OSError:
+                pass    # stale: the daemon that bound it is gone
+            else:
+                raise ServiceError(
+                    f"a service daemon is already listening on "
+                    f"{sock_path}")
+            finally:
+                probe.close()
+            try:
+                sock_path.unlink()
+            except OSError:
+                pass    # bind below reports what is wrong with the path
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             server.bind(str(sock_path))
@@ -537,21 +530,15 @@ class ReproService:
         return 0
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        # separate reader and writer: a write through a text-mode "rw"
+        # file drops the requests its reader had already buffered
         try:
-            with conn, conn.makefile("rw", encoding="utf-8") as stream:
-                for line in stream:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        request = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        response = {"ok": False,
-                                    "error": f"malformed request: {exc}"}
-                    else:
-                        response = self.handle(request)
-                    stream.write(json.dumps(response, sort_keys=True)
-                                 + "\n")
-                    stream.flush()
+            with conn, conn.makefile("r", encoding="utf-8") as reader, \
+                    conn.makefile("w", encoding="utf-8") as writer:
+                for line in reader:
+                    reply = self._answer(line)
+                    if reply is not None:
+                        writer.write(reply)
+                        writer.flush()
         except (OSError, ValueError):   # client went away mid-reply
             pass

@@ -2,38 +2,33 @@
 
 A **job** is one scenario run requested over the service protocol:
 a :class:`~repro.scenarios.spec.Scenario` plus the seed it runs under,
-a scheduling priority, and the lifecycle state machine
+and the lifecycle state machine
 
     QUEUED -> RUNNING -> DONE | FAILED
     QUEUED | RUNNING -> CANCELLED (client request)
     QUEUED | RUNNING -> INTERRUPTED (daemon drain on SIGINT/SIGTERM)
 
-The :class:`JobTable` is the daemon's single source of truth: a
-priority queue of runnable jobs (max-heap over ``priority``, FIFO
-within a priority level, lazy deletion for cancelled entries), an
-in-memory **dedup index** keyed on the digest of ``(scenario, seed)``
-so concurrent submissions of the same work collapse onto one job while
-it is still queued or running, and a TTL sweep that forgets finished
-jobs after ``REPRO_SERVE_JOB_TTL`` seconds.
+The :class:`JobTable` is the daemon's single source of truth: a FIFO
+queue of runnable jobs (cancelled entries are skipped when they reach
+the front) that the daemon's one runner thread drains in submission
+order, and a sweep that forgets finished jobs :data:`JOB_TTL_S`
+seconds after they finish.
 
-Dedup is deliberately scoped to *live* jobs: once a job finishes, a
-resubmission becomes a fresh job whose campaign units replay from the
-shared on-disk :class:`~repro.campaign.cache.ResultCache` — the event
-log then proves the zero-recompute path with ``cache.hit`` records,
-which an in-memory answer could not.
+A duplicate submission is simply a second job.  It runs again, and
+every campaign unit the first one finished replays from the shared
+on-disk :class:`~repro.campaign.cache.ResultCache` with zero
+recompute — the event log proves it with ``cache.hit`` records.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..campaign.cache import canonical_json
 from ..scenarios.spec import Scenario
 
 #: Lifecycle states.
@@ -53,17 +48,9 @@ FINISHED_STATES = (DONE, FAILED, CANCELLED, INTERRUPTED)
 #: ``events`` command reports the drop so a tailing client knows.
 MAX_JOB_EVENTS = 1000
 
-
-def job_key(scenario: Scenario, seed: int) -> str:
-    """The dedup digest of one unit of requested work.
-
-    Everything that changes the result is in ``scenario.to_dict()``
-    (execution knobs are deliberately outside scenario identity), so
-    two requests with equal keys are guaranteed to want the same
-    payload.
-    """
-    ident = canonical_json([scenario.to_dict(), seed])
-    return hashlib.sha256(ident.encode("utf-8")).hexdigest()[:16]
+#: Seconds a finished job's record (result payload, buffered events)
+#: stays queryable before the sweep forgets it.
+JOB_TTL_S = 3600.0
 
 
 @dataclass
@@ -71,11 +58,8 @@ class Job:
     """One submitted scenario run and everything observed about it."""
 
     id: str
-    key: str
     scenario: Scenario
     seed: int
-    priority: int = 0
-    workers: Optional[int] = None
     state: str = QUEUED
     result: Optional[dict] = None       # ScenarioResult.to_dict()
     saved: Optional[str] = None         # report path, when persisted
@@ -95,10 +79,8 @@ class Job:
         """The JSON shape of ``status`` responses."""
         doc = {
             "job": self.id,
-            "key": self.key,
             "scenario": self.scenario.name,
             "seed": self.seed,
-            "priority": self.priority,
             "state": self.state,
             "submitted_at": round(self.submitted_at, 3),
         }
@@ -121,64 +103,41 @@ class Job:
 
 
 class JobTable:
-    """Thread-safe job store + priority queue + dedup index."""
+    """Thread-safe job store + FIFO queue."""
 
-    def __init__(self, *, ttl: Optional[float] = None):
-        self.ttl = ttl
+    def __init__(self):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
-        self._live: dict[str, str] = {}     # dedup key -> live job id
-        self._heap: list[tuple[int, int, str]] = []
+        self._queue: deque[str] = deque()
         self._ids = itertools.count(1)
-        self._seq = itertools.count(1)
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, scenario: Scenario, seed: int, *,
-               priority: int = 0, workers: Optional[int] = None,
-               ) -> tuple[Job, bool]:
-        """Enqueue one scenario run; returns ``(job, deduped)``.
-
-        A submission whose ``(scenario, seed)`` digest matches a job
-        that is still queued or running returns *that* job — one
-        computation serves every concurrent requester (``workers`` is
-        an execution detail, never part of the dedup key).  Finished
-        jobs never dedup:
-        the resubmission replays from the on-disk cache instead (see
-        module docstring).
-        """
-        key = job_key(scenario, seed)
+    def submit(self, scenario: Scenario, seed: int) -> Job:
+        """Enqueue one scenario run behind every job already queued."""
         with self._cond:
             self._prune_locked()
-            live = self._live.get(key)
-            if live is not None and self._jobs[live].state in ACTIVE_STATES:
-                return self._jobs[live], True
-            job = Job(id=f"j{next(self._ids)}", key=key,
-                      scenario=scenario, seed=seed, priority=priority,
-                      workers=workers,
-                      submitted_at=time.time())
+            job = Job(id=f"j{next(self._ids)}", scenario=scenario,
+                      seed=seed, submitted_at=time.time())
             self._jobs[job.id] = job
-            self._live[key] = job.id
-            heapq.heappush(self._heap,
-                           (-priority, next(self._seq), job.id))
+            self._queue.append(job.id)
             self._cond.notify_all()
-            return job, False
+            return job
 
     # -- the runner side ----------------------------------------------------
 
     def next_job(self, timeout: float) -> Optional[Job]:
-        """Claim the highest-priority queued job, or ``None`` on timeout.
+        """Claim the oldest queued job, or ``None`` on timeout.
 
-        Cancelled entries are skipped lazily; the claimed job comes
-        back already in RUNNING state.
+        Cancelled entries are skipped; the claimed job comes back
+        already in RUNNING state.
         """
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                while self._heap:
-                    _, _, job_id = heapq.heappop(self._heap)
-                    job = self._jobs.get(job_id)
+                while self._queue:
+                    job = self._jobs.get(self._queue.popleft())
                     if job is not None and job.state == QUEUED:
                         job.state = RUNNING
                         job.started_at = time.time()
@@ -198,8 +157,6 @@ class JobTable:
             job.saved = saved
             job.error = error
             job.finished_at = time.time()
-            if self._live.get(job.key) == job.id:
-                del self._live[job.key]
             self._cond.notify_all()
 
     # -- client-facing queries ----------------------------------------------
@@ -209,17 +166,17 @@ class JobTable:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
+        """Every remembered job, in submission order."""
         with self._lock:
-            return sorted(self._jobs.values(),
-                          key=lambda j: j.submitted_at)
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Cancel one job.
 
-        QUEUED jobs flip to CANCELLED immediately (their heap entry is
-        skipped lazily).  RUNNING jobs get their drain event set — the
-        campaign engine finishes in-flight units and the runner marks
-        the job CANCELLED.  Finished jobs are
+        QUEUED jobs flip to CANCELLED immediately (their queue entry is
+        skipped when it reaches the front).  RUNNING jobs get their
+        drain event set — the campaign engine finishes in-flight units
+        and the runner marks the job CANCELLED.  Finished jobs are
         returned unchanged.
         """
         with self._cond:
@@ -229,8 +186,6 @@ class JobTable:
             if job.state == QUEUED:
                 job.state = CANCELLED
                 job.finished_at = time.time()
-                if self._live.get(job.key) == job.id:
-                    del self._live[job.key]
                 self._cond.notify_all()
             elif job.state == RUNNING:
                 job.shutdown.set()
@@ -272,8 +227,6 @@ class JobTable:
             if job.state in ACTIVE_STATES:
                 job.state = INTERRUPTED
                 job.finished_at = time.time()
-                if self._live.get(job.key) == job.id:
-                    del self._live[job.key]
                 self._cond.notify_all()
 
     # -- TTL ----------------------------------------------------------------
@@ -284,9 +237,7 @@ class JobTable:
             return self._prune_locked()
 
     def _prune_locked(self) -> int:
-        if self.ttl is None:
-            return 0
-        cutoff = time.time() - self.ttl
+        cutoff = time.time() - JOB_TTL_S
         stale = [job_id for job_id, job in self._jobs.items()
                  if job.state in FINISHED_STATES
                  and (job.finished_at or 0.0) < cutoff]

@@ -26,7 +26,7 @@ ALL_KNOBS = sorted(knobs.REGISTRY)
 
 class TestRegistryShape:
     def test_registry_is_nonempty_and_indexed_both_ways(self):
-        assert len(knobs.REGISTRY) >= 19
+        assert len(knobs.REGISTRY) >= 17
         for knob in knobs.REGISTRY.values():
             assert knobs._BY_ENV[knob.env] is knob
 

@@ -2,9 +2,10 @@
 
 These drive :class:`ReproService.handle` directly with an injected
 stub runner — no sockets, no subprocesses — so they pin the protocol
-semantics (dedup, priorities, cancellation, TTL expiry, error shapes,
+semantics (FIFO order, cancellation, TTL expiry, error shapes,
 drain-and-resume) fast and deterministically.  The end-to-end daemon
-behaviour over a real transport lives in ``test_pipe.py``.
+behaviour over a real transport lives in ``test_pipe.py`` and
+``test_socket.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignInterrupted, ResultCache
-from repro.service import ReproService
+from repro.service import ReproService, jobs
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -108,7 +109,7 @@ class TestProtocolShapes:
         response = service.handle({"cmd": "knobs"})
         assert response["ok"] is True
         envs = {entry["env"] for entry in response["knobs"]}
-        assert "REPRO_SERVE_MAX_JOBS" in envs
+        assert "REPRO_SERVE_SOCKET" in envs
 
     def test_result_for_unknown_job_is_an_error(self, service_factory):
         service = service_factory(StubRunner())
@@ -160,26 +161,6 @@ class TestLifecycle:
 
 
 class TestDedup:
-    def test_concurrent_duplicates_collapse_onto_one_job(
-            self, service_factory):
-        runner = StubRunner(block=True)
-        service = service_factory(runner, max_jobs=1)
-        first = service.handle({"cmd": "submit", "scenario": SCENARIO})
-        again = service.handle({"cmd": "submit", "scenario": SCENARIO})
-        assert again["job"] == first["job"]
-        assert again["dedup"] is True
-        # a different seed is different work: no dedup
-        other = service.handle(
-            {"cmd": "submit", "scenario": SCENARIO, "seed": 4})
-        assert other["job"] != first["job"]
-        assert other["dedup"] is False
-        runner.release.set()
-        done = service.handle(
-            {"cmd": "result", "job": first["job"], "timeout": 20})
-        assert done["state"] == DONE
-        # exactly one execution for the two duplicate submissions
-        assert runner.calls.count((SCENARIO, 2025)) == 1
-
     def test_finished_jobs_do_not_dedup(self, service_factory):
         """A resubmission after completion must be a fresh job — it
         replays from the on-disk cache (provably, via cache.hit
@@ -191,37 +172,37 @@ class TestDedup:
                         "timeout": 20})
         again = service.handle({"cmd": "submit", "scenario": SCENARIO})
         assert again["job"] != first["job"]
-        assert again["dedup"] is False
+        service.handle({"cmd": "result", "job": again["job"],
+                        "timeout": 20})
+        assert runner.calls == [(SCENARIO, 2025)] * 2
 
 
-class TestPriorities:
-    def test_higher_priority_runs_first(self, service_factory):
+class TestQueueOrder:
+    def test_jobs_run_in_submission_order(self, service_factory):
         runner = StubRunner(block=True)
-        service = service_factory(runner, max_jobs=1)
-        # occupy the single runner slot, then queue behind it
+        service = service_factory(runner)
+        # occupy the one runner, then queue behind it; a duplicate of
+        # queued work is a job of its own
         blocker = service.handle(
             {"cmd": "submit", "scenario": SCENARIO, "seed": 1})
         assert wait_for(lambda: len(runner.calls) == 1)
-        low = service.handle(
-            {"cmd": "submit", "scenario": SCENARIO, "seed": 2,
-             "priority": 0})
-        high = service.handle(
-            {"cmd": "submit", "scenario": SCENARIO, "seed": 3,
-             "priority": 10})
+        queued = [service.handle(
+            {"cmd": "submit", "scenario": SCENARIO, "seed": seed})
+            for seed in (3, 2, 3)]
+        assert len({job["job"] for job in queued}) == 3
         runner.block = False
         runner.release.set()
-        for job in (blocker, low, high):
+        for job in (blocker, *queued):
             response = service.handle(
                 {"cmd": "result", "job": job["job"], "timeout": 20})
             assert response["state"] == DONE
-        seeds = [seed for _, seed in runner.calls]
-        assert seeds == [1, 3, 2]   # high priority overtook FIFO
+        assert [seed for _, seed in runner.calls] == [1, 3, 2, 3]
 
 
 class TestCancel:
     def test_cancel_queued_job_is_immediate(self, service_factory):
         runner = StubRunner(block=True)
-        service = service_factory(runner, max_jobs=1)
+        service = service_factory(runner)
         service.handle({"cmd": "submit", "scenario": SCENARIO,
                         "seed": 1})
         assert wait_for(lambda: len(runner.calls) == 1)
@@ -239,7 +220,7 @@ class TestCancel:
 
     def test_cancel_running_job_drains_it(self, service_factory):
         runner = StubRunner(block=True)
-        service = service_factory(runner, max_jobs=1)
+        service = service_factory(runner)
         job = service.handle({"cmd": "submit",
                               "scenario": SCENARIO})["job"]
         assert wait_for(lambda: len(runner.calls) == 1)
@@ -252,8 +233,10 @@ class TestCancel:
 
 
 class TestTtl:
-    def test_finished_jobs_expire_after_ttl(self, service_factory):
-        service = service_factory(StubRunner(), job_ttl=0.05)
+    def test_finished_jobs_expire_after_ttl(self, service_factory,
+                                            monkeypatch):
+        monkeypatch.setattr(jobs, "JOB_TTL_S", 0.05)
+        service = service_factory(StubRunner())
         job = service.handle({"cmd": "submit",
                               "scenario": SCENARIO})["job"]
         service.handle({"cmd": "result", "job": job, "timeout": 20})
@@ -270,7 +253,7 @@ class TestShutdownAndResume:
         cache_dir = tmp_path / "cache"
         runner = StubRunner(block=True)
         service = ReproService(runner=runner, cache=cache_dir,
-                               max_jobs=1, save_reports=False)
+                               save_reports=False)
         service.start()
         running = service.handle({"cmd": "submit", "scenario": SCENARIO,
                                   "seed": 1})["job"]
@@ -290,7 +273,7 @@ class TestShutdownAndResume:
         # manifest is consumed exactly once
         second_runner = StubRunner()
         restarted = ReproService(runner=second_runner, cache=cache_dir,
-                                 max_jobs=1, save_reports=False)
+                                 save_reports=False)
         assert restarted.start() == 2
         try:
             assert wait_for(

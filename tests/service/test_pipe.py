@@ -134,11 +134,10 @@ class TestPipeEndToEnd:
         assert cold["result"]["stats"]["computed"] == UNITS
         assert cold["result"]["stats"]["cached"] == 0
 
-        # a finished job does not dedup: the resubmission is fresh work
-        # that must be satisfied entirely from the on-disk cache
+        # the resubmission is a fresh job that must be satisfied
+        # entirely from the on-disk cache
         second = daemon.request("submit", scenario=SCENARIO, sets=2)
         assert second["job"] != first["job"]
-        assert second["dedup"] is False
         warm = daemon.request("result", job=second["job"], timeout=60)
         assert warm["state"] == "done"
         assert warm["result"]["stats"]["computed"] == 0
