@@ -58,6 +58,7 @@ from ..isa.instructions import (
     INST_BYTES,
     KIND_CODES,
     MASK64,
+    OPS,
     Instruction,
     OpKind,
 )
@@ -106,12 +107,18 @@ _SEQUENTIAL_KINDS = frozenset((
     OpKind.LR, OpKind.SC, OpKind.AMO,
 ))
 
-#: Kinds that access data memory, and those whose address has an
-#: immediate offset (LR/SC/AMO address ``regs[rs1]`` alone).
-_MEMORY_KINDS = frozenset((
+#: Kind codes of the kinds that access data memory, and of those whose
+#: address has an immediate offset (LR/SC/AMO address ``regs[rs1]``
+#: alone).  Integer codes: an ``OpKind`` member hashes in Python.
+_MEMORY_CODES = frozenset(KIND_CODES[kind] for kind in (
     OpKind.LOAD, OpKind.STORE, OpKind.LR, OpKind.SC, OpKind.AMO,
 ))
-_OFFSET_KINDS = frozenset((OpKind.LOAD, OpKind.STORE))
+_OFFSET_CODES = frozenset((KIND_CODES[OpKind.LOAD],
+                           KIND_CODES[OpKind.STORE]))
+
+#: Kind code per op name, so decoding a slot hashes a string rather
+#: than an ``OpKind``.
+_KIND_CODE_OF_OP = {name: KIND_CODES[info.kind] for name, info in OPS.items()}
 
 #: Upper bound on instructions per block kernel (keeps the tail-budget
 #: fallback in Core.advance cheap and member lists small).
@@ -143,9 +150,9 @@ class DecodedProgram:
         #: load/store/LR/SC/AMO kernels compute before they touch the
         #: port or any register, so it can be peeked before the step.
         self.mem_operands = [
-            (inst.rs1, inst.imm if inst.info.kind in _OFFSET_KINDS else 0)
-            if inst.info.kind in _MEMORY_KINDS else None
-            for inst in self.insts]
+            (inst.rs1, inst.imm if code in _OFFSET_CODES else 0)
+            if code in _MEMORY_CODES else None
+            for inst, code in zip(self.insts, kinds)]
         #: Per-slot block kernel: executes the straight-line run starting
         #: at the slot (through its terminating control/CSR/system op) in
         #: one call.  ``block_lens[i]`` instructions commit per call.
@@ -215,13 +222,17 @@ def decode_program(program: Program, config: CoreConfig) -> DecodedProgram:
     cached = program.decode_cache.get(key)
     if cached is not None:
         return cached
+    # Import here to avoid a module cycle (core.core imports this module
+    # for dispatch; kernels only need the MemEntry constructor).
+    from .core import MemEntry
+
     kernels: List[Kernel] = []
-    kinds = bytearray()
     pc = program.base
     for inst in program.instructions:
-        kernels.append(_build_kernel(inst, pc, config))
-        kinds.append(KIND_CODES[inst.info.kind])
+        kernels.append(_build_kernel(inst, pc, config, MemEntry))
         pc += INST_BYTES
+    kinds = bytearray(_KIND_CODE_OF_OP[inst.op]
+                      for inst in program.instructions)
     decoded = DecodedProgram(program, kernels, kinds)
     program.decode_cache[key] = decoded
     return decoded
@@ -696,14 +707,15 @@ def _k_mret(penalty: int) -> Kernel:
     return k
 
 
-def _build_kernel(inst: Instruction, pc: int, config: CoreConfig) -> Kernel:
-    """Decode one instruction slot into its execution kernel."""
-    # Import here to avoid a module cycle (core.core imports this module
-    # for dispatch; kernels only need the MemEntry constructor).
-    from .core import MemEntry
+def _build_kernel(inst: Instruction, pc: int, config: CoreConfig,
+                  mem_entry: type) -> Kernel:
+    """Decode one instruction slot into its execution kernel.
 
+    ``mem_entry`` is :class:`repro.core.core.MemEntry`, passed in
+    because this module cannot import it at load time.
+    """
     op = inst.op
-    info = inst.info
+    info = OPS[op]
     kind = info.kind
     rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
     npc = pc + INST_BYTES
@@ -726,15 +738,15 @@ def _build_kernel(inst: Instruction, pc: int, config: CoreConfig) -> Kernel:
             return _k_advance(npc, cycles)
         return _k_div(op, rd, rs1, rs2, npc, cycles)
     if kind is OpKind.LOAD:
-        return _k_load(rd, rs1, imm, npc, MemEntry)
+        return _k_load(rd, rs1, imm, npc, mem_entry)
     if kind is OpKind.STORE:
-        return _k_store(rs1, rs2, imm, npc, MemEntry)
+        return _k_store(rs1, rs2, imm, npc, mem_entry)
     if kind is OpKind.LR:
-        return _k_lr(rd, rs1, npc, MemEntry)
+        return _k_lr(rd, rs1, npc, mem_entry)
     if kind is OpKind.SC:
-        return _k_sc(rd, rs1, rs2, npc, MemEntry)
+        return _k_sc(rd, rs1, rs2, npc, mem_entry)
     if kind is OpKind.AMO:
-        return _k_amo(op, rd, rs1, rs2, npc, MemEntry)
+        return _k_amo(op, rd, rs1, rs2, npc, mem_entry)
     if kind is OpKind.BRANCH:
         return _k_branch(op, rs1, rs2, pc, pc + imm, npc, penalty)
     if kind is OpKind.JUMP:

@@ -5,7 +5,8 @@ The paper's performance experiments (Figs. 4, 6, 7) depend on workload
 syscalls — not on benchmark semantics.  Each paper workload gets a
 :class:`~repro.workloads.profiles.WorkloadProfile` with a plausible mix,
 and :func:`~repro.workloads.generator.build_program` turns a profile
-into a deterministic assembly program for the repro core, optionally
+into a deterministic :class:`~repro.isa.program.Program` for the repro
+core, emitted instruction by instruction (no assembly text), optionally
 instrumented in the style of Nzdc (duplicated computation + checks).
 """
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignInterrupted, run_campaign
+from repro.campaign.engine import code_token
 
 from . import _units
 
@@ -244,13 +245,14 @@ class TestGracefulShutdown:
             "import json, sys\n"
             "from repro.campaign import CampaignInterrupted, "
             "run_campaign\n"
+            "from repro.campaign.engine import code_token\n"
             "from tests.campaign import _units\n"
             "specs = json.loads(sys.argv[1])\n"
             "try:\n"
             "    run_campaign(_units.slow_unit, specs, seed=2, "
             "workers=2, cache=sys.argv[2])\n"
             "except CampaignInterrupted as exc:\n"
-            "    print(exc.run.stats.computed)\n"
+            "    print(exc.run.stats.computed, code_token())\n"
             "    sys.exit(42)\n"
         )
         import json
@@ -278,11 +280,21 @@ class TestGracefulShutdown:
                 child.kill()
                 child.communicate()
         assert child.returncode == 42, out
+        computed, child_token = out.split()
+
+        # Cache digests fold in code_token(), which hashes (path, size,
+        # mtime) of every src/repro source once per process.  A source
+        # edit while the test suite runs gives the child another token,
+        # and the resume below then finds none of its entries.
+        assert child_token == code_token(), (
+            "the SIGTERM'd child hashed another source tree than this "
+            "process: a file under src/repro changed during the test "
+            "run, so the resume cannot find the child's cache entries")
 
         # every unit the drained child reports computed is in the cache
         n_done = _cached_units(cache_dir)
         assert n_done >= 2
-        assert int(out.strip()) == n_done
+        assert int(computed) == n_done
 
         resumed = run_campaign(_units.slow_unit, specs, seed=2,
                                workers=2, cache=cache_dir)
