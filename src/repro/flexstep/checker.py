@@ -22,11 +22,15 @@ drives replay through it alone.  The ``heap`` scheduler's
 :meth:`CheckerEngine.run_ahead` also replays the common case -- an
 instruction the stream already covers that is not a system op, a halt,
 an SC or an AMO -- in one loop over the decoded kernels
-(:meth:`CheckerEngine._replay_run`) and leaves every other action to
-``step``.  Main cores may run under any ``REPRO_CORE_ENGINE`` tier
-(``interp``/``decoded``) and produce bit-identical commit streams, MAL
-entries and checkpoints; the differential suite replays injected faults
-under every tier to prove detection results are engine-invariant.
+(:meth:`CheckerEngine._replay_run`), drains a failed segment's visible
+packets in one loop (:meth:`CheckerEngine._skip_run`) and leaves every
+other action to ``step``; the ``loop`` scheduler's per-packet
+``_step_skip`` is the drain's oracle.  A logged access pops its entry
+in one channel call (:meth:`Channel.pop_visible`).  Main cores may run
+under any ``REPRO_CORE_ENGINE`` tier (``interp``/``decoded``) and
+produce bit-identical commit streams, MAL entries and checkpoints; the
+differential suite replays injected faults under every tier to prove
+detection results are engine-invariant.
 """
 
 from __future__ import annotations
@@ -107,13 +111,15 @@ class ReplayPort:
         self.engine = engine
 
     def _next_entry(self) -> MemPacket:
-        packet = self.engine.channel.head(self.engine.core.stats.cycles)
-        if not isinstance(packet, MemPacket):
+        engine = self.engine
+        now = engine.core.stats.cycles
+        entry = engine.channel.pop_visible(now, MemPacket)
+        if entry is None:
+            packet = engine.channel.head(now)
             raise ReplayMismatch(
                 "memory access with no matching log entry "
                 f"(head={type(packet).__name__ if packet else 'empty'})")
-        self.engine.channel.pop(self.engine.core.stats.cycles)
-        return packet
+        return entry
 
     def read(self, addr: int) -> tuple[int, int]:
         entry = self._next_entry()
@@ -287,6 +293,11 @@ class CheckerEngine:
         the minimum.  ``until_drained`` ends the batch once the checker
         has drained (its main is done).
 
+        Besides :meth:`step`, the batch replays covered instructions in
+        :meth:`_replay_run` and drains a failed segment (SKIP) in
+        :meth:`_skip_run`; both stop where a step would end the batch,
+        so the batch takes the actions ``step`` would, one loop each.
+
         A pure wait (a step that only idled) would repeat unchanged
         until the next buffered packet becomes visible
         (:meth:`Channel.next_visible`) or the main pushes, so the clock
@@ -304,18 +315,21 @@ class CheckerEngine:
                         and self._replay_run(limit):
                     if limit is not None and core_stats.cycles >= limit:
                         return
-                idle = stats.idle_cycles
-                self.step()
-                if self._fetch_yield:
-                    self._fetch_yield = False
-                    return
-                if stats.idle_cycles != idle:
-                    wake = self.channel.next_visible(core_stats.cycles)
-                    if wake is None or (limit is not None and wake > limit):
-                        wake = limit
-                    if wake is None:
+                if self.state is not CheckerState.SKIP \
+                        or not self._skip_run(limit):
+                    idle = stats.idle_cycles
+                    self.step()
+                    if self._fetch_yield:
+                        self._fetch_yield = False
                         return
-                    self.idle_until(wake)
+                    if stats.idle_cycles != idle:
+                        wake = self.channel.next_visible(core_stats.cycles)
+                        if wake is None \
+                                or (limit is not None and wake > limit):
+                            wake = limit
+                        if wake is None:
+                            return
+                        self.idle_until(wake)
                 if self.state is CheckerState.IDLE:
                     return
                 if until_drained and self.drained:
@@ -431,6 +445,34 @@ class CheckerEngine:
             self.state = CheckerState.SKIP
             return True
         return done > 0
+
+    def _skip_run(self, limit: Optional[int]) -> bool:
+        """Drain a failed segment's visible packets (the SKIP state) in
+        one loop; returns whether it popped any.
+
+        Each packet costs 1 cycle, as in :meth:`_step_skip`.  The loop
+        ends after the ECP (the checker is back in WAIT_SCP), before a
+        head that is not yet visible (the step that idles there is left
+        to :meth:`step`) and before the first packet at or past
+        ``limit`` (the first is always taken).  While in SKIP the
+        checker is never ``drained``, so ``until_drained`` can end the
+        batch only after the ECP, where :meth:`run_ahead` tests it.
+        """
+        core_stats = self.core.stats
+        pop = self.channel.pop_visible
+        packet = pop(core_stats.cycles)
+        if packet is None:
+            return False
+        while True:
+            core_stats.cycles += 1
+            if isinstance(packet, EcpPacket):
+                self.state = CheckerState.WAIT_SCP
+                return True
+            if limit is not None and core_stats.cycles >= limit:
+                return True
+            packet = pop(core_stats.cycles)
+            if packet is None:
+                return True
 
     def idle_until(self, cycle: int) -> None:
         """Charge the cycles up to ``cycle`` as idle (a skipped wait)."""

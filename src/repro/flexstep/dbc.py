@@ -14,6 +14,7 @@ TCLS-like triple mode, and so on up to ``max_checkers_per_main``).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, Optional
@@ -71,18 +72,21 @@ class Channel:
                                                self.stats.max_occupancy)
 
     def push(self, packet: Packet) -> bool:
-        """Append ``packet`` if it fits; returns success."""
-        if not self.can_push(packet):
-            self.stats.refusals += 1
+        """Append ``packet`` if it fits; returns success.  A tap keeps
+        the packet's ``entries`` (it flips payload bits only)."""
+        entries = packet.entries
+        stats = self.stats
+        if entries > self.capacity - self.occupancy:
+            stats.refusals += 1
             return False
         for tap in self._push_taps:
             packet = tap(packet)
         self._queue.append(packet)
-        self.occupancy += packet.entries
-        self.stats.pushes += 1
-        self.stats.entries_pushed += packet.entries
-        self.stats.max_occupancy = max(self.stats.max_occupancy,
-                                       self.occupancy)
+        occupancy = self.occupancy = self.occupancy + entries
+        stats.pushes += 1
+        stats.entries_pushed += entries
+        if occupancy > stats.max_occupancy:
+            stats.max_occupancy = occupancy
         return True
 
     def head(self, now: Optional[int] = None) -> Optional[Packet]:
@@ -113,15 +117,29 @@ class Channel:
         return None
 
     def pop(self, now: Optional[int] = None) -> Packet:
-        packet = self.head(now)
+        packet = self.pop_visible(math.inf if now is None else now)
         if packet is None:
             raise ChannelError(
                 f"pop from empty/not-yet-delivered channel "
                 f"{self.main_id}->{self.checker_id}")
-        self._queue.popleft()
-        self.occupancy -= packet.entries
-        self.stats.pops += 1
         return packet
+
+    def pop_visible(self, now: float, cls: type = Packet,
+                    ) -> Optional[Packet]:
+        """Pop the head and return it if it is a ``cls`` visible at
+        ``now``; otherwise pop nothing and return None.  One call per
+        packet on the checker's hot paths (a logged access, a SKIP
+        drain)."""
+        queue = self._queue
+        if queue:
+            packet = queue[0]
+            if now >= packet.push_cycle + self.latency \
+                    and isinstance(packet, cls):
+                queue.popleft()
+                self.occupancy -= packet.entries
+                self.stats.pops += 1
+                return packet
+        return None
 
     def __len__(self) -> int:
         return len(self._queue)

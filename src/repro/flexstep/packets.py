@@ -15,12 +15,16 @@ entry, so their bandwidth is negligible.
 
 Each packet knows its ``entries`` cost — the number of FIFO slots it
 occupies — which drives capacity accounting and backpressure.
+
+The framing packets are frozen dataclasses.  :class:`MemPacket`, one per
+committed memory access and so most of the stream, is a slotted record
+built from positional arguments, as immutable as the others.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 from ..core.registers import ArchSnapshot
 
@@ -37,22 +41,23 @@ class SegmentCloseReason(enum.Enum):
     CHECK_DISABLED = "disabled"    # M.check.disable at a context switch
 
 
-@dataclass(frozen=True)
 class Packet:
-    """Base packet: segment id + cycle the main core pushed it."""
+    """Base of every packet: segment id + cycle the main core pushed it,
+    and the FIFO entries it occupies."""
+
+    __slots__ = ()
 
     segment: int
     push_cycle: int
-
-    @property
-    def entries(self) -> int:
-        return 1
+    entries = 1
 
 
 @dataclass(frozen=True)
 class ScpPacket(Packet):
     """Start Register Checkpoint: the state a replay begins from."""
 
+    segment: int
+    push_cycle: int
     snapshot: ArchSnapshot = None  # type: ignore[assignment]
 
     @property
@@ -60,7 +65,6 @@ class ScpPacket(Packet):
         return -(-self.snapshot.size_bytes // ENTRY_BYTES)
 
 
-@dataclass(frozen=True)
 class MemPacket(Packet):
     """One Memory Access Log entry.
 
@@ -68,18 +72,60 @@ class MemPacket(Packet):
     of the instruction that produced this access; ``kind`` is ``"r"``
     or ``"w"``.  Multi-micro-op instructions (LR/SC/AMO) produce
     multiple packets with the same ``count`` (Sec. III-B).
+
+    Equality, hash and repr are those of a frozen dataclass with these
+    fields; assigning or deleting a field raises
+    :class:`~dataclasses.FrozenInstanceError`.
     """
 
-    count: int = 0
-    kind: str = "r"
-    addr: int = 0
-    data: int = 0
+    __slots__ = ("segment", "push_cycle", "count", "kind", "addr", "data")
+
+    def __init__(self, segment: int, push_cycle: int, count: int = 0,
+                 kind: str = "r", addr: int = 0, data: int = 0):
+        # the slot descriptors' setters bypass the frozen __setattr__
+        _set_segment(self, segment)
+        _set_push_cycle(self, push_cycle)
+        _set_count(self, count)
+        _set_kind(self, kind)
+        _set_addr(self, addr)
+        _set_data(self, data)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.segment, self.push_cycle, self.count, self.kind,
+                self.addr, self.data)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(segment={self.segment!r}, "
+                f"push_cycle={self.push_cycle!r}, count={self.count!r}, "
+                f"kind={self.kind!r}, addr={self.addr!r}, "
+                f"data={self.data!r})")
+
+
+(_set_segment, _set_push_cycle, _set_count, _set_kind, _set_addr,
+ _set_data) = (getattr(MemPacket, name).__set__
+               for name in MemPacket.__slots__)
 
 
 @dataclass(frozen=True)
 class ProgressPacket(Packet):
     """Instruction-count heartbeat: 'the segment has reached count'."""
 
+    segment: int
+    push_cycle: int
     count: int = 0
 
 
@@ -87,6 +133,8 @@ class ProgressPacket(Packet):
 class IcPacket(Packet):
     """Final instruction count of the segment (Fig. 3 'IC')."""
 
+    segment: int
+    push_cycle: int
     count: int = 0
     reason: SegmentCloseReason = SegmentCloseReason.LIMIT
 
@@ -95,6 +143,8 @@ class IcPacket(Packet):
 class EcpPacket(Packet):
     """End Register Checkpoint: the state replay must land on."""
 
+    segment: int
+    push_cycle: int
     snapshot: ArchSnapshot = None  # type: ignore[assignment]
 
     @property
@@ -133,9 +183,13 @@ def flip_bit_in_packet(packet: Packet, word_index: int, bit: int) -> Packet:
                                        num_csrs=len(packet.snapshot.csrs))
         return replace(packet, snapshot=snap)
     if isinstance(packet, MemPacket):
+        addr, data = packet.addr, packet.data
         if word_index % 2 == 0:
-            return replace(packet, addr=packet.addr ^ mask)
-        return replace(packet, data=packet.data ^ mask)
+            addr ^= mask
+        else:
+            data ^= mask
+        return MemPacket(packet.segment, packet.push_cycle, packet.count,
+                         packet.kind, addr, data)
     if isinstance(packet, IcPacket):
         return replace(packet, count=packet.count ^ mask)
     if isinstance(packet, ProgressPacket):

@@ -20,8 +20,11 @@ scheduler calls :meth:`MainCoreAdapter.run_window`, which commits
 user-mode instructions by calling the decoded kernels itself and logs
 them without building records; every other commit takes the hook path.
 Both log through one CPC/MAL routine, :meth:`_log_user_commit`.
-Packets go to the adapter's outbound queue, which flushes into the
-interconnect channels; a full channel stalls the core.
+A packet goes straight into every channel when nothing is staged
+before it and each channel has room; otherwise it waits in the
+adapter's outbound queue, which flushes into the channels in order, and
+a full channel stalls the core.  The window's shared-step test skips
+:meth:`step_entries_bound` for a commit that can stage nothing.
 """
 
 from __future__ import annotations
@@ -293,10 +296,23 @@ class MainCoreAdapter:
                                 (regs[operands[0]] + operands[1])
                                 & MASK64)):
                         break
-                    entries = self.step_entries_bound(kind)
-                    if entries and not all(ch.takes_quietly(entries)
-                                           for ch in channels):
-                        break
+                    count = self._count + 1
+                    if (fast and operands is None and kind != K_SYSTEM
+                            and self._segment_open
+                            and count - self._last_progress
+                            < progress_interval
+                            and count < segment_limit):
+                        entries = 0  # a CPC-only commit stages nothing
+                    else:
+                        entries = self.step_entries_bound(kind)
+                    if entries:
+                        quiet = True
+                        for ch in channels:
+                            if not ch.takes_quietly(entries):
+                                quiet = False
+                                break
+                        if not quiet:
+                            break
             if fast and kind >= 0 and kind != K_SYSTEM and kind != K_HALT:
                 if not self._segment_open:
                     self.before_step()
@@ -376,10 +392,10 @@ class MainCoreAdapter:
         if mem_ops:
             cycles = self.core.stats.cycles
             segment = self._segment_id
+            stage = self._stage
             for entry in mem_ops:
-                self._stage(MemPacket(segment=segment, push_cycle=cycles,
-                                      count=count, kind=entry.kind,
-                                      addr=entry.addr, data=entry.data))
+                stage(MemPacket(segment, cycles, count, entry.kind,
+                                entry.addr, entry.data))
             self.stats.mem_packets += len(mem_ops)
             self._last_progress = count
         elif count - self._last_progress >= self.progress_interval:
@@ -411,7 +427,22 @@ class MainCoreAdapter:
     # ------------------------------------------------------------------
 
     def _stage(self, packet: Packet) -> None:
-        self._outbox.append(packet)
+        """Send ``packet`` to every channel.  With nothing staged before
+        it and room in every channel, it is pushed straight in;
+        otherwise it joins the outbox and :meth:`try_flush` runs.  Both
+        make the same pushes in the same order."""
+        outbox = self._outbox
+        if not outbox:
+            entries = packet.entries
+            channels = self.channels
+            for ch in channels:
+                if ch.capacity - ch.occupancy < entries:
+                    break
+            else:
+                for ch in channels:
+                    ch.push(packet)
+                return
+        outbox.append(packet)
         self.try_flush()
 
     def _extraction_cost(self) -> int:

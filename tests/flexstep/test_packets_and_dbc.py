@@ -1,6 +1,8 @@
 """Packet capacity accounting, fault-flip primitive, channels and the
 System Interconnect."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,71 @@ class TestPackets:
     def test_ic_and_progress_single_entry(self):
         assert IcPacket(segment=1, push_cycle=0, count=5).entries == 1
         assert ProgressPacket(segment=1, push_cycle=0, count=5).entries == 1
+
+
+MEM_FIELDS = {"segment": 3, "push_cycle": 40, "count": 7, "kind": "w",
+              "addr": 0x1008, "data": 99}
+
+
+class TestMemPacket:
+    """``MemPacket`` is a slotted record, not a dataclass; it must keep
+    the frozen dataclass's value semantics."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert MemPacket(3, 40, 7, "w", 0x1008, 99) == MemPacket(**MEM_FIELDS)
+        assert MemPacket(1, 2) == MemPacket(1, 2, 0, "r", 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(MEM_FIELDS))
+    def test_assigning_a_field_raises(self, name):
+        p = MemPacket(**MEM_FIELDS)
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+        assert getattr(p, name) == MEM_FIELDS[name]
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            MemPacket(**MEM_FIELDS).extra = 1
+
+    def test_equal_packets_hash_equal(self):
+        p, q = MemPacket(**MEM_FIELDS), MemPacket(**MEM_FIELDS)
+        assert p == q and not p != q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+    @pytest.mark.parametrize("name", sorted(MEM_FIELDS))
+    def test_one_field_changed_is_unequal(self, name):
+        p = MemPacket(**MEM_FIELDS)
+        other = "r" if name == "kind" else MEM_FIELDS[name] + 1
+        q = MemPacket(**{**MEM_FIELDS, name: other})
+        assert p != q and not p == q
+        assert len({p, q}) == 2
+
+    def test_unequal_to_other_types(self):
+        p = MemPacket(**MEM_FIELDS)
+        assert p != tuple(MEM_FIELDS.values())
+        assert p != ProgressPacket(segment=3, push_cycle=40, count=7)
+
+    def test_repr(self):
+        assert repr(MemPacket(**MEM_FIELDS)) == (
+            "MemPacket(segment=3, push_cycle=40, count=7, kind='w', "
+            "addr=4104, data=99)")
+
+    @given(st.integers(0, 1), st.integers(0, 63))
+    def test_flip_is_an_involution_on_one_word(self, word, bit):
+        p = MemPacket(**MEM_FIELDS)
+        flipped = flip_bit_in_packet(p, word, bit)
+        assert flipped != p
+        assert isinstance(flipped, MemPacket)
+        keep = ("count", "kind", "segment", "push_cycle")
+        assert [getattr(flipped, n) for n in keep] \
+            == [getattr(p, n) for n in keep]
+        changed = "addr" if word == 0 else "data"
+        unchanged = "data" if word == 0 else "addr"
+        assert getattr(flipped, changed) == getattr(p, changed) ^ (1 << bit)
+        assert getattr(flipped, unchanged) == getattr(p, unchanged)
+        assert flip_bit_in_packet(flipped, word, bit) == p
 
 
 class TestFlip:
@@ -117,6 +184,20 @@ class TestChannel:
         ch.add_push_tap(lambda p: flip_bit_in_packet(p, 1, 0))
         ch.push(MemPacket(segment=1, push_cycle=0, data=0))
         assert ch.pop(10).data == 1
+
+    def test_pop_visible(self):
+        ch = Channel(0, 1, capacity_entries=8, latency_cycles=2)
+        mem = MemPacket(segment=1, push_cycle=10)
+        ch.push(mem)
+        ch.push(IcPacket(segment=1, push_cycle=10, count=1))
+        assert ch.pop_visible(11, MemPacket) is None  # not yet visible
+        assert len(ch) == 2
+        assert ch.pop_visible(12, MemPacket) is mem
+        assert ch.pop_visible(12, MemPacket) is None  # an IC head
+        assert (len(ch), ch.occupancy, ch.stats.pops) == (1, 1, 1)
+        assert isinstance(ch.pop_visible(12), IcPacket)
+        assert ch.pop_visible(12) is None  # empty
+        assert (ch.occupancy, ch.stats.pops) == (0, 2)
 
     def test_max_occupancy_tracked(self):
         ch = Channel(0, 1, capacity_entries=8)

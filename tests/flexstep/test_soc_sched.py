@@ -23,12 +23,13 @@ from repro.config import SoCConfig
 from repro.core.core import Core
 from repro.errors import ConfigurationError
 from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
-from repro.flexstep.checker import CheckerEngine
+from repro.flexstep.checker import CheckerEngine, CheckerState
 from repro.flexstep.faults import FaultTarget, install_injector
 from repro.flexstep.packets import (
     EcpPacket,
     IcPacket,
     MemPacket,
+    ProgressPacket,
     ScpPacket,
 )
 from repro.flexstep.soc import (
@@ -270,6 +271,36 @@ class TestSharedStateLookahead:
         assert replayed == soc.cores[0].stats.user_instructions - 1
         assert 0 < 2 * calls["checker"] < replayed
 
+        # On a faulted die the checker drains each failed segment's
+        # leftovers (SKIP): the loop oracle takes one step per packet,
+        # the heap's ``run_ahead`` drains what is buffered in one loop.
+        # The checker pauses after each verified segment, so it lags
+        # its main and finds the leftovers buffered.
+        skip = {"steps": 0, "pops": 0}
+        step_skip = CheckerEngine._step_skip
+
+        def counting_step_skip(engine):
+            skip["steps"] += 1
+            pops = engine.channel.stats.pops
+            step_skip(engine)
+            skip["pops"] += engine.channel.stats.pops - pops
+
+        monkeypatch.setattr(CheckerEngine, "_step_skip", counting_step_skip)
+        skipped = {}
+        for sched in SCHEDS:
+            skip.update(steps=0, pops=0)
+            soc = make_verified_soc(make_sum_program(n=2_000),
+                                    segment_limit=300)
+            soc.engine_of(1).segment_service_pause = 2_000
+            install_injector(soc, 0, target=FaultTarget.MAL_ADDR,
+                             segment_interval=3, rng=random.Random(5))
+            soc.run(sched=sched)
+            assert soc.engine_of(1).stats.segments_failed > 0
+            skipped[sched] = dict(skip)
+        # the oracle pops each SKIP packet in a step of its own
+        assert skipped["loop"]["pops"] > 100
+        assert 4 * skipped["heap"]["steps"] < skipped["loop"]["pops"]
+
     def test_rounds_left_out_of_the_fingerprint(self):
         prints, rounds = {}, {}
         for sched in SCHEDS:
@@ -404,6 +435,77 @@ class TestDetectionIdentity:
 
         fingerprint = assert_schedulers_identical(build)
         assert fingerprint[3] > 0  # some segments failed, identically
+
+
+def tight_drain_pair():
+    """A faulted dual-mode pair with a short FIFO, short segments and a
+    checker that pauses after each one, so the main keeps running into
+    backpressure and the checker drains failed segments close behind
+    it: SKIP drains end at the main's clock and at packets pushed too
+    recently to be visible."""
+    soc = make_verified_soc(make_sum_program(n=400), fifo_entries=12,
+                            segment_limit=40)
+    soc.engine_of(1).segment_service_pause = 150
+    injector = install_injector(soc, 0, target=FaultTarget.MAL_ADDR,
+                                segment_interval=1, rng=random.Random(3))
+    return soc, [injector]
+
+
+class TestSkipDrain:
+    def test_drains_stop_where_steps_would(self, monkeypatch):
+        """``run_ahead``'s SKIP drain must stop at ``limit`` and before
+        a head that is not yet visible, exactly where the oracle's
+        per-packet steps would change course."""
+        stops = {"limit": 0, "invisible": 0}
+        skip_run = CheckerEngine._skip_run
+
+        def classifying_skip_run(engine, limit):
+            took = skip_run(engine, limit)
+            if took and engine.state is CheckerState.SKIP:
+                now = engine.core.stats.cycles
+                if limit is not None and now >= limit:
+                    stops["limit"] += 1
+                elif len(engine.channel) and engine.channel.head(now) \
+                        is None:
+                    stops["invisible"] += 1
+            return took
+
+        monkeypatch.setattr(CheckerEngine, "_skip_run", classifying_skip_run)
+        fingerprint = assert_schedulers_identical(tight_drain_pair)
+        assert fingerprint[3] > 0  # failed segments, identically
+        assert stops["limit"] > 0 and stops["invisible"] > 0
+
+    def test_drain_past_the_main_clock_would_unblock_it_early(self):
+        """A checker channel pre-filled with a segment that has no SCP
+        (a framing error) and a long SKIP tail, all visible from cycle
+        1001, leaves no room for the main's first SCP.  The blocked main retries its flush each cycle
+        while the checker pops one packet per cycle; a drain that ran
+        past the main's clock would let the heap's main flush early."""
+
+        def build():
+            soc = make_verified_soc(make_sum_program(n=50),
+                                    fifo_entries=40)
+            channel = soc.engine_of(1).channel
+            start = soc.cores[0].snapshot()
+            tail = [ProgressPacket(segment=90, push_cycle=1_000, count=i)
+                    for i in range(51)]
+            for packet in (*tail,
+                           EcpPacket(segment=90, push_cycle=1_000,
+                                     snapshot=start)):
+                assert channel.push(packet)
+            assert channel.free_entries() < 17  # the SCP must wait
+            return soc, ()
+
+        prints = {}
+        for sched in SCHEDS:
+            soc, _ = build()
+            stats = soc.run(sched=sched)
+            check_cosim_contracts(soc, clean=False)
+            prints[sched] = soc_fingerprint(soc, stats)
+            assert soc.adapter_of(0).stats.backpressure_stall_cycles > 0
+            first = soc.engine_of(1).results[0]
+            assert (first.segment, first.ok) == (90, False)
+        assert prints["loop"] == prints["heap"]
 
 
 @contextmanager
