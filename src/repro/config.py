@@ -24,19 +24,19 @@ DEFAULT_CLOCK_HZ: int = 1_600_000_000
 #: Default checking-segment instruction-count limit (Sec. III-A).
 DEFAULT_SEGMENT_LIMIT: int = 5000
 
-#: Co-simulation scheduler names accepted by :class:`SoCConfig` and the
-#: ``REPRO_SOC_SCHED`` environment variable (``auto`` resolves to
-#: ``heap``; ``loop`` is the round-scan oracle).  Both schedulers are
-#: bit-identical, so the knob is excluded from campaign identity — see
-#: :func:`soc_config_to_dict`.
+#: Co-simulation scheduler names accepted by ``FlexStepSoC.run(sched=)``
+#: and the ``REPRO_SOC_SCHED`` environment variable (``auto`` resolves
+#: to ``heap``; ``loop`` is the round-scan oracle).  Both schedulers are
+#: bit-identical, so the choice is no part of any config object or
+#: campaign identity.
 SOC_SCHED_CHOICES: tuple[str, ...] = ("auto", "loop", "heap")
 
-#: Execution-engine tiers accepted by :class:`CoreConfig` and the
+#: Execution-engine tiers accepted by ``Core(engine=)`` and the
 #: ``REPRO_CORE_ENGINE`` environment variable (``auto`` defers to the
 #: env var, then ``decoded``).  ``interp`` is the seed reference
 #: interpreter and ``decoded`` the kernel-dispatch engine.  Both are
-#: bit-identical, so — like ``soc_sched`` — the knob is excluded from
-#: campaign identity; see :func:`soc_config_to_dict`.
+#: bit-identical, so — like the co-sim scheduler — the tier is no part
+#: of any config object or campaign identity.
 CORE_ENGINE_CHOICES: tuple[str, ...] = ("auto", "interp", "decoded")
 
 
@@ -100,18 +100,10 @@ class CoreConfig:
     #: Extra cycles for integer multiply / divide on the single DIV unit.
     mul_latency_cycles: int = 3
     div_latency_cycles: int = 16
-    #: Execution engine: ``auto`` defers to ``REPRO_CORE_ENGINE`` (then
-    #: ``decoded``); ``interp``/``decoded`` pin a tier.  An
-    #: execution knob — never part of experiment identity.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
             raise ConfigurationError("clock_hz must be positive")
-        if self.engine not in CORE_ENGINE_CHOICES:
-            raise ConfigurationError(
-                f"engine must be one of {CORE_ENGINE_CHOICES}, "
-                f"got {self.engine!r}")
 
     def cycles_to_us(self, cycles: int | float) -> float:
         """Convert a cycle count to microseconds at this core's clock."""
@@ -183,18 +175,10 @@ class SoCConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     flexstep: FlexStepConfig = field(default_factory=FlexStepConfig)
-    #: Co-simulation scheduler: ``auto`` defers to ``REPRO_SOC_SCHED``
-    #: (then ``heap``); ``loop``/``heap`` pin it for this SoC.  An
-    #: execution knob — never part of experiment identity.
-    soc_sched: str = "auto"
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigurationError("num_cores must be >= 1")
-        if self.soc_sched not in SOC_SCHED_CHOICES:
-            raise ConfigurationError(
-                f"soc_sched must be one of {SOC_SCHED_CHOICES}, "
-                f"got {self.soc_sched!r}")
 
     def with_flexstep(self, **kwargs) -> "SoCConfig":
         """Return a copy with FlexStep parameters overridden."""
@@ -208,17 +192,8 @@ def table2_config(num_cores: int = 4) -> SoCConfig:
 
 
 def soc_config_to_dict(config: SoCConfig) -> dict:
-    """JSON-able form of a :class:`SoCConfig` (campaign unit specs).
-
-    ``soc_sched`` and the core ``engine`` are dropped: schedulers and
-    execution engines produce bit-identical results, so — like the
-    sched backend — neither choice may perturb campaign spawn seeds or
-    result-cache digests.
-    """
-    data = dataclasses.asdict(config)
-    data.pop("soc_sched", None)
-    data["core"].pop("engine", None)
-    return data
+    """JSON-able form of a :class:`SoCConfig` (campaign unit specs)."""
+    return dataclasses.asdict(config)
 
 
 def soc_config_from_dict(data: dict) -> SoCConfig:
@@ -233,8 +208,7 @@ def soc_config_from_dict(data: dict) -> SoCConfig:
         num_cores=data["num_cores"],
         core=CoreConfig(**core),
         memory=MemoryConfig(**memory),
-        flexstep=FlexStepConfig(**data["flexstep"]),
-        soc_sched=data.get("soc_sched", "auto"))
+        flexstep=FlexStepConfig(**data["flexstep"]))
 
 
 def describe_table2(config: SoCConfig | None = None) -> str:

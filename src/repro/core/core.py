@@ -29,11 +29,10 @@ The core dispatches through one of two bit-identical engines:
     on the record-free paths :meth:`advance` / :meth:`exec_one` — no
     per-step allocation for non-memory instructions.
 
-Select with ``Core(..., engine=...)``, a pinned ``CoreConfig.engine``,
-or the ``REPRO_CORE_ENGINE`` environment variable — see
-:func:`resolve_engine` for the precedence; :func:`engine_override`
-pins a tier for a dynamic extent the way ``soc_sched_override`` does
-for the co-sim scheduler.
+Select with ``Core(..., engine=...)`` or the ``REPRO_CORE_ENGINE``
+environment variable — see :func:`resolve_engine` for the precedence;
+:func:`engine_override` pins a tier for a dynamic extent the way
+``soc_sched_override`` does for the co-sim scheduler.
 """
 
 from __future__ import annotations
@@ -81,21 +80,18 @@ from .registers import (
 _ENGINES = tuple(name for name in CORE_ENGINE_CHOICES if name != "auto")
 
 
-def resolve_engine(name: str | None = None,
-                   config: CoreConfig | None = None) -> str:
+def resolve_engine(name: str | None = None) -> str:
     """Resolve an execution-engine request to a concrete tier.
 
-    Precedence: an explicit ``name`` argument, then a non-``auto``
-    ``CoreConfig.engine``, then the ``REPRO_CORE_ENGINE`` environment
-    variable, then ``decoded``.  Any unknown name — including an env
-    var typo — raises :class:`~repro.errors.ConfigurationError` naming
-    the offending value, its source and the valid tiers, so a
-    misspelled engine fails loudly at core construction instead of
-    silently selecting the default.
+    Precedence: an explicit ``name`` argument, then the
+    ``REPRO_CORE_ENGINE`` environment variable, then ``decoded``.  Any
+    unknown name — including an env var typo — raises
+    :class:`~repro.errors.ConfigurationError` naming the offending
+    value, its source and the valid tiers, so a misspelled engine
+    fails loudly at core construction instead of silently selecting
+    the default.
     """
-    return knobs.value(
-        "core_engine", arg=name,
-        config=config.engine if config is not None else None)
+    return knobs.value("core_engine", arg=name)
 
 
 @contextmanager
@@ -218,8 +214,8 @@ class Core:
         are free (functional-only runs).
     engine:
         ``"interp"`` (seed reference interpreter) or ``"decoded"``
-        (default); ``None`` defers to ``config.engine`` and then the
-        ``REPRO_CORE_ENGINE`` env var — see :func:`resolve_engine`.
+        (default); ``None`` defers to the ``REPRO_CORE_ENGINE`` env
+        var — see :func:`resolve_engine`.
     """
 
     def __init__(self, core_id: int, config: CoreConfig, port: MemoryPort,
@@ -240,9 +236,8 @@ class Core:
         self.predictor = BranchPredictor(config.branch_predictor)
         self.stats = CoreStats()
         self._reservation: Optional[int] = None
-        self._pending_interrupt: Optional[int] = None
         self._hooks: list[CommitHook] = []
-        self.engine = resolve_engine(engine, config)
+        self.engine = resolve_engine(engine)
         self._use_kernels = self.engine != "interp"
         self._decoded: Optional[DecodedProgram] = None
         # Kernel scratch (see repro.core.decode kernel contract).
@@ -265,10 +260,6 @@ class Core:
 
     def add_commit_hook(self, hook: CommitHook) -> None:
         self._hooks.append(hook)
-
-    def raise_interrupt(self, cause: int) -> None:
-        """Post an asynchronous interrupt taken before the next step."""
-        self._pending_interrupt = cause
 
     def snapshot(self) -> ArchSnapshot:
         """Capture the architectural state as a Register Checkpoint."""
@@ -337,19 +328,13 @@ class Core:
     # ------------------------------------------------------------------
 
     def step(self) -> CommitRecord:
-        """Execute one instruction (or take one pending interrupt)."""
+        """Execute and commit one instruction."""
         if self.halted:
             raise IllegalInstructionError(
                 f"core {self.core_id} is halted")
         if self.program is None:
             raise IllegalInstructionError(
                 f"core {self.core_id} has no program loaded")
-
-        if self._pending_interrupt is not None:
-            record = self._take_interrupt()
-            self.stats.traps += 1
-            self._retire(record)
-            return record
 
         pc = self.pc
         if not self._use_kernels:
@@ -391,11 +376,9 @@ class Core:
         :meth:`step`, but no :class:`CommitRecord` or
         :class:`MemEntry` objects are built.  Falls back to
         :meth:`step` whenever full fidelity demands it (commit hooks
-        registered, reference engine, pending interrupt).  Returns the
-        cycles charged.
+        registered or reference engine).  Returns the cycles charged.
         """
-        if (self._hooks or not self._use_kernels
-                or self._pending_interrupt is not None):
+        if self._hooks or not self._use_kernels:
             return self.step().cycles
         if self.halted:
             raise IllegalInstructionError(
@@ -434,10 +417,6 @@ class Core:
         Stops early at a halt.  Falls back to a :meth:`step` loop when
         commit hooks are registered or the reference engine is
         selected, so observable behaviour is engine-independent.
-
-        Asynchronous interrupts are taken only at the batch boundary
-        (callers post them between batches; nothing inside the loop can
-        post one).
         """
         if n <= 0 or self.halted:
             return 0
@@ -445,16 +424,10 @@ class Core:
             raise IllegalInstructionError(
                 f"core {self.core_id} has no program loaded")
         executed = 0
-        while self._pending_interrupt is not None and executed < n \
-                and not self.halted:
-            self.step()
-            executed += 1
         if self._hooks or not self._use_kernels:
             while executed < n and not self.halted:
                 self.step()
                 executed += 1
-            return executed
-        if executed >= n or self.halted:
             return executed
 
         d = self._decoded
@@ -564,22 +537,6 @@ class Core:
         self.csrs._csrs[CSR_INSTRET] += 1
         for hook in self._hooks:
             hook(record)
-
-    def _take_interrupt(self) -> CommitRecord:
-        cause = self._pending_interrupt
-        assert cause is not None
-        self._pending_interrupt = None
-        prior_priv = self.priv
-        self.csrs.raw_write(CSR_MEPC, self.pc)
-        self.csrs.raw_write(CSR_MCAUSE, cause)
-        self.priv = Privilege.KERNEL
-        self.pc = self.csrs.raw_read(CSR_MTVEC)
-        return CommitRecord(pc=self.csrs.raw_read(CSR_MEPC),
-                            inst=Instruction("nop"),
-                            priv=prior_priv, next_pc=self.pc,
-                            cycles=self.config.branch_predictor.
-                            mispredict_penalty_cycles,
-                            trap=True, trap_cause=cause)
 
     # ------------------------------------------------------------------
     # reference interpreter (the seed engine, kept for differential

@@ -349,11 +349,11 @@ class CheckerEngine:
         is the visible head.  It stops before any other instruction:
         before the first one at or past ``limit`` (the first is always
         taken), before a gated L1I miss (see :meth:`run_ahead`), and on
-        the ``interp`` engine, a pending interrupt or a commit hook,
-        where ``exec_one`` would fall back to ``Core.step``.
-        :meth:`step` then takes whatever comes next, so the outcome is
-        that of stepping each instruction.  A replay that diverges from
-        the log fails the segment exactly as :meth:`_step_replay` does.
+        the ``interp`` engine or a commit hook, where ``exec_one`` would
+        fall back to ``Core.step``.  :meth:`step` then takes whatever
+        comes next, so the outcome is that of stepping each instruction.
+        A replay that diverges from the log fails the segment exactly as
+        :meth:`_step_replay` does.
 
         The head is the only packet that matters, and it changes only
         by becoming visible or by this loop's own pops: no other core
@@ -362,8 +362,7 @@ class CheckerEngine:
         head does; any other visible head ends the loop.
         """
         core = self.core
-        if (not core._use_kernels or core._hooks
-                or core._pending_interrupt is not None):
+        if not core._use_kernels or core._hooks:
             return False
         decoded = core.decoded()
         base = decoded.base

@@ -171,7 +171,7 @@ class MainCoreAdapter:
         Exact for the SCP, the memory entries and the progress
         heartbeat; a segment close (IC + ECP) is counted whenever the
         step may end the segment: at the instruction-count limit, or on
-        an ecall/mret/halt, a pending interrupt or a kernel-mode commit.
+        an ecall/mret/halt or a kernel-mode commit.
         """
         core = self.core
         if not self.enabled or core.halted:
@@ -184,7 +184,6 @@ class MainCoreAdapter:
         else:
             return 0  # a kernel-mode commit outside a segment
         if (kind == K_SYSTEM or kind == K_HALT
-                or core._pending_interrupt is not None
                 or core.priv is not Privilege.USER):
             return entries + 1 + snapshot
         count += 1
@@ -233,11 +232,11 @@ class MainCoreAdapter:
         line only counts a hit (see ``Cache.last_line``).  The commit
         logs through :meth:`_log_user_commit` when it has MAL entries or
         reaches the heartbeat or the segment limit; otherwise the CPC
-        count is all that changes.  Every other
-        step -- a kernel-mode commit, an ecall/mret, a halt, a pending
-        interrupt, the ``interp`` engine, or a core carrying another
-        commit hook -- takes ``before_step`` plus ``Core.step`` and this
-        adapter's commit hook, exactly as the ``loop`` scheduler does.
+        count is all that changes.  Every other step -- a kernel-mode
+        commit, an ecall/mret, a halt, the ``interp`` engine, or a core
+        carrying another commit hook -- takes ``before_step`` plus
+        ``Core.step`` and this adapter's commit hook, exactly as the
+        ``loop`` scheduler does.
         """
         core = self.core
         if core.halted:
@@ -265,8 +264,7 @@ class MainCoreAdapter:
         user = Privilege.USER
         fused = (enabled and core._use_kernels
                  and core._hooks == [self._on_commit])
-        fast = fused and core.priv is user \
-            and core._pending_interrupt is None
+        fast = fused and core.priv is user
         done = 0
         while done < budget:
             if enabled and outbox:
@@ -348,8 +346,7 @@ class MainCoreAdapter:
             done += 1
             if core.halted:
                 break
-            fast = fused and core.priv is user \
-                and core._pending_interrupt is None
+            fast = fused and core.priv is user
         return done
 
     # ------------------------------------------------------------------
@@ -362,7 +359,7 @@ class MainCoreAdapter:
         if (record.priv is not Privilege.USER or record.trap
                 or record.inst.info.kind is OpKind.HALT):
             # Kernel-mode commit, the user->kernel transition itself
-            # (ecall / interrupt), or a halt: never part of a segment.
+            # (ecall), or a halt: never part of a segment.
             # A checker core cannot replay any of these.
             if self._segment_open:
                 ecp = self.core.snapshot()

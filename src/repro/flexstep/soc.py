@@ -31,8 +31,8 @@ Two interchangeable, bit-identical schedulers drive that arbitration:
   counter matches the oracle's (see :meth:`FlexStepSoC._run_heap`).
 
 Selection mirrors the sched-backend convention: an explicit argument
-(``FlexStepSoC.run(sched=...)`` / ``SoCConfig.soc_sched`` /
-``python -m repro run --soc-sched``) beats the ``REPRO_SOC_SCHED``
+(``FlexStepSoC.run(sched=...)`` / ``python -m repro run
+--soc-sched``) beats the ``REPRO_SOC_SCHED``
 environment variable, which beats ``auto`` (= ``heap``).  Because the
 schedulers are proven bit-identical (``tests/flexstep/test_soc_sched``
 and CI's scheduler-identity smoke, which diffs the catalog tables of
@@ -301,11 +301,9 @@ class FlexStepSoC:
             sched: Optional[str] = None) -> SoCRunStats:
         """Run until every main/compute core halts and all checkers
         drain.  Per-core local clocks advance in min-time order; the
-        ``sched`` argument (then ``SoCConfig.soc_sched``, then
-        ``REPRO_SOC_SCHED``) picks the arbitration scheduler — the
-        ``loop`` oracle or the bit-identical ``heap`` default."""
-        if sched is None and self.config.soc_sched != "auto":
-            sched = self.config.soc_sched
+        ``sched`` argument (then ``REPRO_SOC_SCHED``) picks the
+        arbitration scheduler — the ``loop`` oracle or the
+        bit-identical ``heap`` default."""
         if resolve_soc_sched(sched) == "heap":
             rounds = self._run_heap(max_instructions, max_cycles)
         else:

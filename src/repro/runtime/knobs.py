@@ -8,10 +8,10 @@ exactly once as a :class:`Knob` — name, env var, type/parser, default,
 validator, CLI flag, help text and scope — and every subsystem
 resolves values through :func:`resolve`/:func:`value`:
 
-* **One precedence rule.**  Explicit argument > config-object field >
-  environment variable > declared default.  ``auto`` (where a knob
-  declares it skippable) defers to the next source, so
-  ``CoreConfig(engine="auto")`` still honours ``REPRO_CORE_ENGINE``.
+* **One precedence rule.**  Explicit argument > environment variable >
+  declared default.  ``auto`` (where a knob declares it skippable)
+  defers to the next source, so ``Core(engine="auto")`` still honours
+  ``REPRO_CORE_ENGINE``.
 * **Source tracking.**  :func:`resolve` returns ``(value, source,
   raw)``; ``python -m repro knobs`` renders the whole registry with
   the provenance of every current value.
@@ -92,7 +92,7 @@ class Resolution(NamedTuple):
     """One resolved knob value plus its provenance."""
 
     value: Any
-    source: str          # "arg" | "config" | "env" | "default"
+    source: str          # "arg" | "env" | "default"
     raw: Any             # the pre-parse input (None for "default")
 
 
@@ -240,21 +240,19 @@ def _absent(raw: Any) -> bool:
     return raw is None or (isinstance(raw, str) and not raw.strip())
 
 
-def resolve(name: str, arg: Any = None, config: Any = None,
+def resolve(name: str, arg: Any = None,
             environ: Optional[Mapping[str, str]] = None) -> Resolution:
     """Resolve one knob through the single precedence rule.
 
-    ``arg`` is an explicit call-site argument, ``config`` a
-    config-object field; both may be raw strings or already-typed
-    values.  ``None``/empty sources are absent; a source whose
-    lowercase value is in ``knob.skip`` (e.g. ``"auto"``) defers to
-    the next one.  The environment is consulted live (never cached),
+    ``arg`` is an explicit call-site argument, a raw string or an
+    already-typed value.  ``None``/empty sources are absent; a source
+    whose lowercase value is in ``knob.skip`` (e.g. ``"auto"``) defers
+    to the next one.  The environment is consulted live (never cached),
     so monkeypatched tests and freshly spawned workers agree.
     """
     knob = get(name)
     env = environ if environ is not None else os.environ
-    for source, raw in (("arg", arg), ("config", config),
-                        ("env", env.get(knob.env))):
+    for source, raw in (("arg", arg), ("env", env.get(knob.env))):
         if _absent(raw):
             continue
         if knob.skip and str(raw).strip().lower() in knob.skip:
@@ -263,10 +261,10 @@ def resolve(name: str, arg: Any = None, config: Any = None,
     return Resolution(knob.default_value(), "default", None)
 
 
-def value(name: str, arg: Any = None, config: Any = None,
+def value(name: str, arg: Any = None,
           environ: Optional[Mapping[str, str]] = None) -> Any:
     """Shorthand for ``resolve(...).value``."""
-    return resolve(name, arg, config, environ).value
+    return resolve(name, arg, environ).value
 
 
 def identity_knobs() -> tuple[Knob, ...]:

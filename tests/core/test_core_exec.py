@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.config import CoreConfig
 from repro.core import Core, DirectPort, MainMemory, Privilege
-from repro.core.registers import CSR_MCAUSE, CSR_MEPC, CSR_MTVEC
+from repro.core.registers import CSR_MEPC, CSR_MTVEC
 from repro.errors import (
     ExecutionLimitExceeded,
     IllegalInstructionError,
@@ -412,30 +412,6 @@ class TestTraps:
         core.load_program(prog)
         with pytest.raises(PrivilegeError):
             core.step()
-
-    def test_async_interrupt(self):
-        prog = assemble("""
-        main:
-            li x1, 1
-            li x2, 2
-            halt
-        _trap_handler:
-            li x30, 9
-            mret
-        """)
-        core = Core(0, CoreConfig(), DirectPort(MainMemory()))
-        core.load_program(prog)
-        core.csrs.raw_write(CSR_MTVEC, prog.labels["_trap_handler"])
-        core.step()                      # li x1
-        core.raise_interrupt(cause=7)    # timer
-        rec = core.step()                # interrupt taken, no instruction
-        assert rec.trap and rec.trap_cause == 7
-        assert core.csrs.raw_read(CSR_MCAUSE) == 7
-        core.step()                      # handler li x30
-        core.step()                      # mret
-        assert core.priv is Privilege.USER
-        core.step()                      # li x2 resumes
-        assert core.regs.read(2) == 2
 
 
 class TestTimingAndStats:

@@ -9,7 +9,7 @@ and exception behaviour mid-block.
 import pytest
 
 from repro.config import CoreConfig
-from repro.core import Core, DirectPort, MainMemory, Privilege
+from repro.core import Core, DirectPort, MainMemory
 from repro.core.decode import BLOCK_CAP, decode_program
 from repro.errors import (
     ConfigurationError,
@@ -82,28 +82,6 @@ class TestAdvance:
             with pytest.raises(ExecutionLimitExceeded):
                 core.run(max_instructions=100)
             assert core.stats.instructions == 101
-
-    def test_interrupt_taken_at_batch_boundary(self):
-        prog = assemble("""
-        main:
-            li x1, 1
-            li x2, 2
-            halt
-        _trap_handler:
-            li x30, 9
-            mret
-        """)
-        core, _ = _core(prog)
-        from repro.core import CSR_MTVEC
-        core.csrs.raw_write(CSR_MTVEC, prog.labels["_trap_handler"])
-        core.advance(1)
-        core.raise_interrupt(cause=7)
-        core.advance(1)                   # takes the interrupt
-        assert core.stats.traps == 1
-        assert core.priv is Privilege.KERNEL
-        core.run()
-        assert core.regs.read(30) == 9
-        assert core.regs.read(2) == 2
 
     def test_advance_with_hooks_matches_step_path(self):
         prog = assemble("\n".join(["addi x1, x1, 1"] * 5 + ["halt"]))

@@ -261,7 +261,9 @@ def _run_through_l1i(program: Program, engine: str, via: str):
             l2.stats, hierarchy.stats, core.snapshot().regs)
 
 
-@pytest.mark.parametrize("name", ["dedup", "x264"])
+# The workload mix of ``benchmarks/test_perf_engine.py``.
+@pytest.mark.parametrize(
+    "name", ["blackscholes", "dedup", "mcf", "hmmer", "x264"])
 def test_core_fetch_sites_identical_through_l1i(name):
     """The decoded tier's three standalone fetch sites (``advance``,
     ``exec_one`` and ``step``) take the L1I's last-line shortcut; the

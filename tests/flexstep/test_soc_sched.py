@@ -594,20 +594,6 @@ class TestSchedulerSelection:
         with pytest.raises(ConfigurationError):
             resolve_soc_sched("bogus")
 
-    def test_config_field_validated(self):
-        with pytest.raises(ConfigurationError):
-            SoCConfig(soc_sched="bogus")
-
-    def test_config_field_pins_scheduler(self, monkeypatch):
-        monkeypatch.setenv(ENV_SOC_SCHED, "heap")
-        soc = make_verified_soc(make_sum_program(n=100))
-        pinned = FlexStepSoC(
-            SoCConfig(num_cores=2, soc_sched="loop"),
-        )
-        assert pinned.config.soc_sched == "loop"
-        # both still produce the same run, so just exercise the path
-        soc.run()
-
     def test_override_pins_and_restores_env(self):
         before = os.environ.get(ENV_SOC_SCHED)
         with soc_sched_override("loop"):
@@ -619,14 +605,3 @@ class TestSchedulerSelection:
             with soc_sched_override("bogus"):
                 pass
 
-
-class TestConfigRoundTrip:
-    def test_soc_sched_excluded_from_spec_dict(self):
-        from repro.config import soc_config_from_dict, soc_config_to_dict
-
-        config = SoCConfig(num_cores=4, soc_sched="loop")
-        data = soc_config_to_dict(config)
-        assert "soc_sched" not in data
-        restored = soc_config_from_dict(data)
-        assert restored.soc_sched == "auto"
-        assert restored.num_cores == 4

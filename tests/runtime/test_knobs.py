@@ -106,7 +106,7 @@ class TestParseBool:
 
 
 # ---------------------------------------------------------------------------
-# precedence: arg > config > env > default, derived from the registry
+# precedence: arg > env > default, derived from the registry
 # ---------------------------------------------------------------------------
 
 
@@ -122,19 +122,10 @@ class TestPrecedence:
         assert got.value == knob.parse(ex)
 
     @pytest.mark.parametrize("name", ALL_KNOBS)
-    def test_config_beats_env(self, monkeypatch, name):
-        knob = knobs.REGISTRY[name]
-        monkeypatch.setenv(knob.env, knob.examples[0])
-        got = knobs.resolve(name, config=knob.examples[1])
-        assert got.source == "config"
-        assert got.value == knob.parse(knob.examples[1])
-
-    @pytest.mark.parametrize("name", ALL_KNOBS)
-    def test_arg_beats_config_and_env(self, monkeypatch, name):
+    def test_arg_beats_env(self, monkeypatch, name):
         knob = knobs.REGISTRY[name]
         monkeypatch.setenv(knob.env, knob.examples[1])
-        got = knobs.resolve(name, arg=knob.examples[0],
-                            config=knob.examples[1])
+        got = knobs.resolve(name, arg=knob.examples[0])
         assert got.source == "arg"
         assert got.value == knob.parse(knob.examples[0])
 
@@ -149,8 +140,8 @@ class TestPrecedence:
 
     def test_empty_string_sources_are_absent(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "")
-        assert knobs.resolve("max_retries", arg="",
-                             config="  ").source == "default"
+        assert knobs.resolve("max_retries", arg="").source == "default"
+        assert knobs.resolve("max_retries", arg="  ").source == "default"
 
     def test_skip_values_defer_to_the_next_source(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE_ENGINE", "interp")

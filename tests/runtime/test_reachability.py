@@ -35,10 +35,6 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 #: ``module:qualname`` -> why the name stays although nothing reaches it.
 ALLOWLIST: dict[str, str] = {
-    "repro.core.core:Core.raise_interrupt":
-        "the only writer of _pending_interrupt, which the per-instruction "
-        "checks in core.py, rcpm.py and checker.py read; tests post "
-        "interrupts through it",
     "repro.sched.edf:dbf_scan_schedulable":
         "brute-force processor-demand oracle that QPA is "
         "differential-tested against",

@@ -10,9 +10,12 @@ from repro.config import (
     FlexStepConfig,
     SoCConfig,
     describe_table2,
+    soc_config_from_dict,
+    soc_config_to_dict,
     table2_config,
 )
 from repro.errors import ConfigurationError
+from repro.scenarios.catalog import CATALOG
 
 
 class TestTable2Defaults:
@@ -90,3 +93,45 @@ class TestDerivedValues:
     def test_cache_sets(self):
         assert CacheConfig(size_bytes=16 * 1024, ways=4,
                            line_bytes=64).sets == 64
+
+
+def _cosim_configs():
+    """The default SoC and the SoC of every catalog co-sim scenario,
+    built as the scenario runner and its units build them."""
+    yield "default", SoCConfig()
+    for scenario in CATALOG.values():
+        if scenario.kind == "latency":
+            topo = scenario.topology
+            flex = {"dma_spill_entries": topo.dma_spill_entries}
+            if topo.fifo_entries:
+                flex["fifo_entries"] = topo.fifo_entries
+            yield scenario.name, SoCConfig(
+                num_cores=topo.num_cores).with_flexstep(**flex)
+        elif scenario.kind != "sched":
+            # slowdown / modes: a pinned core count, else one core for
+            # the vanilla run and checkers + 1 for dual / triple
+            for cores in ((scenario.cores,) if scenario.cores
+                          else (1, 2, 3)):
+                yield scenario.name, SoCConfig(num_cores=cores)
+
+
+class TestSpecDict:
+    def test_round_trip_is_identity(self):
+        names = set()
+        for name, config in _cosim_configs():
+            names.add(name)
+            assert soc_config_from_dict(soc_config_to_dict(config)) \
+                == config, name
+        assert len(names) > 5
+
+    def test_no_execution_tier_in_spec(self):
+        # Engine tier and co-sim scheduler are bit-identical choices;
+        # a key for either would make cache digests depend on them.
+        for name, config in _cosim_configs():
+            data = soc_config_to_dict(config)
+            assert "soc_sched" not in data, name
+            assert "engine" not in data["core"], name
+        assert "engine" not in {
+            f.name for f in dataclasses.fields(CoreConfig)}
+        assert "soc_sched" not in {
+            f.name for f in dataclasses.fields(SoCConfig)}
