@@ -362,7 +362,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     knobs_cmd = sub.add_parser(
         "knobs", help="list every runtime knob with current value, "
-                      "source, scope and help (from the registry)")
+                      "source and help (from the registry)")
     knobs_cmd.add_argument("--json", action="store_true",
                            help="machine-readable registry dump")
 

@@ -32,12 +32,9 @@ on every path).
 Every fault-tolerance knob (``REPRO_UNIT_TIMEOUT``,
 ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``,
 ``REPRO_CAMPAIGN_STRICT``, ``REPRO_SHUTDOWN_GRACE``, ``REPRO_CHAOS``)
-is declared in the :mod:`repro.runtime.knobs` registry as
-execution-scoped — excluded from spawn seeds and cache digests by
-construction, not by convention; run ``python -m repro knobs`` for
-the full table.  The registry's identity fingerprint *is* folded into
-every cache digest, so promoting a knob to identity scope invalidates
-stale entries automatically.
+is declared in the :mod:`repro.runtime.knobs` registry; no knob
+reaches a spawn seed or a cache digest.  Run ``python -m repro knobs``
+for the full table.
 """
 
 from __future__ import annotations
@@ -179,11 +176,9 @@ def _digest_version(version: str = "1") -> str:
 
     Spawn seeds depend on the *declared* version only (stable RNG
     streams across refactors); digests also fold in the source-tree
-    fingerprint (cached results never outlive a code change) and the
-    registry's identity fingerprint (execution knobs cannot reach a
-    digest; promoting a knob to identity scope invalidates the cache).
+    fingerprint (cached results never outlive a code change).
     """
-    return f"{version}:{code_token()}:{knobs.identity_fingerprint()}"
+    return f"{version}:{code_token()}"
 
 
 @dataclass

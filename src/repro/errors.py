@@ -22,14 +22,6 @@ class IsaError(ReproError):
     """Base class for instruction-set related errors."""
 
 
-class EncodingError(IsaError):
-    """An instruction could not be encoded into its binary form."""
-
-
-class DecodingError(IsaError):
-    """A binary word could not be decoded into an instruction."""
-
-
 class AssemblerError(IsaError):
     """Assembly source could not be parsed or resolved.
 

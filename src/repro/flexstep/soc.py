@@ -341,9 +341,12 @@ class FlexStepSoC:
         return rounds
 
     def _initial_active_mains(self) -> set[int]:
+        """Main/compute cores with a program, less those a rerun finds
+        halted and :meth:`retire_main` lets go."""
         return {cid for cid, attr in enumerate(self.attrs)
                 if attr in (CoreAttr.MAIN, CoreAttr.COMPUTE)
-                and self.cores[cid].program is not None}
+                and self.cores[cid].program is not None
+                and (not self.cores[cid].halted or self.retire_main(cid))}
 
     def advance(self, n: int, active_mains: set | None = None, *,
                 max_cycles: Optional[int] = None) -> tuple[int, bool]:
@@ -369,24 +372,13 @@ class FlexStepSoC:
         """
         if active_mains is None:
             active_mains = self._initial_active_mains()
-        runnable: list[int] = []
-        for cid in sorted(active_mains):
-            if self.cores[cid].halted:
-                if self.retire_main(cid):
-                    runnable.append(cid)
-                    continue
-                active_mains.discard(cid)
-            else:
-                runnable.append(cid)
+        runnable = sorted(active_mains)
         checker_pending = []
         for cid, engine in self._engines.items():
             if not engine.busy:
                 continue
-            main_id = self.interconnect.main_of(cid)
-            main_done = main_id is None or (
-                main_id not in active_mains
-                and not self.main_blocked(main_id))
-            if engine.drained and main_done:
+            if engine.drained \
+                    and self.interconnect.main_of(cid) not in active_mains:
                 continue
             checker_pending.append(cid)
         if not runnable and not checker_pending:
@@ -409,6 +401,11 @@ class FlexStepSoC:
         stop = max_cycles is not None and all(
             self.cores[c].stats.cycles >= max_cycles
             for c in candidates)
+        # post-halt teardown ends the main's round; a stopping round
+        # leaves it to the next run
+        if not stop and cid in active_mains and self.cores[cid].halted \
+                and not self.retire_main(cid):
+            active_mains.discard(cid)
         return progressed, stop
 
     # -- heap scheduler -------------------------------------------------
@@ -462,20 +459,13 @@ class FlexStepSoC:
         Bounded runs (``max_cycles``) keep the bound as a hard horizon:
         only a round's first step may start at or past it.
 
-        Bookkeeping the oracle performs eagerly each round happens here
-        at the equivalent sequence points:
-
-        * post-halt adapter teardown runs at the end of the halting
-          pop — the oracle does it at the very next round's scan,
-          before anyone else advances;
-        * a halted main whose outbox is still backpressured stays a
-          candidate for exactly one more round (``zombies``), matching
-          the oracle's scan-keep-then-discard sequence: it is discarded
-          at the end of the next round, after that round's stop rule
-          has counted its clock;
-        * a stale event (its owner left the candidate set) pops as a
-          side-effect-free no-op; it can only lower another core's
-          ``free``, which costs a round, never a reordering.
+        A halted main is retired (:meth:`retire_main`) at the end of
+        each of its rounds, as in the oracle.  While its outbox is not
+        empty it is a backpressured main: it stays a candidate, and each
+        time it is the minimum it retries the flush and stalls.  A stale
+        event (its owner left the candidate set) pops as a
+        side-effect-free no-op; it can only lower another core's
+        ``free``, which costs a round, never a reordering.
 
         Returns the number of rounds (heap pops).
         """
@@ -500,53 +490,21 @@ class FlexStepSoC:
             if event is not None:
                 event.cancel()
 
-        def _discard_main(cid: int) -> None:
-            """Oracle's ``active_mains.discard``: the main is done; its
-            drained checkers (if nothing is stuck in the outbox) have
-            nothing left to wait for and leave the heap too."""
-            active.discard(cid)
-            _drop_event(cid)
-            if self.main_blocked(cid):
-                return
-            for chk in interconnect.checkers_of(cid):
-                engine = engines.get(chk)
-                if engine is not None and engine.busy and engine.drained:
-                    _drop_event(chk)
-
-        def _retire_halted(cid: int) -> bool:
-            """Post-halt teardown (the oracle's round-start scan).
-
-            Returns True when the main stays a candidate for one more
-            round because its outbox is still backpressured."""
-            if self.retire_main(cid):
-                return True
-            _discard_main(cid)
-            return False
-
         executed = 0
         rounds = 0
-        zombies: list[int] = []
         for index, (cid, engine) in enumerate(engines.items()):
             if engine.busy:
                 rank = num_cores + index
                 checker_of_rank[rank] = cid
                 _push(cid, rank)
-        # Seed main/compute cores through the oracle's first-round scan:
-        # already-halted cores (a rerun) retire before anyone advances.
         for cid in sorted(active):
-            if cores[cid].halted:
-                if _retire_halted(cid):
-                    _push(cid, cid)
-                    zombies.append(cid)
-            else:
-                _push(cid, cid)
+            _push(cid, cid)
 
         queue_pop = queue.pop
         peek_key = queue.peek_key
         peek_time = queue.peek_time
         events_pop = events.pop
         run_main = self._run_main_ahead
-        fresh: list[int] = []
         while True:
             event = queue_pop()
             if event is None:
@@ -562,32 +520,29 @@ class FlexStepSoC:
                 if cid not in active:
                     continue
                 core = cores[cid]
-                if core.halted:
-                    # a zombie, or a main seeded halted (a rerun), is the
-                    # minimum: the oracle's round advances nothing
-                    if _retire_halted(cid):
-                        _push(cid, cid)
-                        fresh.append(cid)
-                else:
-                    budget = min(batch, max_instructions - executed + 1)
-                    executed += run_main(cid, free, budget, max_cycles,
-                                         shared_memory)
-                    if executed > max_instructions:
-                        raise ExecutionLimitExceeded(
-                            f"SoC exceeded {max_instructions} "
-                            "instructions")
-                    if max_cycles is not None \
-                            and core.stats.cycles >= max_cycles:
-                        next_time = peek_time()
-                        if next_time is None or next_time >= max_cycles:
-                            # the oracle stops before the post-halt scan
-                            break
-                    if core.halted:
-                        if _retire_halted(cid):
-                            _push(cid, cid)
-                            fresh.append(cid)
-                    else:
-                        _push(cid, cid)
+                budget = min(batch, max_instructions - executed + 1)
+                executed += run_main(cid, free, budget, max_cycles,
+                                     shared_memory)
+                if executed > max_instructions:
+                    raise ExecutionLimitExceeded(
+                        f"SoC exceeded {max_instructions} instructions")
+                if max_cycles is not None \
+                        and core.stats.cycles >= max_cycles:
+                    next_time = peek_time()
+                    if next_time is None or next_time >= max_cycles:
+                        # the oracle stops before the post-halt teardown
+                        break
+                if not core.halted or self.retire_main(cid):
+                    _push(cid, cid)
+                    continue
+                # the main is done: its drained checkers have nothing
+                # left to wait for and leave the heap too
+                active.discard(cid)
+                for chk in interconnect.checkers_of(cid):
+                    engine = engines.get(chk)
+                    if engine is not None and engine.busy \
+                            and engine.drained:
+                        _drop_event(chk)
             else:
                 cid = checker_of_rank[rank]
                 events_pop(cid, None)
@@ -595,9 +550,7 @@ class FlexStepSoC:
                 if not engine.busy:
                     continue
                 main_id = interconnect.main_of(cid)
-                main_done = main_id is None or (
-                    main_id not in active
-                    and not self.main_blocked(main_id))
+                main_done = main_id not in active
                 if engine.drained and main_done:
                     continue
                 limit = cores[main_id].stats.cycles \
@@ -613,13 +566,6 @@ class FlexStepSoC:
                         break
                 if not (engine.drained and main_done):
                     _push(cid, rank)
-            # The round is over.  Mains kept as zombies were candidates
-            # in it (for the stop rule and their checkers' limit); the
-            # oracle's next scan discards them.
-            for cid in zombies:
-                if cid in active:
-                    _discard_main(cid)
-            zombies, fresh = fresh, []
         return rounds
 
     def _run_main_ahead(self, cid: int, free: Optional[int], budget: int,
@@ -645,7 +591,7 @@ class FlexStepSoC:
             # core has an L1I, so that is its per-instruction fetch
             # loop; block kernels run only on bare DirectPort cores.
             return core.advance(budget)
-        if adapter is not None and adapter.enabled and adapter.blocked:
+        if adapter is not None and adapter.blocked:
             adapter.try_flush()
             if adapter.blocked:
                 # Backpressure: only a checker pop can unblock the main,
@@ -658,6 +604,8 @@ class FlexStepSoC:
                 stats.cycles += stall
                 stats.stall_cycles += stall
                 adapter.stats.backpressure_stall_cycles += stall
+                return 0
+            if core.halted:
                 return 0
         if adapter is not None:
             return adapter.run_window(free, budget, max_cycles,
@@ -682,24 +630,22 @@ class FlexStepSoC:
         return adapter is not None and adapter.blocked
 
     def retire_main(self, main_id: int) -> bool:
-        """Post-halt teardown of a main core: ``M.check(disable)`` and one
-        flush attempt of its outbox.
+        """Post-halt teardown of a main core: ``M.check(disable)`` on the
+        first call, then a flush attempt while its outbox is blocked.
 
         The one place the halted-main rule lives; both schedulers and
-        :class:`~repro.kernel.FlexKernel` call it.  Returns True while
-        the outbox is still backpressured."""
+        :class:`~repro.kernel.FlexKernel` call it at the end of the
+        main's own turn.  Returns True while the outbox is still
+        backpressured: the main then stays a candidate and stalls like
+        any backpressured main, until a checker pop lets it drain."""
         adapter = self._adapters.get(main_id)
-        if adapter is None or not adapter.enabled:
+        if adapter is None:
             return False
-        adapter.disable()
-        adapter.try_flush()
+        if adapter.enabled:
+            adapter.disable()
+        if adapter.blocked:
+            adapter.try_flush()
         return adapter.blocked
-
-    def flush_blocked(self) -> None:
-        """Retry every backpressured outbox once."""
-        for adapter in self._adapters.values():
-            if adapter.blocked:
-                adapter.try_flush()
 
     def checkers_drained(self) -> bool:
         """Every bound checker has drained its channel and no main core
@@ -737,7 +683,7 @@ class FlexStepSoC:
             return core.advance(budget)
         done = 0
         while done < budget:
-            if adapter is not None and adapter.enabled:
+            if adapter is not None:
                 if adapter.blocked:
                     adapter.try_flush()
                     if adapter.blocked:

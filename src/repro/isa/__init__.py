@@ -16,7 +16,6 @@ from .instructions import (
     WORD_BYTES,
     reg_name,
 )
-from .encoding import encode, decode
 from .program import Program, DataSegment
 from .assembler import assemble, AssemblerError
 
@@ -28,8 +27,6 @@ __all__ = [
     "REG_COUNT",
     "WORD_BYTES",
     "reg_name",
-    "encode",
-    "decode",
     "Program",
     "DataSegment",
     "assemble",

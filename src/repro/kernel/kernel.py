@@ -207,9 +207,11 @@ class FlexKernel:
     def run(self, *, max_quanta: int = 10_000) -> KernelStats:
         """Round-robin quanta across cores until all work completes."""
         for _ in range(max_quanta):
-            # Drain any leftover staged packets (a finished task may
-            # have closed its last segment against a full channel).
-            self.soc.flush_blocked()
+            # A finished task may have closed its last segment against
+            # a full channel: retiring its idle core retries the flush.
+            for core_id, task in enumerate(self.current):
+                if task is None:
+                    self.soc.retire_main(core_id)
             if self._all_done():
                 return self.stats
             for core_id in range(self.soc.config.num_cores):

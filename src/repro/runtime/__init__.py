@@ -2,15 +2,10 @@
 
 Every ``REPRO_*`` runtime knob in this repository is declared exactly
 once, in :mod:`repro.runtime.knobs` — name, environment variable,
-type/parser, default, validator, CLI flag, help text and (critically)
-a *scope*:
-
-* ``identity`` knobs participate in campaign spawn seeds and
-  result-cache digests — changing one changes what is computed;
-* ``execution`` knobs (worker counts, timeouts, retries, backend and
-  scheduler selection, chaos, figure-bench scale) are proven
-  result-invariant and are **excluded** from both, as a checked
-  property of the registry instead of a comment-only convention.
+type/parser, default, validator, CLI flag and help text.  Every knob
+(worker counts, timeouts, retries, backend and scheduler selection,
+chaos, figure-bench scale) is proven result-invariant and stays out of
+campaign spawn seeds and result-cache digests.
 
 One precedence rule applies everywhere: explicit argument > config
 object > environment variable > declared default, with source
@@ -38,7 +33,6 @@ from .knobs import (
     Resolution,
     check_env,
     env_override,
-    identity_fingerprint,
     parse_bool,
     resolve,
     value,
@@ -55,7 +49,6 @@ __all__ = [
     "env_override",
     "events",
     "get_bus",
-    "identity_fingerprint",
     "knobs",
     "parse_bool",
     "resolve",

@@ -5,7 +5,7 @@ modules with subtly divergent semantics (four different boolean
 grammars, three retry/timeout parsers, convention-only rules about
 which knobs must stay out of spawn seeds).  Now each knob is declared
 exactly once as a :class:`Knob` — name, env var, type/parser, default,
-validator, CLI flag, help text and scope — and every subsystem
+validator, CLI flag and help text — and every subsystem
 resolves values through :func:`resolve`/:func:`value`:
 
 * **One precedence rule.**  Explicit argument > environment variable >
@@ -20,13 +20,6 @@ resolves values through :func:`resolve`/:func:`value`:
   offending value, its source and the valid values; an unrecognised
   ``REPRO_*`` environment name fails :func:`check_env` with a
   closest-match suggestion instead of being silently ignored.
-* **Checked identity scope.**  ``scope="identity"`` knobs fold into
-  :func:`identity_fingerprint`, which the campaign engine mixes into
-  every cache digest; ``scope="execution"`` knobs (engine tier, sched
-  backend, SoC scheduler, workers/timeouts/retries/chaos, figure-bench scale)
-  are excluded *by construction* — the differential suites prove the
-  exclusion is sound, and ``tests/runtime/test_knobs.py`` derives a
-  neutrality test for every execution knob from this registry.
 
 Only this module may read ``os.environ`` for ``REPRO_*`` names; a
 static-analysis guard test (``tests/runtime/test_env_guard.py``) keeps
@@ -53,9 +46,6 @@ ENV_PREFIX = "REPRO_"
 #: Names accepted by the schedulability-backend knob (the concrete
 #: registry in :mod:`repro.sched.backend` re-exports this tuple).
 SCHED_BACKEND_CHOICES: tuple[str, ...] = ("auto", "python", "numpy")
-
-#: Valid knob scopes (see module docstring).
-SCOPES = ("identity", "execution")
 
 #: The one boolean grammar (case-insensitive).  Anything else is a
 #: typo and raises — ``REPRO_CAMPAIGN_STRICT=false`` must never be true.
@@ -113,7 +103,6 @@ class Knob:
     env: str
     type: str                      # bool|int|float|str|path|json|choice
     default: Any
-    scope: str
     help: str
     choices: Optional[tuple] = None
     skip: tuple = ()
@@ -215,8 +204,6 @@ def _register(knob: Knob) -> Knob:
         raise ValueError(f"duplicate knob env {knob.env!r}")
     if not knob.env.startswith(ENV_PREFIX):
         raise ValueError(f"{knob.env!r} must start with {ENV_PREFIX!r}")
-    if knob.scope not in SCOPES:
-        raise ValueError(f"{knob.name}: scope must be one of {SCOPES}")
     if knob.type not in _PARSERS:
         raise ValueError(f"{knob.name}: unknown type {knob.type!r}")
     if knob.type == "choice" and not knob.choices:
@@ -265,33 +252,6 @@ def value(name: str, arg: Any = None,
           environ: Optional[Mapping[str, str]] = None) -> Any:
     """Shorthand for ``resolve(...).value``."""
     return resolve(name, arg, environ).value
-
-
-def identity_knobs() -> tuple[Knob, ...]:
-    return tuple(k for k in REGISTRY.values() if k.scope == "identity")
-
-
-def identity_fingerprint(
-        environ: Optional[Mapping[str, str]] = None) -> str:
-    """Canonical JSON of every identity-scoped knob's resolved value.
-
-    The campaign engine folds this into every cache digest, which is
-    what turns the "execution knobs never perturb results" convention
-    into a checked property: an execution knob *cannot* reach a digest
-    (it is not in this mapping), and promoting a knob to identity
-    scope invalidates stale cache entries automatically.
-    """
-    values = {k.name: _json_safe(resolve(k.name, environ=environ).value)
-              for k in identity_knobs()}
-    return json.dumps(values, sort_keys=True, separators=(",", ":"))
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def check_env(environ: Optional[Mapping[str, str]] = None) -> None:
@@ -366,7 +326,6 @@ def describe(environ: Optional[Mapping[str, str]] = None) -> list[dict]:
             "env": knob.env,
             "cli": knob.cli,
             "type": knob.type,
-            "scope": knob.scope,
             "value": render_value(resolution.value),
             "source": resolution.source,
             "choices": list(knob.choices) if knob.choices else None,
@@ -380,12 +339,11 @@ def knob_table(environ: Optional[Mapping[str, str]] = None) -> str:
     rows = describe(environ)
     widths = {
         key: max(len(key), *(len(str(r[key] or "-")) for r in rows))
-        for key in ("name", "value", "source", "scope", "env")
+        for key in ("name", "value", "source", "env")
     }
     header = (f"{'name':<{widths['name']}}  "
               f"{'value':<{widths['value']}}  "
               f"{'source':<{widths['source']}}  "
-              f"{'scope':<{widths['scope']}}  "
               f"{'env':<{widths['env']}}  help")
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -393,7 +351,6 @@ def knob_table(environ: Optional[Mapping[str, str]] = None) -> str:
             f"{row['name']:<{widths['name']}}  "
             f"{row['value']:<{widths['value']}}  "
             f"{row['source']:<{widths['source']}}  "
-            f"{row['scope']:<{widths['scope']}}  "
             f"{row['env']:<{widths['env']}}  {row['help']}")
     return "\n".join(lines)
 
@@ -432,21 +389,21 @@ def _start_method_name(value: Any) -> Optional[str]:
 
 _register(Knob(
     name="workers", env="REPRO_WORKERS", type="int",
-    default=lambda: os.cpu_count() or 1, scope="execution",
+    default=lambda: os.cpu_count() or 1,
     validator=_at_least(1), cli="--workers",
     examples=("2", "3"),
     help="campaign worker processes (default: os.cpu_count())"))
 
 _register(Knob(
     name="cache_dir", env="REPRO_CACHE_DIR", type="path",
-    default=lambda: _repo_root() / ".repro_cache", scope="execution",
+    default=lambda: _repo_root() / ".repro_cache",
     cli="--cache-dir", examples=("/tmp/repro-cache-a", "/tmp/cache-b"),
     help="content-addressed result-cache root "
          "(default: <repo>/.repro_cache)"))
 
 _register(Knob(
     name="mp_start", env="REPRO_MP_START", type="str",
-    default="", scope="execution", validator=_start_method_name,
+    default="", validator=_start_method_name,
     examples=("fork", "spawn"),
     help="multiprocessing start method, one of "
          "multiprocessing.get_all_start_methods() (default: platform "
@@ -454,40 +411,40 @@ _register(Knob(
 
 _register(Knob(
     name="unit_timeout", env="REPRO_UNIT_TIMEOUT", type="float",
-    default=None, scope="execution", validator=_positive,
+    default=None, validator=_positive,
     cli="--unit-timeout", examples=("1.5", "30"),
     help="per-unit wall-clock timeout in seconds; hung units are "
          "killed and retried (default: none)"))
 
 _register(Knob(
     name="max_retries", env="REPRO_MAX_RETRIES", type="int",
-    default=0, scope="execution", validator=_at_least(0),
+    default=0, validator=_at_least(0),
     cli="--max-retries", examples=("1", "2"),
     help="attempts after the first unit failure before quarantine "
          "(default 0)"))
 
 _register(Knob(
     name="retry_backoff", env="REPRO_RETRY_BACKOFF", type="float",
-    default=0.05, scope="execution", examples=("0.1", "0.2"),
+    default=0.05, examples=("0.1", "0.2"),
     help="base of the deterministic exponential backoff between unit "
          "attempts, seconds (default 0.05)"))
 
 _register(Knob(
     name="campaign_strict", env="REPRO_CAMPAIGN_STRICT", type="bool",
-    default=False, scope="execution", cli="--strict",
+    default=False, cli="--strict",
     examples=("1", "0"),
     help="raise CampaignError when any unit is quarantined instead of "
          "degrading gracefully (default off)"))
 
 _register(Knob(
     name="shutdown_grace", env="REPRO_SHUTDOWN_GRACE", type="float",
-    default=5.0, scope="execution", examples=("1.0", "2.0"),
+    default=5.0, examples=("1.0", "2.0"),
     help="drain window for in-flight units on SIGINT/SIGTERM, seconds "
          "(default 5)"))
 
 _register(Knob(
     name="chaos", env="REPRO_CHAOS", type="json",
-    default=None, scope="execution",
+    default=None,
     examples=('{"seed": 1, "exc": 0.5}', '{"seed": 2}'),
     help="test-only fault injector spec (JSON; see "
          "tests/campaign/chaos.py)"))
@@ -497,21 +454,21 @@ _register(Knob(
 _register(Knob(
     name="sched_backend", env="REPRO_SCHED_BACKEND", type="choice",
     choices=SCHED_BACKEND_CHOICES, skip=("auto",), default="auto",
-    scope="execution", cli="--backend", examples=("python", "numpy"),
+    cli="--backend", examples=("python", "numpy"),
     help="schedulability backend (auto = numpy when installed, else "
          "python; verdicts are backend-invariant)"))
 
 _register(Knob(
     name="soc_sched", env="REPRO_SOC_SCHED", type="choice",
     choices=SOC_SCHED_CHOICES, skip=("auto",), default="heap",
-    scope="execution", cli="--soc-sched", examples=("loop", "heap"),
+    cli="--soc-sched", examples=("loop", "heap"),
     help="co-simulation arbitration scheduler (auto = heap; 'loop' is "
          "the round-scan oracle; results are scheduler-invariant)"))
 
 _register(Knob(
     name="core_engine", env="REPRO_CORE_ENGINE", type="choice",
     choices=CORE_ENGINE_CHOICES, skip=("auto",), default="decoded",
-    scope="execution", cli="--engine", examples=("interp", "decoded"),
+    cli="--engine", examples=("interp", "decoded"),
     help="core execution-engine tier (auto = decoded; results are "
          "engine-invariant)"))
 
@@ -520,7 +477,7 @@ _register(Knob(
 _register(Knob(
     name="serve_socket", env="REPRO_SERVE_SOCKET", type="path",
     default=lambda: _repo_root() / ".repro_serve.sock",
-    scope="execution", cli="--socket",
+    cli="--socket",
     examples=("/tmp/repro-a.sock", "/tmp/repro-b.sock"),
     help="unix-domain socket path the campaign service daemon listens "
          "on (default: <repo>/.repro_serve.sock)"))
@@ -529,13 +486,13 @@ _register(Knob(
 
 _register(Knob(
     name="report_dir", env="REPRO_REPORT_DIR", type="path",
-    default=lambda: _repo_root() / ".repro_reports", scope="execution",
+    default=lambda: _repo_root() / ".repro_reports",
     cli="--report-dir", examples=("/tmp/repro-reports-a", "/tmp/rep-b"),
     help="scenario report directory (default: <repo>/.repro_reports)"))
 
 _register(Knob(
     name="log_json", env="REPRO_LOG_JSON", type="str",
-    default="", scope="execution", cli="--log-json",
+    default="", cli="--log-json",
     examples=("stderr", "/tmp/repro-events.jsonl"),
     help="structured event sink: empty = off, 'stderr'/'-' = stderr, "
          "anything else = JSON-lines file path (append)"))
@@ -544,14 +501,14 @@ _register(Knob(
 
 _register(Knob(
     name="bench_instructions", env="REPRO_BENCH_INSTRUCTIONS",
-    type="int", default=25000, scope="execution",
+    type="int", default=25000,
     validator=_at_least(1), examples=("5000", "9000"),
     help="instructions per workload measurement in the figure benches "
          "under benchmarks/ (default 25000)"))
 
 _register(Knob(
     name="bench_sets", env="REPRO_BENCH_SETS", type="int",
-    default=25, scope="execution", validator=_at_least(1),
+    default=25, validator=_at_least(1),
     examples=("8", "12"),
     help="task sets per utilisation point in the Fig. 5 figure "
          "benches (default 25)"))

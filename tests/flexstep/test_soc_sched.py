@@ -49,12 +49,19 @@ SCHEDS = ("loop", "heap")
 ENV_SOC_SCHED = knobs.get("soc_sched").env
 
 
-def check_cosim_contracts(soc, *, clean):
+def check_cosim_contracts(soc, *, clean, bounded=False):
     """Model invariants every finished co-sim run must satisfy.
 
     ``clean`` marks an unbounded run without fault injection, where
     every committed segment must have been replayed and verified.
+    An unbounded run (not ``bounded``) must also end live: no main's
+    outbox is still backpressured, and every busy checker has drained.
     """
+    if not bounded:
+        for main_id in soc._adapters:
+            assert not soc.main_blocked(main_id), main_id
+        for cid, engine in soc._engines.items():
+            assert not engine.busy or engine.drained, cid
     for key, channel in soc.interconnect._channels.items():
         stats = channel.stats
         assert stats.pushes == stats.pops + len(channel), key
@@ -75,8 +82,9 @@ def run_fingerprint(build, sched, **run_kwargs):
     check the co-sim contracts."""
     soc, injectors = build()
     stats = soc.run(sched=sched, **run_kwargs)
-    clean = not injectors and run_kwargs.get("max_cycles") is None
-    check_cosim_contracts(soc, clean=clean)
+    bounded = run_kwargs.get("max_cycles") is not None
+    check_cosim_contracts(soc, clean=not injectors and not bounded,
+                          bounded=bounded)
     return soc_fingerprint(soc, stats, injectors)
 
 
@@ -374,37 +382,31 @@ class TestBoundedRuns:
             lambda: build_point_soc(point), max_cycles=max_cycles
         )
 
-    @pytest.mark.parametrize("offset", [-60, -52, -1, 0, 1, 60])
-    def test_bound_across_backpressured_halt(self, offset):
+    @pytest.mark.parametrize("offset", [-103, -60, -52, -1, 0, 1, 60])
+    def test_bound_across_backpressured_halt(self, offset, monkeypatch):
         """The main halts while its outbox is backpressured, and the
         bound sweeps across that halt.
 
-        The channel holds barely two snapshots (``fifo_entries`` one
-        entry above a snapshot's), segments are 7 instructions long and
-        the checker pauses after each one, so the halt's IC and ECP
-        stay stuck behind the SCP the main staged just before.  A
-        halted main with a stuck outbox stays a candidate for one more
-        round, which both schedulers must count in their stop rule.
-        The runs are bounded because nothing flushes that outbox once
-        the main is discarded."""
+        In :func:`stuck_halt_soc` with room for two entries beside a
+        snapshot, the halt's IC and ECP stay stuck behind the SCP the
+        main staged just before.  The halted main stays a candidate
+        that stalls until its outbox drains, which both schedulers
+        must count in their stop rule."""
+        halted_at, _ = halt_and_drain_clocks(monkeypatch)
+        # the halt step starts 103 cycles before the main's clock at
+        # its retirement: 51 for the SCP capture of a new segment, one
+        # for the halt and 51 for the ECP extraction
+        assert_schedulers_identical(lambda: stuck_halt_soc(extra=2),
+                                    max_cycles=halted_at + offset)
 
-        def build():
-            probe = make_verified_soc(make_sum_program(n=5))
-            scp = ScpPacket(segment=0, push_cycle=0,
-                            snapshot=probe.cores[0].snapshot())
-            soc = make_verified_soc(make_sum_program(n=5),
-                                    fifo_entries=scp.entries + 1,
-                                    segment_limit=7)
-            soc.engine_of(1).segment_service_pause = 1_000
-            return soc, ()
-
-        soc, _ = build()
-        soc.run(sched="heap", max_cycles=50_000)
-        assert soc.cores[0].halted and soc.adapter_of(0).blocked
-        # the halt step starts 52 cycles before the main's final clock:
-        # one cycle for the halt, 51 for the ECP extraction
-        halted_at = soc.cores[0].stats.cycles
-        assert_schedulers_identical(build, max_cycles=halted_at + offset)
+    @pytest.mark.parametrize("offset", [-300, -1, 0, 1])
+    def test_bound_across_outbox_drain(self, offset, monkeypatch):
+        """The bound sweeps across the cycle where the halted main's
+        stuck outbox drains: it stops the main mid-stall, on its last
+        stall cycle, and once it has left."""
+        _, drained_at = halt_and_drain_clocks(monkeypatch)
+        assert_schedulers_identical(lambda: stuck_halt_soc(extra=2),
+                                    max_cycles=drained_at + offset)
 
     def test_rerun_after_completion_identical(self):
         """A second run() seeds already-halted cores: both schedulers
@@ -437,14 +439,60 @@ class TestDetectionIdentity:
         assert fingerprint[3] > 0  # some segments failed, identically
 
 
-def tight_drain_pair():
+def stuck_halt_soc(extra=1, checkers=1, pause=1_000):
+    """A SoC whose main halts with its outbox backpressured.
+
+    Each channel holds a snapshot plus ``extra`` entries, segments are
+    7 instructions long and each checker pauses ``pause`` cycles after
+    each one, so the halt's IC and ECP stay stuck behind the SCP the
+    main staged just before."""
+    probe = make_verified_soc(make_sum_program(n=5))
+    scp = ScpPacket(segment=0, push_cycle=0,
+                    snapshot=probe.cores[0].snapshot())
+    soc = make_verified_soc(make_sum_program(n=5), checkers=checkers,
+                            fifo_entries=scp.entries + extra,
+                            segment_limit=7)
+    for cid in range(1, checkers + 1):
+        soc.engine_of(cid).segment_service_pause = pause
+    return soc, ()
+
+
+def retire_verdicts(monkeypatch):
+    """Record ``(main clock, still blocked)`` at every
+    :meth:`FlexStepSoC.retire_main` call from here on."""
+    verdicts = []
+    retire_main = FlexStepSoC.retire_main
+
+    def recording_retire_main(soc, main_id):
+        blocked = retire_main(soc, main_id)
+        verdicts.append((soc.cores[main_id].stats.cycles, blocked))
+        return blocked
+
+    monkeypatch.setattr(FlexStepSoC, "retire_main", recording_retire_main)
+    return verdicts
+
+
+def halt_and_drain_clocks(monkeypatch):
+    """The main's clock when it halts in ``stuck_halt_soc(extra=2)``,
+    and when its stuck outbox drains, from an unbounded heap run."""
+    with monkeypatch.context() as patch:
+        verdicts = retire_verdicts(patch)
+        soc, _ = stuck_halt_soc(extra=2)
+        soc.run(sched="heap")
+    (halted_at, stuck), (drained_at, still_stuck) = verdicts[0], verdicts[-1]
+    assert stuck and not still_stuck
+    assert drained_at > halted_at  # the halted main really stalls
+    return halted_at, drained_at
+
+
+def tight_drain_pair(segment_limit=40):
     """A faulted dual-mode pair with a short FIFO, short segments and a
     checker that pauses after each one, so the main keeps running into
     backpressure and the checker drains failed segments close behind
     it: SKIP drains end at the main's clock and at packets pushed too
     recently to be visible."""
     soc = make_verified_soc(make_sum_program(n=400), fifo_entries=12,
-                            segment_limit=40)
+                            segment_limit=segment_limit)
     soc.engine_of(1).segment_service_pause = 150
     injector = install_injector(soc, 0, target=FaultTarget.MAL_ADDR,
                                 segment_interval=1, rng=random.Random(3))
@@ -522,6 +570,45 @@ def wall_clock_guard(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestHaltedMainLiveness:
+    """A main that halts with a backpressured outbox stays a candidate
+    and stalls until every packet it staged reaches its checker, so an
+    unbounded run ends with every closed segment checked.
+
+    The halted main retries its flush only on its own turn, as a live
+    backpressured main does.  In the triple-mode case, a ``loop`` that
+    retried it at every round's scan would flush as soon as a checker
+    pop made room, between the oracle's batches, and part from the
+    heap."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            stuck_halt_soc,
+            lambda: stuck_halt_soc(checkers=2, pause=0),
+            lambda: tight_drain_pair(segment_limit=24),
+        ],
+        ids=["stuck-halt", "stuck-halt-triple", "tight-drain-24"],
+    )
+    def test_stuck_outbox_drains_after_halt(self, build, monkeypatch):
+        verdicts = retire_verdicts(monkeypatch)
+        prints = {}
+        for sched in SCHEDS:
+            verdicts.clear()
+            soc, injectors = build()
+            with wall_clock_guard(60):
+                stats = soc.run(sched=sched)
+            assert verdicts[0][1]  # the main halted backpressured
+            assert soc.cores[0].halted and not soc.main_blocked(0)
+            closed = soc.adapter_of(0).stats.segments_closed
+            for engine in soc._engines.values():
+                checked = engine.stats.segments_checked
+                assert checked + engine.stats.segments_failed == closed
+            check_cosim_contracts(soc, clean=not injectors)
+            prints[sched] = soc_fingerprint(soc, stats, injectors)
+        assert prints["loop"] == prints["heap"]
 
 
 def stale_entry_soc():

@@ -6,9 +6,12 @@ import pytest
 from repro.config import SoCConfig
 from repro.errors import SchedulerError
 from repro.flexstep import CoreAttr, FlexStepSoC
+from repro.flexstep.packets import ScpPacket
 from repro.isa import assemble
 from repro.kernel import FlexKernel, KernelTask
 from repro.sim import TraceRecorder
+
+from ..flexstep.test_soc_sched import check_cosim_contracts, retire_verdicts
 
 
 def make_task_program(iterations, store_addr, stride=3):
@@ -157,3 +160,29 @@ class TestCheckerThread:
         soc.cores[1].load_program(pa)
         with pytest.raises(SchedulerError):
             kern.run(max_quanta=5)
+
+
+class TestStuckOutboxAtFinish:
+    def test_last_segment_reaches_its_checker(self, monkeypatch):
+        """A task finishes with its last segment stuck behind a full
+        channel, and no task follows it on that core: the kernel still
+        retires the idle core until the outbox drains, so every closed
+        segment is verified."""
+        scp = ScpPacket(segment=0, push_cycle=0,
+                        snapshot=FlexStepSoC(SoCConfig()).cores[0]
+                        .snapshot())
+        soc = FlexStepSoC(SoCConfig(num_cores=2).with_flexstep(
+            fifo_entries=scp.entries + 2, segment_limit=7))
+        kern = FlexKernel(soc, quantum_instructions=300)
+        kern.wire_verification(0, [1])
+        soc.engine_of(1).segment_service_pause = 1_000
+        pa = make_task_program(20, 0x2000)
+        kern.spawn(0, KernelTask("A", pa, verification=True, deadline=1))
+        soc.cores[1].load_program(pa)
+        verdicts = retire_verdicts(monkeypatch)
+        assert kern.run().tasks_finished == 1
+        assert any(stuck for _, stuck in verdicts)  # finished backpressured
+        results = soc.all_results()
+        assert len(results) == soc.adapter_of(0).stats.segments_closed
+        assert all(r.ok for r in results)
+        check_cosim_contracts(soc, clean=True)

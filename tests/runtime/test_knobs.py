@@ -1,4 +1,4 @@
-"""The declarative knob registry: precedence, parsing, scope.
+"""The declarative knob registry: precedence, parsing, digest neutrality.
 
 The precedence suite is *derived from the registry*: every knob
 declares ``examples`` (raw strings parsing to distinct values), and
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import knobs
-from repro.runtime.knobs import Knob, parse_bool
+from repro.runtime.knobs import parse_bool
 
 ALL_KNOBS = sorted(knobs.REGISTRY)
 
@@ -39,11 +39,13 @@ class TestRegistryShape:
         assert parsed[0] != parsed[1]
 
     @pytest.mark.parametrize("name", ALL_KNOBS)
-    def test_every_knob_has_help_and_valid_scope(self, name):
+    def test_every_knob_has_help_and_valid_scope(self, name, monkeypatch):
+        """Every knob is execution-scoped: none of its example values
+        moves the cache-digest namespace."""
         knob = knobs.REGISTRY[name]
         assert knob.help
-        assert knob.scope in knobs.SCOPES
         assert knob.env.startswith(knobs.ENV_PREFIX)
+        assert_digest_neutral(monkeypatch, [knob])
 
     def test_every_parser_type_is_used(self):
         """A value type no registered knob declares is dead code."""
@@ -241,8 +243,22 @@ class TestEnvOverride:
 
 
 # ---------------------------------------------------------------------------
-# identity vs execution scope — the checked cache-digest property
+# digest neutrality — the checked cache-digest property
 # ---------------------------------------------------------------------------
+
+
+def assert_digest_neutral(monkeypatch, registered):
+    """Setting each knob in ``registered`` to each of its examples, all
+    at once, leaves the campaign cache-digest namespace unchanged."""
+    from repro.campaign import engine
+    baseline = engine._digest_version()
+    for index in range(2):
+        for knob in registered:
+            monkeypatch.setenv(knob.env, knob.examples[index])
+        assert engine._digest_version() == baseline, (
+            f"{[k.name for k in registered]} reached the cache digests")
+    for knob in registered:
+        monkeypatch.delenv(knob.env)
 
 
 class TestScope:
@@ -250,42 +266,14 @@ class TestScope:
                              ["core_engine", "sched_backend",
                               "soc_sched", "workers", "chaos",
                               "unit_timeout", "max_retries"])
-    def test_result_invariant_knobs_are_execution_scoped(self, name):
+    def test_result_invariant_knobs_are_execution_scoped(self, name,
+                                                         monkeypatch):
         """The differential suites prove results don't depend on these;
-        the registry encodes that as scope, which keeps them out of
-        every cache digest *by construction*."""
-        assert knobs.REGISTRY[name].scope == "execution"
+        the registry keeps them out of every cache digest *by
+        construction*."""
+        assert_digest_neutral(monkeypatch, [knobs.get(name)])
 
     def test_no_execution_knob_reaches_the_fingerprint(self, monkeypatch):
-        baseline = knobs.identity_fingerprint()
-        for knob in knobs.REGISTRY.values():
-            if knob.scope != "execution":
-                continue
-            monkeypatch.setenv(knob.env, knob.examples[0])
-            assert knobs.identity_fingerprint() == baseline, (
-                f"execution knob {knob.name} leaked into the identity "
-                "fingerprint (and hence into cache digests)")
-            monkeypatch.delenv(knob.env)
-
-    def test_identity_knobs_change_the_fingerprint(self, monkeypatch):
-        """Promoting a knob to identity scope must invalidate caches:
-        register a synthetic identity knob and watch the fingerprint
-        move with its value."""
-        knob = Knob(name="__test_identity", env="REPRO___TEST_IDENTITY",
-                    type="int", default=0, scope="identity",
-                    examples=("1", "2"), help="synthetic test knob")
-        knobs._register(knob)
-        try:
-            base = knobs.identity_fingerprint()
-            assert '"__test_identity":0' in base
-            monkeypatch.setenv(knob.env, "7")
-            assert knobs.identity_fingerprint() != base
-        finally:
-            del knobs.REGISTRY[knob.name]
-            del knobs._BY_ENV[knob.env]
-
-    def test_fingerprint_reaches_campaign_digests(self, monkeypatch):
-        """The engine folds the fingerprint into ``digest_version`` so
-        an identity-scope change can never replay stale entries."""
-        from repro.campaign import engine
-        assert knobs.identity_fingerprint() in engine._digest_version()
+        """Every knob is an execution knob: no knob, over the whole
+        registry, moves ``_digest_version()``."""
+        assert_digest_neutral(monkeypatch, list(knobs.REGISTRY.values()))
