@@ -64,7 +64,6 @@ class TestSegmentLength:
                 segment_limit=limit)
             soc = FlexStepSoC(cfg)
             soc.load_program(0, program)
-            soc.cores[1].load_program(program)
             soc.setup_verification(0, [1])
             soc.run()
             cycles = sorted(r.detect_cycle for r in soc.all_results())

@@ -36,8 +36,8 @@ input:
 def build_soc():
     program = assemble(SOURCE, name="quickstart")
     soc = FlexStepSoC(SoCConfig(num_cores=2))
-    soc.load_program(0, program)            # main core
-    soc.cores[1].load_program(program)      # checker needs the text too
+    soc.load_program(0, program)            # main core; each SCP
+                                            # brings the checker its text
     soc.setup_verification(0, [1])          # G.Configure + M.associate
     return soc
 

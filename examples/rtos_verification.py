@@ -40,7 +40,9 @@ def main() -> None:
         dma_spill_entries=16384)   # spill space for buffered segments
     soc = FlexStepSoC(config)
     trace = TraceRecorder()
-    kernel = FlexKernel(soc, quantum_instructions=1500, trace=trace)
+    # context switches every 1500 simulated cycles; in between, the
+    # SoC's co-sim scheduler advances every core in clock order
+    kernel = FlexKernel(soc, quantum_cycles=1500, trace=trace)
     kernel.wire_verification(main_id=0, checker_ids=[1])
 
     critical = make_program(3000, 0x2000, "critical")

@@ -129,8 +129,6 @@ def _fig7_unit(spec: dict, rng_seed: int) -> dict:
     injectors: list[FaultInjector] = []
     for p, (main, checker_ids) in enumerate(zip(mains, engines_of_pair)):
         soc.load_program(main, program)
-        for cid in checker_ids:
-            soc.cores[cid].load_program(program)
         soc.control.associate(main, checker_ids)
         soc.control.check_enable(main)
         for cid in checker_ids:

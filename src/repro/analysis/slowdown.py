@@ -70,8 +70,6 @@ def measure_flexstep(program: Program, *, checkers: int = 1,
     soc = FlexStepSoC(cfg)
     soc.load_program(0, program)
     checker_ids = list(range(1, checkers + 1))
-    for cid in checker_ids:
-        soc.cores[cid].load_program(program)
     soc.setup_verification(0, checker_ids)
     stats = soc.run()
     if require_clean and stats.segments_failed:

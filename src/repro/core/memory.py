@@ -45,11 +45,6 @@ class MainMemory:
         for addr, value in words.items():
             self.write_word(addr, value)
 
-    def copy(self) -> "MainMemory":
-        dup = MainMemory(self.size_bytes)
-        dup._words = dict(self._words)
-        return dup
-
     def __len__(self) -> int:
         return len(self._words)
 

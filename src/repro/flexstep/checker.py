@@ -49,6 +49,7 @@ from ..core.decode import (
 )
 from ..core.registers import CSR_INSTRET, ArchSnapshot, Privilege
 from ..errors import VerificationMismatch
+from ..isa.program import Program
 from .dbc import Channel
 from .packets import (
     EcpPacket,
@@ -151,12 +152,6 @@ class CheckerEngine:
         self.state = CheckerState.IDLE
         self.stats = CheckerStats()
         self.results: list[SegmentResult] = []
-        #: The program the verified thread executes.  Real hardware
-        #: fetches by pc from the shared address space; with per-task
-        #: Program objects the engine must pin the main task's text so
-        #: replay still fetches it after the checker core ran an
-        #: unrelated task.  None = use whatever the core has loaded.
-        self.program = None
         self._saved_program = None
         #: Cycles the checker spends away from verification after each
         #: segment (asynchronous checking: the checker core may execute
@@ -172,9 +167,10 @@ class CheckerEngine:
         self._ic: Optional[int] = None
         self._ic_reason: Optional[SegmentCloseReason] = None
         #: Frozen replay state across a preemption of the checker thread
-        #: (state, mid-replay architectural snapshot or None).
-        self._frozen: Optional[tuple[CheckerState,
-                                     Optional[ArchSnapshot]]] = None
+        #: (state, mid-replay architectural snapshot and program, or
+        #: None for both).
+        self._frozen: Optional[tuple[CheckerState, Optional[ArchSnapshot],
+                                     Optional[Program]]] = None
         #: Lookahead fetch gate (:meth:`run_ahead`): from this clock on,
         #: a replay fetch that would miss the L1I is not taken and
         #: ``_fetch_yield`` is raised instead.
@@ -195,12 +191,11 @@ class CheckerEngine:
         self._saved_port = self.core.port
         self._saved_program = self.core.program
         self.core.port = self.port
-        if self.program is not None:
-            self.core.program = self.program
         if self._frozen is not None:
-            state, snap = self._frozen
+            state, snap, program = self._frozen
             self._frozen = None
             if snap is not None:
+                self.core.program = program
                 self.core.restore(snap)
                 self.core.halted = False
             self.state = state
@@ -216,15 +211,15 @@ class CheckerEngine:
         if self.state is CheckerState.IDLE:
             return
         if self.state is CheckerState.REPLAY:
-            self._frozen = (self.state, self.core.snapshot())
+            self._frozen = (self.state, self.core.snapshot(),
+                            self.core.program)
         elif self.state is CheckerState.SKIP:
-            self._frozen = (self.state, None)
+            self._frozen = (self.state, None, None)
         else:
             self._frozen = None
         if self._saved_port is not None:
             self.core.port = self._saved_port
-        if self._saved_program is not None:
-            self.core.program = self._saved_program
+        self.core.program = self._saved_program
         if self._saved_context is not None:
             self.core.restore(self._saved_context)
         self.state = CheckerState.IDLE
@@ -500,7 +495,8 @@ class CheckerEngine:
         self._safe_count = 0
         self._ic = None
         self._ic_reason = None
-        # C.apply + C.jal
+        # C.apply + C.jal, in the address space the segment runs in
+        self.core.program = packet.program
         self.core.restore(packet.snapshot)
         self.core.halted = False
         self._charge(APPLY_CYCLES)

@@ -51,8 +51,6 @@ def build_point_soc(point: dict) -> tuple[FlexStepSoC, list]:
     injectors: list[FaultInjector] = []
     for pair, (main, ids) in enumerate(zip(mains, checker_ids)):
         soc.load_program(main, program)
-        for cid in ids:
-            soc.cores[cid].load_program(program)
         soc.control.associate(main, ids)
         soc.control.check_enable(main)
         for cid in ids:

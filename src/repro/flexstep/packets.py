@@ -24,9 +24,11 @@ built from positional arguments, as immutable as the others.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+from typing import Optional
 
 from ..core.registers import ArchSnapshot
+from ..isa.program import Program
 
 #: Bytes per FIFO entry (64-bit address + 64-bit data), matching
 #: FlexStepConfig.fifo_entry_bytes.
@@ -54,11 +56,19 @@ class Packet:
 
 @dataclass(frozen=True)
 class ScpPacket(Packet):
-    """Start Register Checkpoint: the state a replay begins from."""
+    """Start Register Checkpoint: the state a replay begins from.
+
+    ``program`` is the address space the segment runs in, as the
+    checkpoint's address-space register names it; the checker loads it
+    when it accepts the SCP.  It takes no FIFO entry and no part in
+    equality.
+    """
 
     segment: int
     push_cycle: int
     snapshot: ArchSnapshot = None  # type: ignore[assignment]
+    program: Optional[Program] = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def entries(self) -> int:

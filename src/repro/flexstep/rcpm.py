@@ -159,7 +159,8 @@ class MainCoreAdapter:
         self.stats.segments_opened += 1
         scp = ScpPacket(segment=self._segment_id,
                         push_cycle=self.core.stats.cycles,
-                        snapshot=self.core.snapshot())
+                        snapshot=self.core.snapshot(),
+                        program=self.core.program)
         self._stage(scp)
         self._charge_extraction()
 

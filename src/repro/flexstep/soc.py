@@ -46,7 +46,9 @@ is likewise excluded from spawn seeds and cache digests.
 
 :class:`FlexStepControl` is the software-visible face of the custom ISA
 (paper Table I).  The OS layer (:mod:`repro.kernel`) calls it from the
-context switch exactly as Algorithm 1 does.
+context switch exactly as Algorithm 1 does, between bounded
+:meth:`FlexStepSoC.run` calls: the kernel moves simulated time only
+through this module's schedulers.
 """
 
 from __future__ import annotations
@@ -342,9 +344,13 @@ class FlexStepSoC:
 
     def _initial_active_mains(self) -> set[int]:
         """Main/compute cores with a program, less those a rerun finds
-        halted and :meth:`retire_main` lets go."""
+        halted and :meth:`retire_main` lets go.  A checker core whose
+        checker thread is switched out (engine bound, not busy) computes
+        like a compute core while it holds a program."""
+        engines = self._engines
         return {cid for cid, attr in enumerate(self.attrs)
-                if attr in (CoreAttr.MAIN, CoreAttr.COMPUTE)
+                if (attr is not CoreAttr.CHECKER
+                    or cid in engines and not engines[cid].busy)
                 and self.cores[cid].program is not None
                 and (not self.cores[cid].halted or self.retire_main(cid))}
 
@@ -385,6 +391,9 @@ class FlexStepSoC:
             return 0, True
         candidates = runnable + checker_pending
         cid = min(candidates, key=lambda c: self.cores[c].stats.cycles)
+        if max_cycles is not None \
+                and self.cores[cid].stats.cycles >= max_cycles:
+            return 0, True  # no step starts at or past the bound
         if len(candidates) == 1:
             horizon = None
         else:
@@ -457,7 +466,8 @@ class FlexStepSoC:
           oracle.)
 
         Bounded runs (``max_cycles``) keep the bound as a hard horizon:
-        only a round's first step may start at or past it.
+        no step starts at or past it, so a core the lookahead carried to
+        the bound stops there, as in the oracle.
 
         A halted main is retired (:meth:`retire_main`) at the end of
         each of its rounds, as in the oracle.  While its outbox is not
@@ -509,6 +519,8 @@ class FlexStepSoC:
             event = queue_pop()
             if event is None:
                 break
+            if max_cycles is not None and event.time >= max_cycles:
+                break  # no step starts at or past the bound
             rounds += 1
             rank = event.priority
             key = peek_key()
@@ -624,20 +636,17 @@ class FlexStepSoC:
             done += 1
         return done
 
-    def main_blocked(self, main_id: int) -> bool:
-        """Whether ``main_id``'s outbox is backpressured by a full DBC."""
-        adapter = self._adapters.get(main_id)
-        return adapter is not None and adapter.blocked
-
     def retire_main(self, main_id: int) -> bool:
         """Post-halt teardown of a main core: ``M.check(disable)`` on the
         first call, then a flush attempt while its outbox is blocked.
 
-        The one place the halted-main rule lives; both schedulers and
-        :class:`~repro.kernel.FlexKernel` call it at the end of the
-        main's own turn.  Returns True while the outbox is still
-        backpressured: the main then stays a candidate and stalls like
-        any backpressured main, until a checker pop lets it drain."""
+        The one place the halted-main rule lives.  Both schedulers call
+        it at the end of the main's own turn and, on a rerun, from
+        :meth:`_initial_active_mains`; :class:`~repro.kernel.FlexKernel`
+        calls it when it retires a finished task.  Returns True while
+        the outbox is still backpressured: the main then stays a
+        candidate and stalls like any backpressured main, until a
+        checker pop lets it drain."""
         adapter = self._adapters.get(main_id)
         if adapter is None:
             return False
@@ -646,21 +655,6 @@ class FlexStepSoC:
         if adapter.blocked:
             adapter.try_flush()
         return adapter.blocked
-
-    def checkers_drained(self) -> bool:
-        """Every bound checker has drained its channel and no main core
-        feeding one is still backpressured."""
-        for cid, engine in self._engines.items():
-            if not engine.drained:
-                return False
-            main_id = self.interconnect.main_of(cid)
-            if main_id is not None and self.main_blocked(main_id):
-                return False
-        return True
-
-    def step_main(self, cid: int) -> int:
-        """Advance a main/compute core by one instruction or stall."""
-        return self._advance_main(cid, None, 1)
 
     def _advance_main(self, cid: int, horizon: Optional[int],
                       budget: int) -> int:

@@ -1,8 +1,11 @@
 """The FlexStep kernel: Algorithm 1's context switch over the Table I ISA.
 
 A deliberately small partitioned kernel: every core has its own EDF
-ready queue; the kernel time-multiplexes tasks in quanta and performs
-the paper's context-switch sequence at every switch:
+ready queue; the kernel time-multiplexes tasks in quanta of simulated
+cycles and performs the paper's context-switch sequence at every
+switch.  Between switches the SoC's own co-sim scheduler
+(:meth:`FlexStepSoC.run`, bounded at the quantum's end) advances every
+core in clock order; the kernel steps no core itself.  The switch:
 
 .. code-block:: none
 
@@ -45,19 +48,21 @@ CONTEXT_SWITCH_CYCLES = 60
 @dataclass
 class KernelStats:
     context_switches: int = 0
-    quanta_run: int = 0
     tasks_finished: int = 0
 
 
 class FlexKernel:
-    """Quantum-driven partitioned EDF kernel over a FlexStepSoC."""
+    """Quantum-driven partitioned EDF kernel over a FlexStepSoC.
+
+    ``quantum_cycles`` is the simulated time between context switches.
+    """
 
     def __init__(self, soc: FlexStepSoC, *,
-                 quantum_instructions: int = 2000,
+                 quantum_cycles: int = 2000,
                  trace: Optional[TraceRecorder] = None):
         self.soc = soc
         self.control = soc.control
-        self.quantum = quantum_instructions
+        self.quantum = quantum_cycles
         self.trace = trace if trace is not None \
             else TraceRecorder(enabled=False)
         self.stats = KernelStats()
@@ -145,10 +150,6 @@ class FlexKernel:
             if nxt.verification and not nxt.checker_thread:
                 self.control.associate(core_id, self._wiring[core_id])
                 self.control.check_enable(core_id)
-                # pin the verified thread's text for replay on each
-                # checker (one shared address space in real hardware)
-                for cid in self._wiring[core_id]:
-                    self.soc.bind_engine(cid).program = nxt.program
         elif attr is CoreAttr.CHECKER and nxt.checker_thread:
             self.control.check_state(core_id, busy=True)
         core.stats.cycles += CONTEXT_SWITCH_CYCLES
@@ -167,36 +168,34 @@ class FlexKernel:
     # execution
     # ------------------------------------------------------------------
 
-    def _run_quantum(self, core_id: int) -> None:
-        """Run the current task for one quantum (or until it halts)."""
-        task = self.current[core_id]
-        if task is None:
-            return
-        core = self.soc.cores[core_id]
-        if task.checker_thread:
-            engine = self.soc.engine_of(core_id)
-            for _ in range(self.quantum):
-                engine.step()
-            self.stats.quanta_run += 1
-            return
-        executed = 0
-        stalled = 0
-        while executed < self.quantum and not core.halted:
-            progressed = self.soc.step_main(core_id)
-            executed += progressed
-            if progressed:
-                stalled = 0
-            elif self.soc.main_blocked(core_id):
-                # Backpressure: the DBC is full and only the (currently
-                # unscheduled) checker can drain it.  Yield the quantum
-                # so other cores advance — in hardware the core would
-                # simply stall here.
-                stalled += 1
-                if stalled >= 64:
-                    break
-        task.instructions_run += executed
-        self.stats.quanta_run += 1
-        if core.halted:
+    def run(self, *, max_quanta: int = 10_000) -> KernelStats:
+        """Run quanta of simulated time until every user task finished
+        and the checkers drained.
+
+        Each quantum retires the tasks whose core halted, context-
+        switches every core and runs the SoC's own scheduler up to a
+        horizon one quantum past the latest core clock.  Once no user
+        task is left, one unbounded run drains the checkers.
+        """
+        horizon = 0
+        for _ in range(max_quanta):
+            self._retire_finished()
+            for core_id in range(self.soc.config.num_cores):
+                self.context_switch(core_id)
+            if not self._user_tasks_left():
+                self.soc.run()
+                return self.stats
+            latest = max(core.stats.cycles for core in self.soc.cores)
+            horizon = max(horizon, latest) + self.quantum
+            self.soc.run(max_cycles=horizon)
+        raise SchedulerError(
+            f"kernel did not finish within {max_quanta} quanta")
+
+    def _retire_finished(self) -> None:
+        for core_id, task in enumerate(self.current):
+            core = self.soc.cores[core_id]
+            if task is None or task.checker_thread or not core.halted:
+                continue
             task.state = TaskState.FINISHED
             self.current[core_id] = None
             self.stats.tasks_finished += 1
@@ -204,30 +203,7 @@ class FlexKernel:
             self.trace.record(core.stats.cycles, "task_finished",
                               task.name, core=core_id)
 
-    def run(self, *, max_quanta: int = 10_000) -> KernelStats:
-        """Round-robin quanta across cores until all work completes."""
-        for _ in range(max_quanta):
-            # A finished task may have closed its last segment against
-            # a full channel: retiring its idle core retries the flush.
-            for core_id, task in enumerate(self.current):
-                if task is None:
-                    self.soc.retire_main(core_id)
-            if self._all_done():
-                return self.stats
-            for core_id in range(self.soc.config.num_cores):
-                self.context_switch(core_id)
-                self._run_quantum(core_id)
-        if not self._all_done():
-            raise SchedulerError(
-                f"kernel did not finish within {max_quanta} quanta")
-        return self.stats
-
-    def _all_done(self) -> bool:
-        for core_id in range(self.soc.config.num_cores):
-            cur = self.current[core_id]
-            if cur is not None and not cur.checker_thread:
-                return False
-            for t in self.ready[core_id]:
-                if not t.checker_thread:
-                    return False
-        return self.soc.checkers_drained()
+    def _user_tasks_left(self) -> bool:
+        return any(not t.checker_thread
+                   for core_id, cur in enumerate(self.current)
+                   for t in (cur, *self.ready[core_id]) if t is not None)

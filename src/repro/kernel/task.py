@@ -34,7 +34,6 @@ class KernelTask:
     deadline: float = float("inf")
     state: TaskState = TaskState.NEW
     context: Optional[ArchSnapshot] = None
-    instructions_run: int = 0
     #: True for the dedicated per-checker-core thread of Algorithm 2.
     checker_thread: bool = False
 

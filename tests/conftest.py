@@ -92,8 +92,6 @@ def make_verified_soc(program, *, checkers: int = 1, **flex_overrides):
         config = config.with_flexstep(**flex_overrides)
     soc = FlexStepSoC(config)
     soc.load_program(0, program)
-    for cid in range(1, checkers + 1):
-        soc.cores[cid].load_program(program)
     soc.setup_verification(0, list(range(1, checkers + 1)))
     return soc
 

@@ -38,13 +38,6 @@ class TestMainMemory:
         mem.write_word(0, -1)
         assert mem.read_word(0) == (1 << 64) - 1
 
-    def test_copy_is_independent(self):
-        mem = MainMemory()
-        mem.write_word(0, 1)
-        dup = mem.copy()
-        dup.write_word(0, 2)
-        assert mem.read_word(0) == 1
-
     def test_load_segment(self):
         mem = MainMemory()
         mem.load_segment({0x10: 3, 0x18: 4})

@@ -103,9 +103,8 @@ class TestCheckerControl:
         soc = make_verified_soc(program, dma_spill_entries=8192)
         engine = soc.engine_of(1)
         # advance until the checker is mid-replay
-        for _ in range(40000):
-            soc.step_main(0)
-            engine.step()
+        for bound in range(100, 200_000, 100):
+            soc.run(max_cycles=bound)
             if engine.state is CheckerState.REPLAY \
                     and engine._executed > 3:
                 break
@@ -115,6 +114,7 @@ class TestCheckerControl:
         engine.stop_checking()                 # preemption
         # checker core runs something else; its state is the OS context
         assert engine.state is CheckerState.IDLE
+        assert soc.cores[1].program is None    # parked: nothing to run
         engine.start_checking()                # resume
         assert engine.state is CheckerState.REPLAY
         assert engine._executed == executed_before
@@ -130,8 +130,13 @@ class TestCheckerControl:
         engine = soc.engine_of(1)
         engine.stop_checking()
         # main core runs to completion with the checker offline
-        while not soc.cores[0].halted:
-            soc.step_main(0)
+        for bound in range(10_000, 1_000_000, 10_000):
+            soc.run(max_cycles=bound)
+            if soc.cores[0].halted:
+                break
+        else:
+            pytest.fail("main never halted")
+        assert soc.cores[1].stats.cycles == 0  # the parked checker idled
         soc.adapter_of(0).disable()
         soc.adapter_of(0).try_flush()
         channel = soc.interconnect.channels_of(0)[0]

@@ -26,7 +26,6 @@ def capture_stream(program, *, segment_limit=5000, run=True):
         segment_limit=segment_limit)
     soc = FlexStepSoC(config)
     soc.load_program(0, program)
-    soc.cores[1].load_program(program)
     soc.setup_verification(0, [1])
     packets = []
     soc.interconnect.channels_of(0)[0].add_push_tap(
@@ -105,9 +104,9 @@ class TestSegmentCuts:
         program = make_sum_program(n=500)
         soc, packets = capture_stream(program, run=False)
         # run a few instructions, then disable mid-segment
-        for _ in range(40):
-            soc.step_main(0)
+        soc.run(max_cycles=200)
         adapter = soc.adapter_of(0)
+        assert 0 < soc.cores[0].stats.user_instructions < 500
         assert adapter._segment_open
         soc.control.check_disable(0)
         assert not adapter._segment_open
@@ -154,8 +153,6 @@ class TestExtractionCost:
             config = SoCConfig(num_cores=checkers + 1)
             soc = FlexStepSoC(config)
             soc.load_program(0, program)
-            for cid in range(1, checkers + 1):
-                soc.cores[cid].load_program(program)
             soc.setup_verification(0, list(range(1, checkers + 1)))
             soc.run()
             return soc.adapter_of(0).stats.extraction_stall_cycles

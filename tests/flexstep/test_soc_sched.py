@@ -58,8 +58,8 @@ def check_cosim_contracts(soc, *, clean, bounded=False):
     outbox is still backpressured, and every busy checker has drained.
     """
     if not bounded:
-        for main_id in soc._adapters:
-            assert not soc.main_blocked(main_id), main_id
+        for main_id, adapter in soc._adapters.items():
+            assert not adapter.blocked, main_id
         for cid, engine in soc._engines.items():
             assert not engine.busy or engine.drained, cid
     for key, channel in soc.interconnect._channels.items():
@@ -147,7 +147,6 @@ class TestCleanRuns:
             soc = FlexStepSoC(SoCConfig(num_cores=3))
             program = make_sum_program(n=500)
             soc.load_program(0, program)
-            soc.cores[1].load_program(program)
             soc.load_program(2, make_sum_program(n=700, value=3))
             soc.setup_verification(0, [1])
             return soc, ()
@@ -408,6 +407,31 @@ class TestBoundedRuns:
         assert_schedulers_identical(lambda: stuck_halt_soc(extra=2),
                                     max_cycles=drained_at + offset)
 
+    @pytest.mark.parametrize("segment_limit", [5, 40])
+    def test_bound_after_the_last_other_core_halts(self, segment_limit):
+        """A main whose checker thread is switched out runs ahead to the
+        bound while a compute core is still below it; the compute core
+        then halts short of the bound.  The main must stop at the
+        bound, as in the oracle, where it reached the bound only after
+        the compute core had halted; the heap used to take one more
+        step there."""
+
+        def build():
+            soc = FlexStepSoC(SoCConfig(num_cores=3).with_flexstep(
+                dma_spill_entries=16384, segment_limit=segment_limit))
+            soc.load_program(0, make_sum_program(n=300))
+            soc.setup_verification(0, [1])
+            soc.engine_of(1).stop_checking()
+            soc.load_program(2, make_sum_program(n=50, value=3))
+            return soc, ()
+
+        probe, _ = build()
+        probe.run(sched="heap")
+        halted_at = probe.cores[2].stats.cycles
+        for offset in range(56):
+            assert_schedulers_identical(build,
+                                        max_cycles=halted_at + offset)
+
     def test_rerun_after_completion_identical(self):
         """A second run() seeds already-halted cores: both schedulers
         must retire them through the same first-round sweep."""
@@ -601,7 +625,7 @@ class TestHaltedMainLiveness:
             with wall_clock_guard(60):
                 stats = soc.run(sched=sched)
             assert verdicts[0][1]  # the main halted backpressured
-            assert soc.cores[0].halted and not soc.main_blocked(0)
+            assert soc.cores[0].halted and not soc.adapter_of(0).blocked
             closed = soc.adapter_of(0).stats.segments_closed
             for engine in soc._engines.values():
                 checked = engine.stats.segments_checked
@@ -622,7 +646,8 @@ def stale_entry_soc():
     start = soc.cores[0].snapshot()
     channel = soc.engine_of(1).channel
     for packet in (
-        ScpPacket(segment=90, push_cycle=0, snapshot=start),
+        ScpPacket(segment=90, push_cycle=0, snapshot=start,
+                  program=soc.cores[0].program),
         MemPacket(segment=90, push_cycle=0, count=1, kind="r",
                   addr=0x1000, data=7),
         IcPacket(segment=90, push_cycle=0, count=2),
