@@ -22,9 +22,10 @@ Guarantees (see ``tests/campaign/``):
   retried with the *same* spawn seed (a successful retry is
   bit-identical to a never-failed run) and quarantined as structured
   :class:`UnitFailure` records after the retry budget; SIGINT/SIGTERM
-  drain in-flight units and a re-run resumes from the cache.  The
-  chaos harness (``tests/campaign/chaos.py`` + ``REPRO_CHAOS``) proves
-  all of it differentially against clean ``workers=1`` runs.
+  drain in-flight units and a re-run resumes from the cache.  Test
+  units under ``tests/campaign/`` that kill, hang or fail their own
+  workers prove all of it differentially against clean ``workers=1``
+  runs.
 * **Resume for free** — each completed unit is written to the cache
   under a digest of (function, version, seed, spec) inside a checksum
   envelope; re-runs, partially-failed and interrupted sweeps recompute
@@ -47,7 +48,6 @@ from .engine import (
     CampaignRun,
     CampaignStats,
     canonical_json,
-    chaos_from_env,
     code_token,
     default_cache_dir,
     default_workers,
@@ -56,20 +56,17 @@ from .engine import (
     run_grouped_campaign,
     spawn_seed,
 )
-from .supervisor import ChaosConfig, ChaosError, UnitFailure, WorkerPool
+from .supervisor import UnitFailure, WorkerPool
 
 __all__ = [
     "CampaignError",
     "CampaignInterrupted",
     "CampaignRun",
     "CampaignStats",
-    "ChaosConfig",
-    "ChaosError",
     "ResultCache",
     "UnitFailure",
     "WorkerPool",
     "canonical_json",
-    "chaos_from_env",
     "code_token",
     "default_cache_dir",
     "default_workers",

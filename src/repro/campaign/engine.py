@@ -16,8 +16,8 @@ declarative grid (one JSON-able dict per unit).  The engine
    units as structured :class:`UnitFailure` records in
    ``CampaignRun.failures`` — one bad unit degrades the campaign
    instead of killing it.  ``workers=1`` runs the same supervisor with
-   one in-process worker, unless a unit timeout or chaos needs a
-   worker process to preempt,
+   one in-process worker, unless a unit timeout needs a worker process
+   to preempt,
 4. writes each result to the cache as it arrives, so an interrupted
    sweep resumes from where it died; SIGINT/SIGTERM trigger a graceful
    shutdown that drains in-flight units and raises
@@ -31,15 +31,14 @@ on every path).
 
 Every fault-tolerance knob (``REPRO_UNIT_TIMEOUT``,
 ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``,
-``REPRO_CAMPAIGN_STRICT``, ``REPRO_SHUTDOWN_GRACE``, ``REPRO_CHAOS``)
-is declared in the :mod:`repro.runtime.knobs` registry; no knob
-reaches a spawn seed or a cache digest.  Run ``python -m repro knobs``
-for the full table.
+``REPRO_CAMPAIGN_STRICT``, ``REPRO_SHUTDOWN_GRACE``) is declared in
+the :mod:`repro.runtime.knobs` registry; no knob reaches a spawn seed
+or a cache digest.  Run ``python -m repro knobs`` for the full
+table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import multiprocessing
 import signal
@@ -52,12 +51,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from ..errors import ReproError
 from ..runtime import events, knobs
 from .cache import ResultCache, canonical_json, unit_digest
-from .supervisor import (
-    ChaosConfig,
-    UnitFailure,
-    WorkerPool,
-    run_supervised,
-)
+from .supervisor import UnitFailure, WorkerPool, run_supervised
 
 
 class CampaignError(ReproError):
@@ -108,18 +102,6 @@ def default_cache_dir() -> Path:
 def default_strict() -> bool:
     """Strict mode: ``REPRO_CAMPAIGN_STRICT`` truthy, else graceful."""
     return knobs.value("campaign_strict")
-
-
-def chaos_from_env() -> Optional[ChaosConfig]:
-    """The test-only ``REPRO_CHAOS`` fault injector, when armed."""
-    spec = knobs.value("chaos")
-    if spec is None:
-        return None
-    try:
-        return ChaosConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise CampaignError(
-            f"invalid REPRO_CHAOS spec {spec!r}: {exc}") from None
 
 
 def resolve_cache(cache: Any) -> Optional[ResultCache]:
@@ -186,7 +168,7 @@ class CampaignStats:
     """Bookkeeping for one campaign run.
 
     ``chunk_size`` is the derived dispatch chunking: 1 in-process and
-    whenever timeouts, retries or chaos are armed, so failure handling
+    whenever timeouts or retries are armed, so failure handling
     keeps per-unit granularity, else about a quarter of each worker's
     share.
     """
@@ -282,7 +264,6 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
         retry_backoff = knobs.value("retry_backoff")
     if strict is None:
         strict = default_strict()
-    chaos = chaos_from_env()
 
     start = time.perf_counter()
     results: list[Any] = [None] * len(specs)
@@ -315,17 +296,10 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
         if store is not None:
             store.put(digests[index], payload)
 
-    # Worker processes are required for preemption (timeouts) and for
-    # chaos kills, even at workers=1; otherwise one worker runs
-    # in-process (ctx=None).
+    # Worker processes are required for preemption (timeouts), even at
+    # workers=1; otherwise one worker runs in-process (ctx=None).
     ctx = None
-    if pending and (n_workers > 1 or unit_timeout is not None
-                    or chaos is not None):
-        # A shared pool's workers were spawned with the pool's chaos
-        # spec; a campaign arming a different one must not inherit them.
-        chaos_spec = None if chaos is None else dataclasses.asdict(chaos)
-        if pool is not None and pool.chaos_spec != chaos_spec:
-            pool = None
+    if pending and (n_workers > 1 or unit_timeout is not None):
         ctx = pool.ctx if pool is not None \
             else multiprocessing.get_context(_start_method())
 
@@ -348,7 +322,7 @@ def run_campaign(fn: Callable[[Any, int], Any], specs: Sequence[Any], *,
         report = run_supervised(
             pending, workers=n_workers, ctx=ctx, record=_record,
             max_retries=max_retries, retry_backoff=retry_backoff,
-            unit_timeout=unit_timeout, chaos=chaos,
+            unit_timeout=unit_timeout,
             shutdown_grace=knobs.value("shutdown_grace"),
             shutdown_event=shutdown, pool=pool)
     finally:

@@ -26,38 +26,28 @@ The workers are processes (``_Worker``, leased from a
 :class:`WorkerPool`) or, when no multiprocessing context is given, one
 in-process ``_InlineWorker``: a pool of one with the same retry,
 quarantine and shutdown handling, but nothing to preempt or kill, so
-no timeouts and no chaos injection.
+no timeouts.
 
 Results are reported per unit (never per batch), so a worker death
 can only ever lose the unit it was actually running — and because
 unit payloads are pure functions of ``(spec, rng_seed)``, a lost
 result message is indistinguishable from a failure and is safely
 recomputed.
-
-The :class:`ChaosConfig` fault injector (``REPRO_CHAOS``) is a
-test-only hook used by ``tests/campaign/chaos.py``: it deterministically
-kills workers mid-unit, raises injected exceptions and hangs units so
-the chaos suite can prove the supervisor's guarantees differentially
-against a clean ``workers=1`` run.  It is only ever active inside
-worker processes — the supervisor passes the parsed config down
-explicitly, and the in-process worker never injects.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import importlib
 import json
 import multiprocessing
 import os
-import random
 import signal
 import threading
 import time
 import traceback as traceback_mod
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from ..runtime import events
@@ -66,12 +56,6 @@ from ..runtime import events
 _POLL_S = 0.01
 #: terminate() -> kill() escalation window for an unresponsive worker.
 _KILL_GRACE_S = 1.0
-#: Exit code used by the chaos injector's worker kills.
-CHAOS_EXIT_CODE = 113
-
-
-class ChaosError(RuntimeError):
-    """The exception injected by the ``REPRO_CHAOS`` fault injector."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,78 +80,9 @@ def normalize_payload(payload: Any) -> Any:
     return json.loads(json.dumps(payload))
 
 
-# ---------------------------------------------------------------------------
-# chaos injection (test-only)
-# ---------------------------------------------------------------------------
-
-
-def _chaos_seed(chaos_seed: int, rng_seed: int, attempt: int) -> int:
-    """Deterministic injection seed — SHA-256, never ``hash()``, so a
-    chaos run replays identically in every worker and every process."""
-    ident = f"{chaos_seed}:{rng_seed}:{attempt}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(ident).digest()[:8], "big")
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Deterministic fault-injection rates for worker processes.
-
-    ``kill``/``exc``/``hang`` are per-attempt probabilities (one draw
-    decides, so they must sum to <= 1).  ``attempts`` bounds which
-    attempt numbers are eligible for injection: attempts at or past
-    the bound always run clean, which is what lets a chaos test prove
-    convergence with a finite retry budget.
-    """
-
-    seed: int = 0
-    kill: float = 0.0
-    exc: float = 0.0
-    hang: float = 0.0
-    hang_s: float = 60.0
-    attempts: int = 1 << 30
-
-    def __post_init__(self) -> None:
-        rates = (self.kill, self.exc, self.hang)
-        if min(rates) < 0 or sum(rates) > 1:
-            raise ValueError(
-                f"chaos rates must be >= 0 and sum to <= 1: {self}")
-
-    def draw(self, rng_seed: int, attempt: int,
-             ) -> tuple[Optional[str], Optional[str]]:
-        """The injection decision for one attempt: ``(mode, kill_point)``
-        where mode is ``None``/``"kill"``/``"exc"``/``"hang"`` and the
-        kill point is ``"before"`` or ``"after"`` the unit body (an
-        after-kill exercises the lost-result-message recovery path)."""
-        if attempt >= self.attempts:
-            return None, None
-        rng = random.Random(_chaos_seed(self.seed, rng_seed, attempt))
-        roll = rng.random()
-        point = "before" if rng.random() < 0.5 else "after"
-        if roll < self.kill:
-            return "kill", point
-        if roll < self.kill + self.exc:
-            return "exc", None
-        if roll < self.kill + self.exc + self.hang:
-            return "hang", None
-        return None, None
-
-
-def run_attempt(fn_ref: str, spec: Any, rng_seed: int, attempt: int,
-                chaos: Optional[ChaosConfig]) -> Any:
-    """Execute one attempt of one unit (chaos-instrumented)."""
-    mode = point = None
-    if chaos is not None:
-        mode, point = chaos.draw(rng_seed, attempt)
-    if mode == "hang":
-        time.sleep(chaos.hang_s)
-    elif mode == "exc":
-        raise ChaosError(f"injected unit failure (attempt {attempt})")
-    elif mode == "kill" and point == "before":
-        os._exit(CHAOS_EXIT_CODE)
-    payload = normalize_payload(resolve_unit_fn(fn_ref)(spec, rng_seed))
-    if mode == "kill" and point == "after":
-        os._exit(CHAOS_EXIT_CODE)
-    return payload
+def run_attempt(fn_ref: str, spec: Any, rng_seed: int) -> Any:
+    """Execute one attempt of one unit."""
+    return normalize_payload(resolve_unit_fn(fn_ref)(spec, rng_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +171,7 @@ class _Unit:
 PARENT_POLL_S = 0.5
 
 
-def _worker_main(task_q, result_q, chaos_spec: Optional[dict]) -> None:
+def _worker_main(task_q, result_q) -> None:
     """Worker loop: take a batch, report one result message per unit.
 
     SIGINT is ignored so a terminal ctrl-C reaches only the supervisor,
@@ -274,7 +189,6 @@ def _worker_main(task_q, result_q, chaos_spec: Optional[dict]) -> None:
     # needs it
     from multiprocessing.connection import wait as wait_ready
 
-    chaos = ChaosConfig(**chaos_spec) if chaos_spec else None
     parent = multiprocessing.parent_process()
     sentinels = [] if parent is None else [parent.sentinel]
     ppid = os.getppid()
@@ -297,8 +211,7 @@ def _worker_main(task_q, result_q, chaos_spec: Optional[dict]) -> None:
             if orphaned():
                 return
             try:
-                payload = run_attempt(fn_ref, spec, rng_seed, attempt,
-                                      chaos)
+                payload = run_attempt(fn_ref, spec, rng_seed)
             except BaseException as exc:
                 result_q.put(("err", index, attempt,
                               type(exc).__name__, str(exc),
@@ -315,12 +228,11 @@ class _Worker:
     stream with the worker instead of losing the whole campaign.
     """
 
-    def __init__(self, ctx, chaos_spec: Optional[dict]):
+    def __init__(self, ctx):
         self.task_q = ctx.SimpleQueue()
         self.result_q = ctx.SimpleQueue()
         self.process = ctx.Process(
-            target=_worker_main,
-            args=(self.task_q, self.result_q, chaos_spec),
+            target=_worker_main, args=(self.task_q, self.result_q),
             daemon=True)
         self.process.start()
         events.emit("worker.spawn", worker=self.process.pid,
@@ -414,8 +326,7 @@ class _InlineWorker:
         events.emit("unit.start", digest=unit.digest, index=unit.index,
                     attempt=unit.attempt, worker=self.pid)
         try:
-            payload = run_attempt(unit.fn_ref, unit.spec, unit.rng_seed,
-                                  unit.attempt, None)
+            payload = run_attempt(unit.fn_ref, unit.spec, unit.rng_seed)
         except Exception as exc:
             return ("err", unit.index, unit.attempt, type(exc).__name__,
                     str(exc), traceback_mod.format_exc())
@@ -449,9 +360,8 @@ class WorkerPool:
     threads at once.
     """
 
-    def __init__(self, ctx, chaos_spec: Optional[dict] = None):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.chaos_spec = chaos_spec
         self._idle: list[_Worker] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -474,7 +384,7 @@ class WorkerPool:
 
     def spawn(self) -> _Worker:
         """One fresh worker (also the mid-campaign respawn path)."""
-        return _Worker(self.ctx, self.chaos_spec)
+        return _Worker(self.ctx)
 
     def release(self, workers: Sequence[_Worker], *,
                 kill: bool = False) -> None:
@@ -507,25 +417,22 @@ class _Supervisor:
     def __init__(self, units: Sequence[_Unit], *, workers: int, ctx,
                  record: Callable[[int, Any], None], max_retries: int,
                  retry_backoff: float, unit_timeout: Optional[float],
-                 chaos: Optional[ChaosConfig], shutdown_grace: float,
+                 shutdown_grace: float,
                  shutdown_event: Optional[threading.Event],
                  pool: Optional[WorkerPool] = None):
-        if ctx is None and units and (unit_timeout is not None
-                                      or chaos is not None):
+        if ctx is None and units and unit_timeout is not None:
             raise ValueError(
-                "unit_timeout and chaos need worker processes; "
+                "unit_timeout needs worker processes; "
                 "ctx=None runs units in this process")
         self.units = list(units)
         self.record = record
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.unit_timeout = unit_timeout
-        self.chaos_spec = asdict(chaos) if chaos is not None else None
-        # Timeouts, retries and chaos all need per-unit dispatch: a chunk
-        # would make one hung unit poison its whole chunk's granularity.
+        # Timeouts and retries need per-unit dispatch: a chunk would
+        # make one hung unit poison its whole chunk's granularity.
         # In-process there is no IPC to amortise.
-        if (ctx is None or unit_timeout is not None or max_retries > 0
-                or chaos is not None):
+        if ctx is None or unit_timeout is not None or max_retries > 0:
             self.chunk_size = 1
         else:
             self.chunk_size = max(1, len(self.units) // (workers * 4))
@@ -542,8 +449,7 @@ class _Supervisor:
             self.pool = None
             self.workers = [_InlineWorker(shutdown_event)]
         else:
-            self.pool = pool if pool is not None \
-                else WorkerPool(ctx, self.chaos_spec)
+            self.pool = pool if pool is not None else WorkerPool(ctx)
             self.workers = self.pool.lease(workers)
 
     # -- result handling ----------------------------------------------------
@@ -712,7 +618,6 @@ def run_supervised(units: Sequence[tuple], *, workers: int, ctx,
                    record: Callable[[int, Any], None],
                    max_retries: int = 0, retry_backoff: float = 0.0,
                    unit_timeout: Optional[float] = None,
-                   chaos: Optional[ChaosConfig] = None,
                    shutdown_grace: float = 5.0,
                    shutdown_event: Optional[threading.Event] = None,
                    pool: Optional[WorkerPool] = None,
@@ -726,17 +631,15 @@ def run_supervised(units: Sequence[tuple], *, workers: int, ctx,
     (leased on entry, released on exit) — the resident-service path —
     and without one they are spawned and torn down per call.
     ``ctx=None`` runs every unit in this process on one inline worker:
-    ``workers`` and ``pool`` are then ignored, and ``unit_timeout`` or
-    ``chaos`` with units to run raise ``ValueError``, since there is no
-    process to preempt.  The dispatch chunk size is derived
-    (``report.chunk_size``): 1 in-process or when timeouts, retries or
-    chaos are armed, else ``len(units) // (workers * 4)``, at least
-    1."""
+    ``workers`` and ``pool`` are then ignored, and ``unit_timeout``
+    with units to run raises ``ValueError``, since there is no process
+    to preempt.  The dispatch chunk size is derived
+    (``report.chunk_size``): 1 in-process or when timeouts or retries
+    are armed, else ``len(units) // (workers * 4)``, at least 1."""
     wrapped = [_Unit(*item) for item in units]
     supervisor = _Supervisor(
         wrapped, workers=workers, ctx=ctx, record=record,
         max_retries=max_retries, retry_backoff=retry_backoff,
-        unit_timeout=unit_timeout, chaos=chaos,
-        shutdown_grace=shutdown_grace, shutdown_event=shutdown_event,
-        pool=pool)
+        unit_timeout=unit_timeout, shutdown_grace=shutdown_grace,
+        shutdown_event=shutdown_event, pool=pool)
     return supervisor.run()

@@ -179,11 +179,6 @@ class Instruction:
         return " ".join(parts)
 
 
-def nop() -> Instruction:
-    """The canonical no-op."""
-    return Instruction("nop")
-
-
 def to_signed64(value: int) -> int:
     """Interpret the low 64 bits of ``value`` as a signed integer."""
     value &= MASK64

@@ -22,9 +22,6 @@ class DataSegment:
             raise IsaError(f"negative data address {addr:#x}")
         self.words[addr] = value & ((1 << 64) - 1)
 
-    def items(self) -> Iterable[tuple[int, int]]:
-        return self.words.items()
-
     def __len__(self) -> int:
         return len(self.words)
 

@@ -123,12 +123,13 @@ class FlexKernel:
             current.state = TaskState.READY
             self.ready[core_id].append(current)
         # line 12: Find_next — EDF over the ready queue; the checker
-        # thread has an infinite deadline so real tasks preempt it.
+        # thread has an infinite deadline and loses every tie, so real
+        # tasks preempt it.
         queue = self.ready[core_id]
         if not queue:
             self.current[core_id] = None
             return None
-        queue.sort(key=lambda t: (t.deadline, t.name))
+        queue.sort(key=lambda t: (t.deadline, t.checker_thread, t.name))
         nxt = queue.pop(0)
         # lines 13-19: init or restore the next task's context
         if nxt.checker_thread:

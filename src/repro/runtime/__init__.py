@@ -4,7 +4,7 @@ Every ``REPRO_*`` runtime knob in this repository is declared exactly
 once, in :mod:`repro.runtime.knobs` — name, environment variable,
 type/parser, default, validator, CLI flag and help text.  Every knob
 (worker counts, timeouts, retries, backend and scheduler selection,
-chaos, figure-bench scale) is proven result-invariant and stays out of
+figure-bench scale) is proven result-invariant and stays out of
 campaign spawn seeds and result-cache digests.
 
 One precedence rule applies everywhere: explicit argument > config

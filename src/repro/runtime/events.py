@@ -14,8 +14,8 @@ Design constraints, in order:
 
 * **Identity-neutral.**  Emitting events must never perturb results:
   the bus touches no RNG, mutates no caller state, and the
-  bit-identity suite runs a chaos-armed campaign with the sink on and
-  off and compares results byte-for-byte.
+  bit-identity suite runs a campaign under a worker-fault storm with
+  the sink on and off and compares results byte-for-byte.
 * **Free when off.**  The default sink is null; :func:`emit` returns
   after one cached attribute check, so per-unit cache probes cost
   nothing extra in the common case.

@@ -29,7 +29,6 @@ the rest of ``src/`` honest forever.
 from __future__ import annotations
 
 import difflib
-import json
 import multiprocessing
 import os
 from contextlib import contextmanager
@@ -101,7 +100,7 @@ class Knob:
 
     name: str
     env: str
-    type: str                      # bool|int|float|str|path|json|choice
+    type: str                      # bool|int|float|str|path|choice
     default: Any
     help: str
     choices: Optional[tuple] = None
@@ -158,16 +157,6 @@ def _parse_path(knob: Knob, raw: Any, where: str) -> Path:
     return raw if isinstance(raw, Path) else Path(str(raw).strip())
 
 
-def _parse_json(knob: Knob, raw: Any, where: str) -> Any:
-    if not isinstance(raw, str):
-        return raw
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{where}: invalid JSON {raw!r}: {exc}") from None
-
-
 def _parse_choice(knob: Knob, raw: Any, where: str) -> str:
     text = str(raw).strip().lower()
     assert knob.choices is not None
@@ -184,7 +173,6 @@ _PARSERS = {
     "float": _parse_float,
     "str": _parse_str,
     "path": _parse_path,
-    "json": _parse_json,
     "choice": _parse_choice,
 }
 
@@ -309,8 +297,6 @@ def render_value(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value) if value else "-"
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
     text = str(value)
     return text if text else "-"
 
@@ -441,13 +427,6 @@ _register(Knob(
     default=5.0, examples=("1.0", "2.0"),
     help="drain window for in-flight units on SIGINT/SIGTERM, seconds "
          "(default 5)"))
-
-_register(Knob(
-    name="chaos", env="REPRO_CHAOS", type="json",
-    default=None,
-    examples=('{"seed": 1, "exc": 0.5}', '{"seed": 2}'),
-    help="test-only fault injector spec (JSON; see "
-         "tests/campaign/chaos.py)"))
 
 # -- backend / scheduler / engine selection ---------------------------------
 

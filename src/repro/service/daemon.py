@@ -53,7 +53,6 @@ buffer lock of the pipe transport's reader — and hang on it forever.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -67,7 +66,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from ..campaign import CampaignInterrupted, WorkerPool, resolve_cache
-from ..campaign.engine import _start_method, chaos_from_env
+from ..campaign.engine import _start_method
 from ..errors import ReproError
 from ..runtime import events, knobs
 from ..scenarios import get_scenario, run_scenario
@@ -152,10 +151,7 @@ class ReproService:
             return 0
         self._started = True
         self._subscription = events.subscribe(self._route_event)
-        chaos = chaos_from_env()
-        self.pool = WorkerPool(
-            pool_context(),
-            None if chaos is None else dataclasses.asdict(chaos))
+        self.pool = WorkerPool(pool_context())
         resumed = self._resume_persisted()
         self._runner_thread = threading.Thread(
             target=self._runner_loop, name="repro-serve-runner",

@@ -62,9 +62,6 @@ class TraceRecorder:
             out.append(e)
         return out
 
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
     def first(self, kind: str, subject: Optional[str] = None,
               ) -> Optional[TraceEvent]:
         for e in self.events:

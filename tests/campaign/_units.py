@@ -7,11 +7,16 @@ function body.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import signal
 import time
 from pathlib import Path
+from typing import Optional
+
+from repro.campaign.supervisor import resolve_unit_fn
 
 
 def echo_unit(spec: dict, rng_seed: int) -> dict:
@@ -110,3 +115,72 @@ def hang_once_unit(spec: dict, rng_seed: int) -> list[float]:
         time.sleep(120.0)
     rng = random.Random(rng_seed)
     return [rng.random() for _ in range(spec["n"])]
+
+
+#: The storm's fault plan, a JSON file in the unit's ``dir``.  Without
+#: it, :func:`storm_unit` runs its inner unit clean.
+STORM_PLAN = "storm.json"
+#: Exit code of a storm kill.
+STORM_EXIT_CODE = 113
+
+
+class StormError(RuntimeError):
+    """The exception a storm injects."""
+
+
+def storm_draw(plan: dict, i: int, attempt: int) -> Optional[str]:
+    """The fault planned for one attempt of unit ``i``: ``None``,
+    ``"kill-before"``, ``"kill-after"`` (the body ran, its result
+    message is lost), ``"raise"`` or ``"hang"``.
+
+    A SHA-256 of (storm seed, unit, attempt) decides, so the plan
+    replays identically in every process.  ``kill``/``exc``/``hang``
+    are per-attempt probabilities; attempts at or past
+    ``plan["attempts"]`` run clean, so a finite retry budget converges.
+    """
+    if attempt >= plan["attempts"]:
+        return None
+    ident = f"{plan['seed']}:{i}:{attempt}".encode("utf-8")
+    digest = hashlib.sha256(ident).digest()
+    roll = int.from_bytes(digest[:8], "big") / 2 ** 64
+    if roll < plan["kill"]:
+        return "kill-before" if digest[8] & 1 else "kill-after"
+    if roll < plan["kill"] + plan["exc"]:
+        return "raise"
+    if roll < plan["kill"] + plan["exc"] + plan["hang"]:
+        return "hang"
+    return None
+
+
+def storm_unit(spec: dict, rng_seed: int):
+    """Runs the unit named by ``spec["inner"]`` (default
+    :func:`rng_unit`) on the whole spec, under the fault plan in
+    ``spec["dir"]`` when one is there.
+
+    Each planned attempt leaves a marker file, so the unit counts its
+    own attempts across worker processes; the supervisor never runs
+    one unit in two workers at once.
+    """
+    root = Path(spec["dir"])
+    fault = None
+    plan_path = root / STORM_PLAN
+    if plan_path.exists():
+        plan = json.loads(plan_path.read_text())
+        attempt = 0
+        while (root / f"storm-{spec['i']}-{attempt}").exists():
+            attempt += 1
+        (root / f"storm-{spec['i']}-{attempt}").write_text("attempted\n")
+        fault = storm_draw(plan, spec["i"], attempt)
+        if fault == "kill-before":
+            os._exit(STORM_EXIT_CODE)
+        if fault == "raise":
+            raise StormError(
+                f"injected unit failure (unit {spec['i']}, "
+                f"attempt {attempt})")
+        if fault == "hang":
+            time.sleep(plan["hang_s"])
+    inner = resolve_unit_fn(spec.get("inner", f"{__name__}:rng_unit"))
+    payload = inner(spec, rng_seed)
+    if fault == "kill-after":
+        os._exit(STORM_EXIT_CODE)
+    return payload

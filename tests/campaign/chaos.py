@@ -1,17 +1,20 @@
-"""Chaos harness for the campaign supervisor (test-only helpers).
+"""Storm harness for the campaign supervisor (test-only helpers).
 
 The paper's thesis is architectures that keep computing correctly
 while cores fault; this harness applies the same discipline to our own
-campaign engine.  It arms the ``REPRO_CHAOS`` injector (worker kills
-mid-unit, injected exceptions, hangs — all deterministic functions of
-``(chaos seed, unit spawn seed, attempt)``) and, separately, corrupts
-the on-disk result cache *while a campaign is writing it*.  The tests
-in ``test_chaos.py`` then assert the differential oracle every other
-knob in this repo answers to: every surviving result must be
-bit-identical to a clean ``workers=1`` run.
+campaign engine.  :func:`arm_storm` writes a fault plan that
+:func:`_units.storm_unit` reads inside the workers (worker kills
+before or after the unit body, injected exceptions, hangs — all
+deterministic functions of ``(storm seed, unit, attempt)``), and,
+separately, :class:`CacheCorruptor` corrupts the on-disk result cache
+*while a campaign is writing it*.  The tests in ``test_chaos.py`` then
+assert the differential oracle every other knob in this repo answers
+to: every surviving result must be bit-identical to a clean
+``workers=1`` run of the same specs, which runs with no plan file.
 
-Nothing here is imported by library code — ``REPRO_CHAOS`` is parsed
-by the engine but only ever injected inside worker processes.
+A storm kill calls ``os._exit`` in whatever process runs the unit, so
+a kill or hang storm needs worker processes: ``workers >= 2`` or a
+``unit_timeout``.
 """
 
 from __future__ import annotations
@@ -20,17 +23,50 @@ import json
 import random
 import threading
 from pathlib import Path
+from typing import Optional
+
+from . import _units
 
 
-def chaos_json(*, seed: int = 0, kill: float = 0.0, exc: float = 0.0,
-               hang: float = 0.0, hang_s: float = 60.0,
-               attempts: int = 2) -> str:
-    """A ``REPRO_CHAOS`` value.  ``attempts`` bounds which attempt
-    numbers are eligible for injection (later attempts run clean), so a
-    finite ``max_retries`` budget provably converges."""
-    return json.dumps({"seed": seed, "kill": kill, "exc": exc,
-                       "hang": hang, "hang_s": hang_s,
-                       "attempts": attempts})
+def storm_specs(root: Path, inner_specs: list[dict],
+                inner: Optional[str] = None) -> list[dict]:
+    """Wrap ``inner_specs`` as :func:`_units.storm_unit` specs over the
+    storm dir ``root``; ``inner`` is the wrapped unit's
+    ``module:qualname`` (default :func:`_units.rng_unit`)."""
+    wrap = {"dir": str(root)} if inner is None \
+        else {"dir": str(root), "inner": inner}
+    return [{**spec, **wrap, "i": i} for i, spec in enumerate(inner_specs)]
+
+
+def arm_storm(root: Path, *, seed: int, kill: float = 0.0,
+              exc: float = 0.0, hang: float = 0.0, hang_s: float = 60.0,
+              attempts: int = 2) -> dict:
+    """Write a fault plan into ``root`` and reset the attempt counters,
+    so the next campaign over it storms from attempt 0."""
+    for marker in root.glob("storm-*"):
+        marker.unlink()
+    plan = {"seed": seed, "kill": kill, "exc": exc, "hang": hang,
+            "hang_s": hang_s, "attempts": attempts}
+    (root / _units.STORM_PLAN).write_text(json.dumps(plan))
+    return plan
+
+
+def disarm_storm(root: Path) -> None:
+    """Remove the plan: units over ``root`` run clean again."""
+    (root / _units.STORM_PLAN).unlink()
+
+
+def planned_faults(plan: dict, units: int = 8) -> list[str]:
+    """The faults a campaign over ``units`` units meets under ``plan``
+    when its retry budget outlasts them: attempt ``k + 1`` of a unit
+    runs only when attempt ``k`` faulted."""
+    faults = []
+    for i in range(units):
+        attempt = 0
+        while (fault := _units.storm_draw(plan, i, attempt)) is not None:
+            faults.append(fault)
+            attempt += 1
+    return faults
 
 
 class CacheCorruptor(threading.Thread):

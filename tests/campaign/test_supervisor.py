@@ -2,7 +2,7 @@
 chunking and graceful shutdown with resume from the cache.
 
 The chaos differential gate (``test_chaos.py``) proves survival under
-random storms; these tests pin the individual mechanisms with
+seeded fault storms; these tests pin the individual mechanisms with
 deterministic, marker-file-driven faults.
 """
 
@@ -176,14 +176,13 @@ class TestInlineWorker:
 
 
     def test_in_process_supervisor_rejects_process_only_knobs(self):
-        """Timeouts and chaos need a process to preempt or kill."""
-        from repro.campaign.supervisor import ChaosConfig, run_supervised
+        """Timeouts need a process to preempt."""
+        from repro.campaign.supervisor import run_supervised
         units = [(0, "tests.campaign._units:rng_unit", {"n": 1}, 1, None)]
-        for knobs in ({"unit_timeout": 1.0}, {"chaos": ChaosConfig()}):
-            with pytest.raises(ValueError, match="worker processes"):
-                run_supervised(units, workers=1, ctx=None,
-                               record=lambda index, payload: None,
-                               **knobs)
+        with pytest.raises(ValueError, match="worker processes"):
+            run_supervised(units, workers=1, ctx=None,
+                           record=lambda index, payload: None,
+                           unit_timeout=1.0)
 
 
 class TestGracefulShutdown:
@@ -258,7 +257,6 @@ class TestGracefulShutdown:
         import json
         env = dict(os.environ)
         env["PYTHONPATH"] = f"{REPO_ROOT}:{REPO_ROOT / 'src'}"
-        env.pop("REPRO_CHAOS", None)
         child = subprocess.Popen(
             [sys.executable, "-c", script, json.dumps(specs),
              str(cache_dir)],

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import IsaError
 from repro.isa import OPS, Instruction, OpKind, reg_name
 from repro.isa.instructions import (
-    nop,
     to_signed64,
     MASK64,
 )
@@ -57,9 +56,6 @@ class TestInstruction:
         a = Instruction("jal", rd=0, imm=16, label="foo")
         b = Instruction("jal", rd=0, imm=16, label="bar")
         assert a == b
-
-    def test_nop_helper(self):
-        assert nop().op == "nop"
 
 
 class TestNumericHelpers:

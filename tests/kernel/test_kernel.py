@@ -160,6 +160,20 @@ class TestCheckerThread:
         finish_c = kern.trace.first("task_finished", subject="C")
         assert finish_c is not None
 
+    def test_checker_thread_loses_deadline_ties(self):
+        """A task on the checker core with the checker thread's own
+        infinite deadline still runs, whatever its name sorts to: the
+        checker thread loses every EDF tie."""
+        soc, kern = dual_core_kernel(500)
+        pa = make_task_program(300, 0x2000)
+        kern.spawn(0, KernelTask("A", pa, verification=True, deadline=1))
+        kern.spawn(1, KernelTask("z", make_task_program(50, 0x2010)))
+        run_checked(soc, kern)
+        assert soc.memory.read_word(0x2010) == 50 * 4   # z ran
+        assert kern.trace.first("task_finished", subject="z") is not None
+        results = soc.all_results()
+        assert results and all(r.ok for r in results)   # A verified
+
     def test_kernel_finishes_without_checker_work(self):
         soc = FlexStepSoC(SoCConfig(num_cores=2))
         kern = FlexKernel(soc, quantum_cycles=1000)

@@ -17,10 +17,17 @@ from repro.runtime import events
 from repro.runtime.events import EVENT_SCHEMA, EventBus, get_bus
 
 from tests.campaign import _units
-from tests.campaign.chaos import chaos_json
+from tests.campaign.chaos import arm_storm, storm_specs
 
 SPECS = [{"n": 4, "i": i} for i in range(8)]
 SEED = 7
+
+
+def storm_grid(tmp_path):
+    """The storm dir under ``tmp_path`` and its eight-unit grid."""
+    root = tmp_path / "storm"
+    root.mkdir(exist_ok=True)
+    return root, storm_specs(root, [{"n": 4}] * 8)
 
 
 def read_events(path) -> list[dict]:
@@ -162,16 +169,17 @@ class TestSubscribers:
 
 
 class TestCampaignEventLog:
-    """A real chaos-armed campaign writes a joinable, schema-valid log."""
+    """A real campaign under an exception storm writes a joinable,
+    schema-valid log."""
 
     @pytest.fixture()
     def log_and_run(self, tmp_path, monkeypatch):
         sink = tmp_path / "campaign.jsonl"
         monkeypatch.setenv("REPRO_LOG_JSON", str(sink))
-        monkeypatch.setenv("REPRO_CHAOS",
-                           chaos_json(seed=1, exc=0.8, attempts=2))
+        root, specs = storm_grid(tmp_path)
+        arm_storm(root, seed=1, exc=0.8, attempts=2)
         cache = ResultCache(tmp_path / "cache")
-        run = run_campaign(_units.rng_unit, SPECS, seed=SEED, workers=2,
+        run = run_campaign(_units.storm_unit, specs, seed=SEED, workers=2,
                            cache=cache, max_retries=4,
                            retry_backoff=0.0)
         return sink, cache, run
@@ -217,11 +225,12 @@ class TestCampaignEventLog:
                 if r["event"] == "cache.miss"}
         replay_sink = tmp_path / "replay.jsonl"
         monkeypatch.setenv("REPRO_LOG_JSON", str(replay_sink))
-        replay = run_campaign(_units.rng_unit, SPECS, seed=SEED,
+        _, specs = storm_grid(tmp_path)
+        replay = run_campaign(_units.storm_unit, specs, seed=SEED,
                               workers=2, cache=cache, max_retries=4,
                               retry_backoff=0.0)
         assert replay.results == run.results
-        assert replay.stats.cached == len(SPECS)
+        assert replay.stats.cached == len(specs)
         records = read_events(replay_sink)
         hits = {r["digest"] for r in records if r["event"] == "cache.hit"}
         assert hits == cold
@@ -230,28 +239,30 @@ class TestCampaignEventLog:
 
 class TestIdentityNeutrality:
     """Logging must be provably free: bit-identical results with the
-    bus on and off, chaos armed both times."""
+    bus on and off, the same exception storm armed both times."""
 
     def test_chaos_campaign_bit_identical_with_bus_on_and_off(
             self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS",
-                           chaos_json(seed=3, exc=0.6, attempts=2))
+        root, specs = storm_grid(tmp_path)
+        arm_storm(root, seed=3, exc=0.6, attempts=2)
         monkeypatch.delenv("REPRO_LOG_JSON", raising=False)
-        silent = run_campaign(_units.rng_unit, SPECS, seed=SEED,
+        silent = run_campaign(_units.storm_unit, specs, seed=SEED,
                               workers=2, cache=None, max_retries=4,
                               retry_backoff=0.0)
+        assert silent.stats.retried > 0
+        arm_storm(root, seed=3, exc=0.6, attempts=2)
         sink = tmp_path / "events.jsonl"
         monkeypatch.setenv("REPRO_LOG_JSON", str(sink))
-        logged = run_campaign(_units.rng_unit, SPECS, seed=SEED,
+        logged = run_campaign(_units.storm_unit, specs, seed=SEED,
                               workers=2, cache=None, max_retries=4,
                               retry_backoff=0.0)
+        assert logged.stats.retried == silent.stats.retried
         assert canonical_json(logged.results) \
             == canonical_json(silent.results)
         assert read_events(sink), "the logged run produced no events"
 
     def test_serial_path_is_neutral_too(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_LOG_JSON", raising=False)
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         silent = run_campaign(_units.rng_unit, SPECS, seed=SEED,
                               workers=1, cache=None)
         monkeypatch.setenv("REPRO_LOG_JSON",

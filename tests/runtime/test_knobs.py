@@ -26,7 +26,7 @@ ALL_KNOBS = sorted(knobs.REGISTRY)
 
 class TestRegistryShape:
     def test_registry_is_nonempty_and_indexed_both_ways(self):
-        assert len(knobs.REGISTRY) >= 17
+        assert len(knobs.REGISTRY) >= 16
         for knob in knobs.REGISTRY.values():
             assert knobs._BY_ENV[knob.env] is knob
 
@@ -193,11 +193,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="REPRO_MP_START"):
             pool_context()
 
-    def test_malformed_chaos_json_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "{broken")
-        with pytest.raises(ConfigurationError, match="invalid JSON"):
-            knobs.value("chaos")
-
     def test_check_env_accepts_known_and_foreign_names(self):
         knobs.check_env(environ={"REPRO_WORKERS": "4", "PATH": "/bin",
                                  "REPROBATE": "not ours"})
@@ -264,8 +259,8 @@ def assert_digest_neutral(monkeypatch, registered):
 class TestScope:
     @pytest.mark.parametrize("name",
                              ["core_engine", "sched_backend",
-                              "soc_sched", "workers", "chaos",
-                              "unit_timeout", "max_retries"])
+                              "soc_sched", "workers", "unit_timeout",
+                              "max_retries"])
     def test_result_invariant_knobs_are_execution_scoped(self, name,
                                                          monkeypatch):
         """The differential suites prove results don't depend on these;

@@ -102,8 +102,8 @@ class TestEdfSimulatorBasics:
         sim.submit(sim.make_job(t(2, 10), Role.ORIGINAL, (0,), 0.0,
                                 10.0))
         sim.run(20.0)
-        assert trace.count("release") == 1
-        assert trace.count("finish") == 1
+        assert len(trace.filter(kind="release")) == 1
+        assert len(trace.filter(kind="finish")) == 1
 
 
 class TestSimulatePartition:

@@ -33,7 +33,7 @@ class TestTraceRecorder:
         assert rec.first("release").subject == "t1"
         assert rec.last("release").subject == "t2"
         assert rec.first("run", subject="t2").time == 4.0
-        assert rec.count("run") == 2
+        assert len(rec.filter(kind="run")) == 2
         assert rec.first("nothing") is None
         assert rec.last("nothing") is None
 

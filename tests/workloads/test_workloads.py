@@ -118,7 +118,7 @@ def program_digest(programs):
             h.update(repr((inst.op, inst.rd, inst.rs1, inst.rs2, inst.imm,
                            inst.label)).encode())
         h.update(repr(list(p.labels.items())).encode())
-        h.update(repr(list(p.data.items())).encode())
+        h.update(repr(list(p.data.words.items())).encode())
         h.update(repr((p.name, p.base, p.entry)).encode())
     return h.hexdigest()
 
