@@ -1,26 +1,39 @@
-"""SoC scheduler check on a Fig. 4/7-shaped slice at bench scale.
+"""SoC scheduler check on the catalog's die at bench scale.
 
-Runs a clean single-pair dual die and a fault-injected 8-core die under
-both co-sim schedulers and asserts the runs are bit-identical (the
-``loop`` scheduler is the oracle).  The tier-1 sweep over more shapes
-at smaller targets is ``tests/flexstep/test_soc_sched.py``;
-end-to-end performance is measured by ``e2ebench/``.
+Builds a clean single-pair dual die and a fault-injected 8-core die
+with :func:`repro.flexstep.die.build_verified_die`, the builder the
+scenario catalog's latency and slowdown units run, and asserts both
+co-sim schedulers run them bit-identically (the ``loop`` scheduler is
+the oracle).  The tier-1 sweep over more shapes at smaller targets is
+``tests/flexstep/test_soc_sched.py``; end-to-end performance is
+measured by ``e2ebench/``.
 """
 
 import pytest
 
-from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
+from repro.flexstep.die import build_verified_die
+from repro.flexstep.fingerprint import soc_fingerprint
+from repro.workloads.generator import GeneratorOptions, cached_program
+from repro.workloads.profiles import get_profile
+
+#: Fig. 7 unit-spec fields of every point: spill and service pause.
+DIE = {"dma_spill_entries": 2_048, "service_pause_cycles": 20_000}
+#: A faulted point arms every segment, injector seeds 11 + 7919 * pair.
+FAULTS = {"target": "any", "segment_interval": 1, "fault_seed": 11}
 
 POINTS = (
-    {"name": "fig4-dual", "workload": "dedup", "pairs": 1, "checkers": 1,
-     "faults": False, "target_instructions": 20_000},
-    {"name": "fig7-8core", "workload": "dedup", "pairs": 4, "checkers": 1,
-     "faults": True, "target_instructions": 5_000},
+    {"name": "fig4-dual", "workload": "dedup", "target_instructions": 20_000,
+     "spec": {**DIE, "pairs": 1, "checkers": 1}},
+    {"name": "fig7-8core", "workload": "dedup", "target_instructions": 5_000,
+     "spec": {**DIE, **FAULTS, "pairs": 4, "checkers": 1}},
 )
 
 
 def _fingerprint(point, sched):
-    soc, injectors = build_point_soc(point)
+    program = cached_program(
+        get_profile(point["workload"]),
+        GeneratorOptions(target_instructions=point["target_instructions"]))
+    soc, injectors = build_verified_die(program, point["spec"])
     stats = soc.run(sched=sched)
     return soc_fingerprint(soc, stats, injectors)
 
@@ -39,5 +52,6 @@ def test_schedulers_bit_identical(fingerprints):
 
 
 def test_grid_covers_multi_pair_dies():
-    cores = [p["pairs"] * (1 + p["checkers"]) for p in POINTS]
+    cores = [p["spec"]["pairs"] * (1 + p["spec"]["checkers"])
+             for p in POINTS]
     assert max(cores) >= 8, "slice lost its 8+-core point"

@@ -32,18 +32,11 @@ scenarios.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..config import SoCConfig
-from ..flexstep.faults import (
-    FaultInjector,
-    FaultRecord,
-    FaultTarget,
-    install_injector,
-)
-from ..flexstep.soc import FlexStepSoC
+from ..flexstep.die import build_verified_die
+from ..flexstep.faults import FaultRecord, FaultTarget
 from ..sim.stats import Histogram, percentile
 from ..workloads.generator import GeneratorOptions, cached_program
 from ..workloads.profiles import WorkloadProfile
@@ -93,8 +86,9 @@ class LatencyResult:
 def _fig7_unit(spec: dict, rng_seed: int) -> dict:
     """One work unit: one fault-injection repetition of one workload.
 
-    ``pairs`` main/checker groups run the same workload concurrently on
-    one co-simulated die (``pairs × (1 + checkers)`` cores); each pair
+    :func:`~repro.flexstep.die.build_verified_die` builds the die from
+    the spec: ``pairs`` main/checker groups run the same workload
+    concurrently (``pairs × (1 + checkers)`` cores); each pair
     gets its own injector and fault stream, and is resolved against its
     own checkers' results (segment ids are per-main-core).
 
@@ -110,46 +104,14 @@ def _fig7_unit(spec: dict, rng_seed: int) -> dict:
     program = cached_program(
         profile,
         GeneratorOptions(target_instructions=spec["target_instructions"]))
-    pairs = spec.get("pairs", 1)
-    checkers = spec.get("checkers", 1)
-    group = 1 + checkers
-    flex_overrides = {"dma_spill_entries": spec["dma_spill_entries"]}
-    if spec.get("fifo_entries"):
-        flex_overrides["fifo_entries"] = spec["fifo_entries"]
-    config = SoCConfig(num_cores=pairs * group).with_flexstep(
-        **flex_overrides)
-    soc = FlexStepSoC(config)
-    # G.Configure writes the whole attribute register at once, so all
-    # pairs' roles are declared in one call before associating each.
-    mains = [p * group for p in range(pairs)]
-    engines_of_pair = [[m + 1 + i for i in range(checkers)]
-                       for m in mains]
-    soc.control.configure(mains, [cid for ids in engines_of_pair
-                                  for cid in ids])
-    injectors: list[FaultInjector] = []
-    for p, (main, checker_ids) in enumerate(zip(mains, engines_of_pair)):
-        soc.load_program(main, program)
-        soc.control.associate(main, checker_ids)
-        soc.control.check_enable(main)
-        for cid in checker_ids:
-            soc.control.check_state(cid, busy=True)
-            soc.engine_of(cid).segment_service_pause = \
-                spec["service_pause_cycles"]
-        injectors.append(install_injector(
-            soc, main,
-            side=spec.get("side", "checker"),
-            target=FaultTarget(spec["target"]),
-            segment_interval=spec["segment_interval"],
-            segment_rate=spec.get("segment_rate"),
-            burst_bits=spec.get("burst_bits", 1),
-            rng=random.Random(spec["fault_seed"] + 7919 * p)))
+    soc, injectors = build_verified_die(program, spec)
     soc.run()
     latencies: list[float] = []
     records: list[FaultRecord] = []
     armed_unfired = 0
-    for injector, checker_ids in zip(injectors, engines_of_pair):
+    for injector in injectors:
         results = []
-        for cid in checker_ids:
+        for cid in soc.interconnect.checkers_of(injector.channel.main_id):
             results.extend(soc.engine_of(cid).results)
         injector.resolve(results)
         latencies.extend(soc.cycles_us(c)

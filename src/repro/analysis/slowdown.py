@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from ..config import SoCConfig, soc_config_from_dict, soc_config_to_dict
 from ..errors import VerificationMismatch
+from ..flexstep.die import build_verified_die
 from ..flexstep.soc import FlexStepSoC
 from ..isa.program import Program
 from ..sim.stats import geomean
@@ -55,24 +56,19 @@ def measure_vanilla_cycles(program: Program,
 
 def measure_flexstep(program: Program, *, checkers: int = 1,
                      config: SoCConfig | None = None,
-                     require_clean: bool = True) -> tuple[int, FlexStepSoC]:
+                     ) -> tuple[int, FlexStepSoC]:
     """Cycles for the main core under ``checkers``-way verification.
 
-    Returns (main-core cycles, the SoC) so callers can inspect segment
-    results and unit statistics.  ``require_clean`` raises if any
-    segment failed verification (there are no faults in this
-    experiment, so a failure is a harness bug).
+    Builds one clean group on ``config`` (default: exactly its cores)
+    with :func:`~repro.flexstep.die.build_verified_die`.  Returns
+    (main-core cycles, the SoC) so callers can inspect segment results
+    and unit statistics.  Raises if any segment failed verification
+    (there are no faults in this experiment, so a failure is a harness
+    bug).
     """
-    cfg = config or SoCConfig(num_cores=checkers + 1)
-    if cfg.num_cores < checkers + 1:
-        raise ValueError(
-            f"{checkers}-checker mode needs {checkers + 1} cores")
-    soc = FlexStepSoC(cfg)
-    soc.load_program(0, program)
-    checker_ids = list(range(1, checkers + 1))
-    soc.setup_verification(0, checker_ids)
+    soc, _ = build_verified_die(program, {"checkers": checkers}, config)
     stats = soc.run()
-    if require_clean and stats.segments_failed:
+    if stats.segments_failed:
         failed = [r for r in soc.all_results() if not r.ok]
         raise VerificationMismatch(
             f"fault-free run failed {stats.segments_failed} segments: "

@@ -175,7 +175,10 @@ def _worker_main(task_q, result_q) -> None:
     """Worker loop: take a batch, report one result message per unit.
 
     SIGINT is ignored so a terminal ctrl-C reaches only the supervisor,
-    which then drains or cancels us deliberately.  The worker also
+    which then drains or cancels us deliberately.  SIGTERM gets its
+    default action back: a forked worker inherits ``run_campaign``'s
+    shutdown handler, under which ``terminate()`` would only set a
+    copy of the supervisor's shutdown flag.  The worker also
     exits when the process that started it dies (its sentinel becomes
     readable, or the worker is reparented), checked between units and
     every ``PARENT_POLL_S`` while idle: a SIGKILLed supervisor or
@@ -183,6 +186,7 @@ def _worker_main(task_q, result_q) -> None:
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     # imported here, not at module level: the in-process worker never
@@ -344,20 +348,19 @@ class _InlineWorker:
 class WorkerPool:
     """A persistent set of supervised worker processes.
 
-    A ``WorkerPool`` outlives individual campaigns, as a resident
-    service running thousands of campaigns needs:
-    :func:`run_supervised` (and ``run_campaign(pool=...)`` above it)
-    *leases* workers from the pool and releases them back when the
-    campaign completes, so the next campaign reuses warm processes
-    (imports done, unit functions resolved).  Workers are spawned
-    lazily on first lease, never up-front, so an unused pool costs
-    nothing.
+    A ``WorkerPool`` outlives individual campaigns, as the daemon's
+    one runner thread needs from job to job: :func:`run_supervised`
+    (and ``run_campaign(pool=...)`` above it) *leases* workers from
+    the pool and releases them back when the campaign completes, so
+    the next campaign reuses warm processes (imports done, unit
+    functions resolved).  Workers are spawned lazily on first lease,
+    never up-front, so an unused pool costs nothing.
 
     Only clean workers are reused: a worker holding an undelivered
     batch (interrupted campaign) or one whose process died is killed
-    on release and never returned to the idle set.  The pool is
-    thread-safe — a multi-job daemon leases from several supervisor
-    threads at once.
+    on release and never returned to the idle set.  The idle set is
+    locked because ``ReproService.stop`` closes the pool from another
+    thread while the runner may be leasing or releasing.
     """
 
     def __init__(self, ctx):

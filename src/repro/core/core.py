@@ -250,11 +250,10 @@ class Core:
     # setup / control
     # ------------------------------------------------------------------
 
-    def load_program(self, program: Program, *, entry: int | None = None,
-                     ) -> None:
+    def load_program(self, program: Program) -> None:
         """Point the core at ``program`` and jump to its entry."""
         self.program = program
-        self.pc = entry if entry is not None else program.entry
+        self.pc = program.entry
         self.halted = False
         self._decoded = None
 

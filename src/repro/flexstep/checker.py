@@ -250,16 +250,15 @@ class CheckerEngine:
         elif self.state is CheckerState.SKIP:
             self._step_skip()
 
-    def advance(self, horizon: Optional[int] = None,
-                max_actions: int = 256) -> None:
+    def advance(self, horizon: Optional[int], max_actions: int) -> None:
         """Run a batch of checker actions between co-sim sync points.
 
         Takes at least one action (the co-simulation's progress
-        guarantee), then keeps going while the checker's local clock
-        stays below ``horizon`` — the point where another core would
-        become the event-ordering minimum — and there is conceivably
-        work left.  Every idle cycle is one action: this is the ``loop``
-        oracle's batch.
+        guarantee) and at most ``max_actions``, going on while the
+        checker's local clock stays below ``horizon`` — the point where
+        another core would become the event-ordering minimum — and
+        there is conceivably work left.  Every idle cycle is one
+        action: this is the ``loop`` oracle's batch.
         """
         core_stats = self.core.stats
         done = 0

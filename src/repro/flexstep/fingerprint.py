@@ -1,72 +1,20 @@
-"""Co-simulated dies and their fingerprints, for the differential suites.
+"""Fingerprints of co-simulated dies, for the differential suites.
 
 :func:`soc_fingerprint` folds everything a scheduler or an engine tier
 could perturb into one value, so two runs of the same die compare with
 ``==``: the ``loop`` oracle against the ``heap`` scheduler, and the
-``interp`` oracle against the ``decoded`` tier.  :func:`build_point_soc`
-builds the Fig. 4/6/7-shaped dies those differential suites sweep.
+``interp`` oracle against the ``decoded`` tier.  The suites build their
+dies with :func:`repro.flexstep.die.build_verified_die`, as the catalog
+does.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
-from ..config import SoCConfig
-from ..core.decode import decode_program
 from ..core.registers import CSR_INSTRET
-from ..workloads.generator import GeneratorOptions, cached_program
-from ..workloads.profiles import get_profile
-from .faults import FaultInjector, FaultTarget, install_injector
+from .faults import FaultInjector
 from .soc import FlexStepSoC, SoCRunStats
-
-
-def build_point_soc(point: dict) -> tuple[FlexStepSoC, list]:
-    """One co-simulated die for a grid point, verification armed.
-
-    ``pairs`` main/checker groups run the point's workload concurrently
-    (the Fig. 7 topology); fault points install one deterministic
-    injector per pair, as ``analysis.latency._fig7_unit`` does, but
-    armed on every segment: at the small targets the differential
-    suites use, a checker may close only one segment.
-    """
-    profile = get_profile(point["workload"])
-    options = GeneratorOptions(
-        target_instructions=point["target_instructions"],
-    )
-    program = cached_program(profile, options)
-    pairs = point["pairs"]
-    checkers = point["checkers"]
-    group = 1 + checkers
-    config = SoCConfig(num_cores=pairs * group).with_flexstep(
-        dma_spill_entries=2_048,
-    )
-    # warm the decode cache so neither scheduler pays it in its timing
-    decode_program(program, config.core)
-    soc = FlexStepSoC(config)
-    mains = [p * group for p in range(pairs)]
-    checker_ids = [[m + 1 + i for i in range(checkers)] for m in mains]
-    flat_checkers = [cid for ids in checker_ids for cid in ids]
-    soc.control.configure(mains, flat_checkers)
-    injectors: list[FaultInjector] = []
-    for pair, (main, ids) in enumerate(zip(mains, checker_ids)):
-        soc.load_program(main, program)
-        soc.control.associate(main, ids)
-        soc.control.check_enable(main)
-        for cid in ids:
-            soc.control.check_state(cid, busy=True)
-            soc.engine_of(cid).segment_service_pause = 20_000
-        if point["faults"]:
-            injector = install_injector(
-                soc,
-                main,
-                side="checker",
-                target=FaultTarget.ANY,
-                segment_interval=1,
-                rng=random.Random(11 + 7_919 * pair),
-            )
-            injectors.append(injector)
-    return soc, injectors
 
 
 def soc_fingerprint(

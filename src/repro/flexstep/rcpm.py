@@ -82,15 +82,12 @@ class AdapterStats:
 class MainCoreAdapter:
     """CPC + ASS + MAL for one core in *main* attribute."""
 
-    def __init__(self, core: Core, config: FlexStepConfig, *,
-                 capture_cycles: int = SNAPSHOT_CAPTURE_CYCLES,
-                 transfer_cycles: int = SNAPSHOT_TRANSFER_CYCLES,
-                 progress_interval: int = PROGRESS_INTERVAL):
+    def __init__(self, core: Core, config: FlexStepConfig):
         self.core = core
         self.config = config
-        self.capture_cycles = capture_cycles
-        self.transfer_cycles = transfer_cycles
-        self.progress_interval = progress_interval
+        self.capture_cycles = SNAPSHOT_CAPTURE_CYCLES
+        self.transfer_cycles = SNAPSHOT_TRANSFER_CYCLES
+        self.progress_interval = PROGRESS_INTERVAL
         self.channels: list[Channel] = []
         self.enabled = False
         self.stats = AdapterStats()

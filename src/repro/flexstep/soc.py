@@ -279,8 +279,22 @@ class FlexStepSoC:
 
     def setup_verification(self, main_id: int,
                            checker_ids: Sequence[int]) -> None:
-        """One call to configure dual/triple-core verification mode."""
-        self.control.configure([main_id], checker_ids)
+        """Arm ``main_id`` for dual/triple-core verification by
+        ``checker_ids``: ``G.Configure``, ``M.associate``,
+        ``M.check(enable)``, then ``C.check_state(busy)`` per checker.
+
+        ``G.Configure`` writes the whole attribute register, so it
+        writes the groups armed before plus this one: one call per
+        group arms a multi-group die.
+        """
+        mains = {main_id}
+        checkers = set(checker_ids)
+        for cid, attr in enumerate(self.attrs):
+            if attr is CoreAttr.MAIN:
+                mains.add(cid)
+            elif attr is CoreAttr.CHECKER:
+                checkers.add(cid)
+        self.control.configure(mains, checkers)
         self.control.associate(main_id, checker_ids)
         self.control.check_enable(main_id)
         for cid in checker_ids:
@@ -354,7 +368,7 @@ class FlexStepSoC:
                 and self.cores[cid].program is not None
                 and (not self.cores[cid].halted or self.retire_main(cid))}
 
-    def advance(self, n: int, active_mains: set | None = None, *,
+    def advance(self, n: int, active_mains: set, *,
                 max_cycles: Optional[int] = None) -> tuple[int, bool]:
         """One batched co-simulation round: arbitrate, then advance the
         min-clock core by up to ``n`` instructions (or checker actions).
@@ -369,15 +383,13 @@ class FlexStepSoC:
         round so the caller's instruction watchdog sees every commit.
 
         ``active_mains`` carries the not-yet-finished main/compute set
-        across rounds; omit it for a standalone round.
+        across rounds.
 
         Candidate order is canonical — main/compute cores ascending,
         then checkers in engine-binding order — so clock ties resolve
         identically here and in the heap scheduler (``min`` keeps the
         first minimum it meets).
         """
-        if active_mains is None:
-            active_mains = self._initial_active_mains()
         runnable = sorted(active_mains)
         checker_pending = []
         for cid, engine in self._engines.items():

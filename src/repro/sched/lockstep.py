@@ -41,10 +41,6 @@ class _Group:
     checkers: int             # 1 = DCLS, 2 = TCLS
     load: float = 0.0
 
-    @property
-    def level(self) -> int:
-        return self.checkers + 1
-
 
 def partition_lockstep(task_set: TaskSet, num_cores: int,
                        ) -> PartitionResult:

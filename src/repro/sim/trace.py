@@ -62,21 +62,6 @@ class TraceRecorder:
             out.append(e)
         return out
 
-    def first(self, kind: str, subject: Optional[str] = None,
-              ) -> Optional[TraceEvent]:
-        for e in self.events:
-            if e.kind == kind and (subject is None or e.subject == subject):
-                return e
-        return None
-
-    def last(self, kind: str, subject: Optional[str] = None,
-             ) -> Optional[TraceEvent]:
-        found = None
-        for e in self.events:
-            if e.kind == kind and (subject is None or e.subject == subject):
-                found = e
-        return found
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 

@@ -11,9 +11,13 @@ A storm kill exits whatever process runs the unit, so every stormy
 campaign runs worker processes (``workers=2`` or a ``unit_timeout``).
 """
 
+import time
+
 import pytest
 
 from repro.campaign import CampaignError, ResultCache, run_campaign
+from repro.campaign.supervisor import _KILL_GRACE_S
+from repro.runtime import events
 from repro.sched.experiments import _fig5_batch_specs, _fig5_batch_unit
 
 from . import _units
@@ -78,6 +82,37 @@ class TestChaosDifferential:
         assert run.results == oracle
         assert run.failures == []
         assert run.stats.timeouts >= 1
+
+    def test_timed_out_workers_respawn_without_the_kill_grace(self,
+                                                              storm):
+        """A timed-out worker dies on ``terminate()``: it does not keep
+        ``run_campaign``'s SIGTERM handler, under which it ran on until
+        the supervisor's ``kill()`` a whole ``_KILL_GRACE_S`` later,
+        with the supervisor loop stalled meanwhile."""
+        root, specs, oracle = storm
+        plan = arm_storm(root, seed=3, hang=0.5, hang_s=30.0, attempts=1)
+        hangs = planned_faults(plan).count("hang")
+        stamps = []
+
+        def on_event(record):
+            if record["event"] in ("worker.death", "worker.respawn"):
+                stamps.append((record["event"], time.monotonic()))
+
+        token = events.subscribe(on_event)
+        try:
+            run = run_campaign(_units.storm_unit, specs, seed=SEED,
+                               workers=2, cache=None, unit_timeout=0.5,
+                               max_retries=2, retry_backoff=0.0)
+        finally:
+            events.unsubscribe(token)
+        assert run.results == oracle
+        assert run.stats.timeouts == hangs >= 1
+        # each death is followed by its own respawn
+        assert [event for event, _ in stamps] \
+            == ["worker.death", "worker.respawn"] * hangs
+        gaps = [respawn - death for (_, death), (_, respawn)
+                in zip(stamps[::2], stamps[1::2])]
+        assert max(gaps) < _KILL_GRACE_S / 2, gaps
 
     def test_combined_storm_with_live_cache_corruption(self, storm,
                                                        tmp_path):

@@ -8,7 +8,10 @@ from repro.config import SoCConfig
 from repro.core import Core, DirectPort, MainMemory
 from repro.config import CoreConfig
 from repro.flexstep import FlexStepSoC
+from repro.flexstep.die import build_verified_die
 from repro.isa import assemble
+from repro.workloads.generator import GeneratorOptions, cached_program
+from repro.workloads.profiles import get_profile
 
 
 SUM_LOOP_SRC = """
@@ -94,6 +97,26 @@ def make_verified_soc(program, *, checkers: int = 1, **flex_overrides):
     soc.load_program(0, program)
     soc.setup_verification(0, list(range(1, checkers + 1)))
     return soc
+
+
+def point_die(point):
+    """The verified die of a differential-suite grid point.
+
+    ``pairs`` groups of ``1 + checkers`` cores run ``workload`` on the
+    catalog's builder with a 2,048-entry spill and a 20,000-cycle
+    service pause.  A faulted point arms every segment (at the small
+    targets the suites use, a checker may close only one), its
+    injectors seeded ``11 + 7919 * pair``.  Returns ``(soc,
+    injectors)``.
+    """
+    program = cached_program(
+        get_profile(point["workload"]),
+        GeneratorOptions(target_instructions=point["target_instructions"]))
+    spec = {"pairs": point["pairs"], "checkers": point["checkers"],
+            "dma_spill_entries": 2_048, "service_pause_cycles": 20_000}
+    if point["faults"]:
+        spec.update(target="any", segment_interval=1, fault_seed=11)
+    return build_verified_die(program, spec)
 
 
 def run_on_core(source: str, *, max_instructions: int = 200_000):

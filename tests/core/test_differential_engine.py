@@ -34,7 +34,7 @@ from repro.isa import assemble
 from repro.isa.instructions import OPS, Instruction, OpKind
 from repro.isa.program import DataSegment, Program
 
-from ..conftest import make_ecall_program, make_sum_program
+from ..conftest import make_ecall_program, make_sum_program, point_die
 
 #: Registers the generator uses for data (x1 reserved as link register,
 #: x6 as the memory base, x31 for jalr targets).
@@ -330,7 +330,7 @@ def test_soc_fingerprint_engine_invariant(pairs, checkers):
     and cache counter -- whether the ``loop`` scheduler drives the
     reference interpreter or the ``heap`` scheduler drives a faster
     tier."""
-    from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
+    from repro.flexstep.fingerprint import soc_fingerprint
 
     point = {"name": f"{pairs}x{checkers}", "workload": "dedup",
              "pairs": pairs, "checkers": checkers, "faults": True,
@@ -338,7 +338,7 @@ def test_soc_fingerprint_engine_invariant(pairs, checkers):
 
     def fingerprint(engine, sched):
         with engine_override(engine):
-            soc, injectors = build_point_soc(point)
+            soc, injectors = point_die(point)
             stats = soc.run(sched=sched)
         return soc_fingerprint(soc, stats, injectors)
 

@@ -19,10 +19,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.analysis.latency import _fig7_specs
 from repro.config import SoCConfig
 from repro.core.core import Core
 from repro.errors import ConfigurationError
-from repro.flexstep.fingerprint import build_point_soc, soc_fingerprint
+from repro.flexstep.die import build_verified_die
+from repro.flexstep.fingerprint import soc_fingerprint
 from repro.flexstep.checker import CheckerEngine, CheckerState
 from repro.flexstep.faults import FaultTarget, install_injector
 from repro.flexstep.packets import (
@@ -38,11 +40,16 @@ from repro.flexstep.soc import (
     soc_sched_override,
 )
 from repro.runtime import knobs
+from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import _latency_options
+from repro.workloads.generator import GeneratorOptions, cached_program
+from repro.workloads.profiles import get_profile
 
 from ..conftest import (
     make_ecall_program,
     make_sum_program,
     make_verified_soc,
+    point_die,
 )
 
 SCHEDS = ("loop", "heap")
@@ -335,14 +342,64 @@ TOPOLOGY_GRID = [
 ]
 
 
+#: The catalog's other fault models, as ``(scenario, workload, target
+#: instructions)``: each die is the scenario's own first unit, at the
+#: smallest target where it injects at least one fault.
+CATALOG_FAULT_GRID = [
+    pytest.param("main-side-faults", "gobmk", 5_000, id="main-side"),
+    pytest.param("sparse-faults", "swaptions", 8_000, id="sparse"),
+    pytest.param("burst-faults", "dedup", 2_000, id="burst"),
+    pytest.param("checker-starvation", "x264", 2_000, id="starvation"),
+]
+
+
+def catalog_point(name, workload, target):
+    """``(program, spec)``: the Fig. 7 unit spec the catalog scenario
+    ``name`` compiles for its first repeat of ``workload``, scaled to
+    ``target`` instructions."""
+    scenario = get_scenario(name).replace(target_instructions=target)
+    options = _latency_options(scenario, scenario.seed)
+    options["repeats"] = 1
+    profile = get_profile(workload)
+    (spec,) = _fig7_specs(profile, **options)
+    program = cached_program(
+        profile, GeneratorOptions(target_instructions=target))
+    return program, spec
+
+
 class TestTopologySweep:
     """Fault-injected multi-pair dies from 4 to 32 cores, plus clean
-    single-pair dual and triple dies (the Fig. 4 and Fig. 6 shapes).
+    single-pair dual and triple dies (the Fig. 4 and Fig. 6 shapes),
+    plus one die per other fault model of the catalog.
 
     ``(4, 2)`` matters beyond scale: its main ids {0, 3, 6, 9} are the
     pattern where a hash-ordered candidate scan would diverge from the
     canonical sorted order both schedulers define.
     """
+
+    @pytest.mark.parametrize("name,workload,target", CATALOG_FAULT_GRID)
+    def test_catalog_fault_model_identical(self, name, workload, target):
+        program, spec = catalog_point(name, workload, target)
+        fingerprint = assert_schedulers_identical(
+            lambda: build_verified_die(program, spec)
+        )
+        records = [row for row in fingerprint[5]
+                   if row[0] != "armed_unfired"]
+        assert records, f"{name} injected no fault at {target}"
+
+    def test_catalog_grid_covers_the_fault_models(self):
+        """Each catalog point carries its scenario's own fault model:
+        main-side mirroring onto two checkers, per-segment arming
+        draws, 4-bit bursts and a starved checker."""
+        specs = {param.values[0]: catalog_point(*param.values)[1]
+                 for param in CATALOG_FAULT_GRID}
+        main_side = specs["main-side-faults"]
+        assert (main_side["side"], main_side["checkers"]) == ("main", 2)
+        assert specs["sparse-faults"]["segment_rate"] == 0.2
+        assert specs["burst-faults"]["burst_bits"] == 4
+        starved = specs["checker-starvation"]
+        assert starved["service_pause_cycles"] == 120_000
+        assert starved["dma_spill_entries"] == 512
 
     @pytest.mark.parametrize("pairs,checkers,workload,faults",
                              TOPOLOGY_GRID)
@@ -351,7 +408,7 @@ class TestTopologySweep:
         point = grid_point(pairs, checkers, workload=workload,
                            faults=faults)
         fingerprint = assert_schedulers_identical(
-            lambda: build_point_soc(point)
+            lambda: point_die(point)
         )
         # one injector per pair on a faulted die, and their records match
         injectors = [row for row in fingerprint[5]
@@ -378,7 +435,7 @@ class TestBoundedRuns:
     def test_max_cycles_identical(self, max_cycles):
         point = grid_point(2, 1, target=8_000)
         assert_schedulers_identical(
-            lambda: build_point_soc(point), max_cycles=max_cycles
+            lambda: point_die(point), max_cycles=max_cycles
         )
 
     @pytest.mark.parametrize("offset", [-103, -60, -52, -1, 0, 1, 60])
@@ -550,8 +607,9 @@ class TestSkipDrain:
     def test_drain_past_the_main_clock_would_unblock_it_early(self):
         """A checker channel pre-filled with a segment that has no SCP
         (a framing error) and a long SKIP tail, all visible from cycle
-        1001, leaves no room for the main's first SCP.  The blocked main retries its flush each cycle
-        while the checker pops one packet per cycle; a drain that ran
+        1001, leaves no room for the main's first SCP.  The blocked
+        main retries its flush each cycle while the checker pops one
+        packet per cycle; a drain that ran
         past the main's clock would let the heap's main flush early."""
 
         def build():

@@ -157,8 +157,7 @@ class TestCheckerThread:
         assert soc.memory.read_word(0x2010) == 800 * 4   # C ran
         results = soc.all_results()
         assert results and all(r.ok for r in results)    # A verified
-        finish_c = kern.trace.first("task_finished", subject="C")
-        assert finish_c is not None
+        assert kern.trace.filter(kind="task_finished", subject="C")
 
     def test_checker_thread_loses_deadline_ties(self):
         """A task on the checker core with the checker thread's own
@@ -170,7 +169,7 @@ class TestCheckerThread:
         kern.spawn(1, KernelTask("z", make_task_program(50, 0x2010)))
         run_checked(soc, kern)
         assert soc.memory.read_word(0x2010) == 50 * 4   # z ran
-        assert kern.trace.first("task_finished", subject="z") is not None
+        assert kern.trace.filter(kind="task_finished", subject="z")
         results = soc.all_results()
         assert results and all(r.ok for r in results)   # A verified
 

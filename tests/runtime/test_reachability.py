@@ -13,7 +13,9 @@ A reference is a ``Name``, an ``Attribute.attr``, a ``from ... import``
 alias outside a package ``__init__.py``, or an identifier-shaped string
 constant (``e2ebench`` names some targets by string).  Re-exports in an
 ``__init__.py`` and ``__all__`` entries do not count.  Matching is by
-name, not by type, so a method is reached by any ``.name`` access.
+name, not by type, so a method is reached by any ``.name`` access; a
+bare ``Name`` (a local variable, say) reaches only top-level
+definitions, never a method.
 
 The only way past the guard is an ``ALLOWLIST`` entry with a reason.
 """
@@ -102,8 +104,9 @@ def definitions(path: Path, module: str) -> list[tuple[str, str, tuple]]:
     return found
 
 
-def references(path: Path) -> list[tuple[str, int]]:
-    """``(name, line)`` for every reference in *path*."""
+def references(path: Path) -> list[tuple[str, int, bool]]:
+    """``(name, line, bare)`` for every reference in *path*; ``bare``
+    marks a ``Name`` load, which cannot reach a method."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     is_init = path.name == "__init__.py"
     exported = set()
@@ -115,16 +118,16 @@ def references(path: Path) -> list[tuple[str, int]]:
     hits = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            hits.append((node.id, node.lineno))
+            hits.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            hits.append((node.attr, node.lineno))
+            hits.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.ImportFrom) and not is_init:
-            hits.extend((a.name, node.lineno) for a in node.names)
+            hits.extend((a.name, node.lineno, False) for a in node.names)
         elif (isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and _IDENTIFIER.match(node.value)
                 and id(node) not in exported):
-            hits.append((node.value, node.lineno))
+            hits.append((node.value, node.lineno, False))
     return hits
 
 
@@ -143,12 +146,17 @@ def unreached(src_root: Path, reference_paths: list[Path]) -> list[str]:
     *reference_paths* references outside the definition itself."""
     refs = defaultdict(list)
     for path in reference_paths:
-        for name, line in references(path):
-            refs[name].append((path, line))
+        for name, line, bare in references(path):
+            refs[name].append((path, line, bare))
     return [key for key, name, (def_path, first, last)
             in public_definitions(src_root)
-            if not any(p != def_path or not first <= line <= last
-                       for p, line in refs[name])]
+            if not any((p != def_path or not first <= line <= last)
+                       and not (bare and _is_method(key))
+                       for p, line, bare in refs[name])]
+
+
+def _is_method(key: str) -> bool:
+    return "." in key.partition(":")[2]
 
 
 def _reference_paths() -> list[Path]:
@@ -197,6 +205,7 @@ def test_the_guard_itself_detects_unreached_names(tmp_path):
         "class Box:\n"
         "    def used(self): pass\n"
         "    def unused(self): pass\n"
+        "    def shadowed(self): pass\n"
         "    def _private(self): pass\n")
     user = tmp_path / "user.py"
     user.write_text("import pkg.mod\n"
@@ -204,9 +213,12 @@ def test_the_guard_itself_detects_unreached_names(tmp_path):
                     "pkg.mod.by_attr()\n"
                     "getattr(pkg.mod, 'by_string')\n"
                     "pkg.mod.Box().used()\n"
+                    "shadowed = 1\n"
+                    "print(shadowed)\n"
                     "print('not an identifier: LIMIT + 1')\n")
     paths = sorted(tmp_path.rglob("*.py"))
     assert sorted(unreached(pkg, paths)) == [
+        "pkg.mod:Box.shadowed",  # a local variable does not reach it
         "pkg.mod:Box.unused",
         "pkg.mod:LIMIT",
         "pkg.mod:dead",          # a self-reference is not a caller
@@ -216,4 +228,4 @@ def test_the_guard_itself_detects_unreached_names(tmp_path):
     user.write_text(user.read_text() + "Box.unused\nx = LIMIT\n"
                     "'exported'\n")
     assert sorted(unreached(pkg, sorted(tmp_path.rglob("*.py")))) == [
-        "pkg.mod:dead", "pkg.mod:listed"]
+        "pkg.mod:Box.shadowed", "pkg.mod:dead", "pkg.mod:listed"]

@@ -30,12 +30,11 @@ class TestTraceRecorder:
 
     def test_first_last_count(self):
         rec = self._recorder()
-        assert rec.first("release").subject == "t1"
-        assert rec.last("release").subject == "t2"
-        assert rec.first("run", subject="t2").time == 4.0
+        assert rec.filter(kind="release")[0].subject == "t1"
+        assert rec.filter(kind="release")[-1].subject == "t2"
+        assert rec.filter(kind="run", subject="t2")[0].time == 4.0
         assert len(rec.filter(kind="run")) == 2
-        assert rec.first("nothing") is None
-        assert rec.last("nothing") is None
+        assert rec.filter(kind="nothing") == []
 
     def test_disabled_recorder_drops_events(self):
         rec = TraceRecorder(enabled=False)
