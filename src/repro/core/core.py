@@ -57,7 +57,7 @@ from ..isa.instructions import (
 from ..isa.program import Program
 from .branch import BranchPredictor
 from .cache import Cache, MemoryHierarchy
-from .decode import DecodedProgram, decode_program
+from .decode import UNBOUNDED_LINE, DecodedProgram, decode_program
 from ..runtime import knobs
 from .memory import MemoryPort
 from .registers import (
@@ -244,7 +244,6 @@ class Core:
         self._record_mem = True
         self._mem_scratch: tuple = ()
         self._trap_scratch = -1
-        self._block_scratch: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # setup / control
@@ -413,9 +412,16 @@ class Core:
         The batched fast path: one decoded-dispatch loop with stats
         accumulated in locals and flushed on exit, no record or MAL
         allocation, and the L1I timing path folded in when modelled.
-        Stops early at a halt.  Falls back to a :meth:`step` loop when
-        commit hooks are registered or the reference engine is
-        selected, so observable behaviour is engine-independent.
+        Where a block of the decode's table (see
+        :meth:`DecodedProgram.block_table`; an unbounded line on a core
+        without an L1I) starts at the pc and fits in what is left of
+        ``n``, the loop fetches its first member as usual, commits the
+        whole block in one call and counts a last-line hit for each
+        other member.  Block members cannot raise, so a fault always
+        lands on a single instruction.  Stops early at a halt.  Falls
+        back to a :meth:`step` loop when commit hooks are registered or
+        the reference engine is selected, so observable behaviour is
+        engine-independent.
         """
         if n <= 0 or self.halted:
             return 0
@@ -445,13 +451,13 @@ class Core:
             fetch = hierarchy.fetch_access
             line_shift = l1i.line_shift
             l1i_stats = l1i.stats
-        blocks = d.blocks
-        block_lens = d.block_lens
+        else:
+            line_shift = UNBOUNDED_LINE
+        blocks = d.block_table(line_shift)
+        block_at = d.block_at
         cycles = 0
         user = 0
-        in_user = False
         self._record_mem = False
-        self._block_scratch = None
         try:
             pc = self.pc
             while executed < n:
@@ -460,22 +466,22 @@ class Core:
                     self.program.fetch(pc)  # raises canonical IsaError
                 idx = off >> 2
                 in_user = self.priv is user_priv
-                if use_l1i:
-                    # Per-instruction path: the I-fetch timing model
-                    # needs each pc, so blocks cannot be fused.
-                    take = 1
-                    if pc >> line_shift == l1i.last_line:
-                        l1i_stats.hits += 1
-                        c = kernels[idx](self)
-                    else:
-                        c = fetch(l1i, pc) + kernels[idx](self)
+                block = blocks[idx]
+                if block is None:
+                    block = block_at(idx, line_shift)
+                if block and block[1] <= n - executed:
+                    kernel, take, _ = block
                 else:
-                    take = block_lens[idx]
-                    if take > n - executed:
-                        take = 1
-                        c = kernels[idx](self)
-                    else:
-                        c = blocks[idx](self)
+                    kernel = kernels[idx]
+                    take = 1
+                if not use_l1i:
+                    c = kernel(self)
+                elif pc >> line_shift == l1i.last_line:
+                    l1i_stats.hits += take
+                    c = kernel(self)
+                else:
+                    c = fetch(l1i, pc) + kernel(self)
+                    l1i_stats.hits += take - 1
                 cycles += c
                 executed += take
                 csrd[CSR_INSTRET] += take
@@ -484,20 +490,6 @@ class Core:
                 pc = self.pc
                 if self.halted:
                     break
-        except BaseException:
-            # A block may die mid-run (memory fault, CSR privilege
-            # error): settle the members that did commit.  Each member
-            # kernel updates pc itself, so pc is already architectural.
-            partial = self._block_scratch
-            if partial is not None:
-                done, part_cycles = partial
-                self._block_scratch = None
-                executed += done
-                cycles += part_cycles
-                csrd[CSR_INSTRET] += done
-                if in_user:
-                    user += done
-            raise
         finally:
             self._record_mem = True
             stats.instructions += executed

@@ -36,6 +36,19 @@ Decoded tables are cached on ``program.decode_cache`` keyed by the
 timing parameters they bake in, so main, checker and lockstep-shadow
 cores sharing one program decode it once.
 
+Block table
+-----------
+Besides one kernel per slot, a decode keeps one *block table* per
+fetch-line shift (:meth:`DecodedProgram.block_table`), empty at decode
+time and filled slot by slot the first time a loop reaches the slot.
+A block is a run of fixed-cycle compute ops (ALU/MUL/DIV) within one
+fetch line, plus at most one ending branch or jump: its members cannot
+raise, and under an L1I every member after the first fetches the line
+the first one left as the L1I's last line.  The three decoded loops
+the catalog runs -- ``Core.advance``, ``MainCoreAdapter.run_window``
+and ``CheckerEngine._replay_run`` -- commit a whole block in one call
+wherever stepping its members one by one would have taken them all.
+
 This is the default of two engine tiers
 (``REPRO_CORE_ENGINE=interp|decoded``); the seed interpreter stays the
 executable reference.  Single kernels here are also what
@@ -99,14 +112,6 @@ MAL_ENTRIES_BY_KIND: tuple[int, ...] = tuple(
     for kind in OpKind
 )
 
-#: Kinds that always fall through to pc+4, never touch privilege or
-#: ``halted``, and never observe ``instret`` — the only ones whose
-#: kernels may sit mid-block (CSR reads instret, so it is a boundary).
-_SEQUENTIAL_KINDS = frozenset((
-    OpKind.ALU, OpKind.MUL, OpKind.DIV, OpKind.LOAD, OpKind.STORE,
-    OpKind.LR, OpKind.SC, OpKind.AMO,
-))
-
 #: Kind codes of the kinds that access data memory, and of those whose
 #: address has an immediate offset (LR/SC/AMO address ``regs[rs1]``
 #: alone).  Integer codes: an ``OpKind`` member hashes in Python.
@@ -120,9 +125,21 @@ _OFFSET_CODES = frozenset((KIND_CODES[OpKind.LOAD],
 #: than an ``OpKind``.
 _KIND_CODE_OF_OP = {name: KIND_CODES[info.kind] for name, info in OPS.items()}
 
-#: Upper bound on instructions per block kernel (keeps the tail-budget
-#: fallback in Core.advance cheap and member lists small).
-BLOCK_CAP = 64
+#: Kind codes a block holds: fixed-cycle compute ops, which cannot
+#: raise, and at most one control op, which ends the block.
+_COMPUTE_CODES = frozenset(KIND_CODES[kind] for kind in (
+    OpKind.ALU, OpKind.MUL, OpKind.DIV,
+))
+_CONTROL_CODES = frozenset(KIND_CODES[kind] for kind in (
+    OpKind.BRANCH, OpKind.JUMP,
+))
+_K_ALU = KIND_CODES[OpKind.ALU]
+_K_MUL = KIND_CODES[OpKind.MUL]
+_K_DIV = KIND_CODES[OpKind.DIV]
+
+#: Line shift of a core without an L1I: one unbounded fetch line (every
+#: 64-bit pc shifted right by 64 is 0).
+UNBOUNDED_LINE = 64
 
 
 def _signed(value: int) -> int:
@@ -133,10 +150,10 @@ class DecodedProgram:
     """One program decoded against one set of core timing parameters."""
 
     __slots__ = ("program", "base", "limit", "kernels", "kinds", "insts",
-                 "blocks", "block_lens", "mem_operands")
+                 "mem_operands", "config", "blocks")
 
     def __init__(self, program: Program, kernels: List[Kernel],
-                 kinds: bytearray):
+                 kinds: bytearray, config: CoreConfig):
         self.program = program
         self.base = program.base
         #: One past the last valid pc offset (bytes).
@@ -153,65 +170,70 @@ class DecodedProgram:
             (inst.rs1, inst.imm if code in _OFFSET_CODES else 0)
             if code in _MEMORY_CODES else None
             for inst, code in zip(self.insts, kinds)]
-        #: Per-slot block kernel: executes the straight-line run starting
-        #: at the slot (through its terminating control/CSR/system op) in
-        #: one call.  ``block_lens[i]`` instructions commit per call.
-        self.blocks: List[Kernel] = []
-        self.block_lens: List[int] = []
-        self._build_blocks()
+        #: The timing the kernels bake in (a block's ``lead`` reads it).
+        self.config = config
+        #: Block table per fetch-line shift (see :meth:`block_table`);
+        #: empty until a decoded loop asks for one.
+        self.blocks: dict[int, list] = {}
 
-    def _build_blocks(self) -> None:
-        kernels = self.kernels
-        n = len(kernels)
-        all_kinds = [inst.info.kind for inst in self.insts]
-        seq = bytes(1 if kind in _SEQUENTIAL_KINDS else 0
-                    for kind in all_kinds)
-        # CSR ops observe instret, which the dispatch loop settles only
-        # between blocks — so they must execute as singletons, never
-        # fused into a larger block.
-        csr = bytes(1 if kind is OpKind.CSR else 0 for kind in all_kinds)
-        for i in range(n):
-            if not seq[i]:
-                self.blocks.append(kernels[i])
-                self.block_lens.append(1)
-                continue
-            # Extend through the straight-line run...
-            j = i
-            while j < n and seq[j] and j - i < BLOCK_CAP - 1:
-                j += 1
-            # ...and fuse the terminating control/system/halt op (but
-            # not a CSR, and not past the cap or the program end).
-            if j < n and not seq[j] and not csr[j] and j - i < BLOCK_CAP:
-                j += 1
-            if j - i == 1:
-                self.blocks.append(kernels[i])
-                self.block_lens.append(1)
-            else:
-                self.blocks.append(_make_block(tuple(kernels[i:j])))
-                self.block_lens.append(j - i)
+    def block_table(self, line_shift: int) -> list:
+        """The per-slot block table for fetch lines of ``1 << line_shift``
+        bytes (:data:`UNBOUNDED_LINE` on a core without an L1I).
+
+        A slot's entry is None until a loop first reaches it and calls
+        :meth:`block_at`; then it is ``()`` (no block starts there) or
+        ``(kernel, length, lead)``.  A block is the run of ALU/MUL/DIV
+        slots from the slot to the end of its fetch line, plus at most
+        one ending BRANCH/JUMP, and has at least two members.  Its
+        members cannot raise and, after the first member's fetch, every
+        fetch is a hit of the L1I's last line, so a loop may commit the
+        whole block in one ``kernel(core)`` call, which returns its
+        cycles, and count ``length - 1`` hits.  ``lead`` is the
+        cycles of every member but the last: the last member starts
+        ``lead`` cycles after the first.
+        """
+        table = self.blocks.get(line_shift)
+        if table is None:
+            table = self.blocks[line_shift] = [None] * len(self.kernels)
+        return table
+
+    def block_at(self, idx: int, line_shift: int) -> tuple:
+        """Fill slot ``idx`` of the ``line_shift`` block table and return
+        the entry (see :meth:`block_table`)."""
+        kinds = self.kinds
+        entry: tuple = ()
+        if kinds[idx] in _COMPUTE_CODES:
+            base = self.base
+            line = (base + idx * INST_BYTES) >> line_shift
+            n = len(kinds)
+            end = idx + 1
+            while end < n and kinds[end] in _COMPUTE_CODES \
+                    and (base + end * INST_BYTES) >> line_shift == line:
+                end += 1
+            if end < n and kinds[end] in _CONTROL_CODES \
+                    and (base + end * INST_BYTES) >> line_shift == line:
+                end += 1
+            if end - idx >= 2:
+                config = self.config
+                fixed = {_K_ALU: 1, _K_MUL: config.mul_latency_cycles,
+                         _K_DIV: config.div_latency_cycles}
+                lead = sum(fixed[kinds[j]] for j in range(idx, end - 1))
+                entry = (_fuse(tuple(self.kernels[idx:end - 1]),
+                               self.kernels[end - 1], lead),
+                         end - idx, lead)
+        self.block_table(line_shift)[idx] = entry
+        return entry
 
 
-def _make_block(members: tuple) -> Kernel:
-    """Fuse a straight-line run of kernels into one block kernel.
-
-    Each member still sets ``core.pc`` itself, so an exception from any
-    member (memory fault, replay mismatch, CSR privilege error) leaves
-    the architectural state exactly as single-stepping would; the block
-    records how many members committed (and their cycles) in
-    ``core._block_scratch`` so the caller can settle stats.
-    """
-    def blk(core):
-        cycles = 0
-        done = 0
-        try:
-            for k in members:
-                cycles += k(core)
-                done += 1
-        except BaseException:
-            core._block_scratch = (done, cycles)
-            raise
-        return cycles
-    return blk
+def _fuse(first: tuple, last: Kernel, lead: int) -> Kernel:
+    """One kernel for a block: the fixed-cycle ``first`` members, whose
+    cycles add up to ``lead``, then ``last``.  Each member sets
+    ``core.pc`` itself."""
+    def block(core):
+        for k in first:
+            k(core)
+        return lead + last(core)
+    return block
 
 
 def decode_program(program: Program, config: CoreConfig) -> DecodedProgram:
@@ -233,7 +255,7 @@ def decode_program(program: Program, config: CoreConfig) -> DecodedProgram:
         pc += INST_BYTES
     kinds = bytearray(_KIND_CODE_OF_OP[inst.op]
                       for inst in program.instructions)
-    decoded = DecodedProgram(program, kernels, kinds)
+    decoded = DecodedProgram(program, kernels, kinds, config)
     program.decode_cache[key] = decoded
     return decoded
 

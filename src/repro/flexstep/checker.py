@@ -349,6 +349,16 @@ class CheckerEngine:
         A replay that diverges from the log fails the segment exactly as
         :meth:`_step_replay` does.
 
+        Where a block of the decode's table (see
+        :meth:`DecodedProgram.block_table`) starts at a memory-free
+        instruction, the loop commits the whole block in one call after
+        the first member's fetch and gate test, if the stream covers
+        every member and the last member (``lead`` cycles later) starts
+        below ``limit`` and, unless the head is a ``MemPacket``, below
+        the cycle the head becomes visible.  Each member would have
+        been replayed here: none accesses memory or can raise, and each
+        later fetch is a hit of the first member's line.
+
         The head is the only packet that matters, and it changes only
         by becoming visible or by this loop's own pops: no other core
         acts during the caller's round.  A visible ``MemPacket`` head
@@ -375,6 +385,8 @@ class CheckerEngine:
         latency = channel.latency
         head = channel.head()
         visible = None if head is None else head.push_cycle + latency
+        blocks = decoded.block_table(line_shift)
+        block_at = decoded.block_at
         safe = self._safe_count
         executed = self._executed
         done = 0
@@ -405,25 +417,42 @@ class CheckerEngine:
                 if memory and not ready:
                     break
                 if pc >> line_shift == l1i.last_line:
-                    l1i_stats.hits += 1
+                    hit = 1
                     extra = 0
                 elif gate is not None and now >= gate \
                         and not l1i.contains(pc):
                     break
                 else:
+                    hit = 0
                     extra = hierarchy.fetch_access(l1i, pc)
+                kernel = kernels[idx]
+                take = 1
+                if not memory:
+                    block = blocks[idx]
+                    if block is None:
+                        block = block_at(idx, line_shift)
+                    if block and executed + block[1] <= safe:
+                        # Every member is covered; the last one starts
+                        # lead cycles after this one, and must start
+                        # where a step would still take it.
+                        last = now + extra + block[2]
+                        if (limit is None or last < limit) and (
+                                visible is None or last < visible
+                                or isinstance(head, MemPacket)):
+                            kernel, take, _ = block
+                l1i_stats.hits += hit + take - 1
                 try:
-                    cycles = kernels[idx](core) + extra
+                    cycles = kernel(core) + extra
                 except VerificationMismatch as exc:
                     failure = exc
                     break
-                stats.instructions += 1
+                stats.instructions += take
                 if user:
-                    stats.user_instructions += 1
+                    stats.user_instructions += take
                 stats.cycles += cycles
-                csrd[CSR_INSTRET] += 1
-                executed += 1
-                done += 1
+                csrd[CSR_INSTRET] += take
+                executed += take
+                done += take
                 if memory:
                     head = channel.head()
                     visible = None if head is None \

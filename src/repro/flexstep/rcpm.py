@@ -230,7 +230,16 @@ class MainCoreAdapter:
         line only counts a hit (see ``Cache.last_line``).  The commit
         logs through :meth:`_log_user_commit` when it has MAL entries or
         reaches the heartbeat or the segment limit; otherwise the CPC
-        count is all that changes.  Every other step -- a kernel-mode
+        count is all that changes.  A memory-free commit that starts a
+        block of the decode's table (see
+        :meth:`DecodedProgram.block_table`) commits the whole block in
+        one call when the round is unbounded (no ``max_cycles``), the
+        block fits in ``budget``, the outbox is empty after
+        ``before_step`` (a refused SCP ends the round after one step),
+        and its last member stays below the heartbeat and the segment
+        limit: every member then passes the shared-step test with a
+        last-line fetch and no staged entry, so the CPC count grows by
+        the block's length.  Every other step -- a kernel-mode
         commit, an ecall/mret, a halt, the ``interp`` engine, or a core
         carrying another commit hook -- takes ``before_step`` plus
         ``Core.step`` and this adapter's commit hook, exactly as the
@@ -263,6 +272,9 @@ class MainCoreAdapter:
         fused = (enabled and core._use_kernels
                  and core._hooks == [self._on_commit])
         fast = fused and core.priv is user
+        blocks = decoded.block_table(line_shift)
+        block_at = decoded.block_at
+        unbounded = max_cycles is None
         done = 0
         while done < budget:
             if enabled and outbox:
@@ -312,23 +324,39 @@ class MainCoreAdapter:
             if fast and kind >= 0 and kind != K_SYSTEM and kind != K_HALT:
                 if not self._segment_open:
                     self.before_step()
+                kernel = kernels[idx]
+                take = 1
                 if operands is not None:
                     core._mem_scratch = ()
+                elif unbounded and not outbox:
+                    block = blocks[idx]
+                    if block is None:
+                        block = block_at(idx, line_shift)
+                    if block and done + block[1] <= budget:
+                        # The whole block commits CPC-only when its last
+                        # member stays below the heartbeat and the
+                        # segment limit: every member then passes the
+                        # shared-step test and stages nothing.
+                        count = self._count + block[1]
+                        if (count - self._last_progress < progress_interval
+                                and count < segment_limit):
+                            kernel, take, _ = block
                 if pc >> line_shift == l1i.last_line:
-                    l1i_stats.hits += 1
+                    l1i_stats.hits += take
                     extra = 0
                 else:
                     extra = hierarchy.fetch_access(l1i, pc)
-                cycles = kernels[idx](core) + extra
-                stats.instructions += 1
-                stats.user_instructions += 1
+                    l1i_stats.hits += take - 1
+                cycles = kernel(core) + extra
+                stats.instructions += take
+                stats.user_instructions += take
                 stats.cycles += cycles
-                csrd[CSR_INSTRET] += 1
-                done += 1
+                csrd[CSR_INSTRET] += take
+                done += take
                 if operands is None:
                     # CPC only, unless the commit reaches the heartbeat
                     # or the segment limit
-                    count = self._count + 1
+                    count = self._count + take
                     if (count - self._last_progress < progress_interval
                             and count < segment_limit):
                         self._count = count

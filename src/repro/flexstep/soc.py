@@ -611,9 +611,9 @@ class FlexStepSoC:
                 and max_cycles is None:
             # Sole candidate, no FlexStep units attached: the core
             # cannot interact with anything mid-round, so run it
-            # through Core.advance without commit records.  Every SoC
-            # core has an L1I, so that is its per-instruction fetch
-            # loop; block kernels run only on bare DirectPort cores.
+            # through Core.advance without commit records; it commits
+            # each block of the decode's table, bounded by an L1I
+            # fetch line, in one call.
             return core.advance(budget)
         if adapter is not None and adapter.blocked:
             adapter.try_flush()
@@ -683,9 +683,9 @@ class FlexStepSoC:
         if adapter is None and not core._hooks and horizon is None:
             # Sole candidate, no FlexStep units attached: the core
             # cannot interact with anything mid-round, so run it
-            # through Core.advance without commit records.  Every SoC
-            # core has an L1I, so that is its per-instruction fetch
-            # loop; block kernels run only on bare DirectPort cores.
+            # through Core.advance without commit records; it commits
+            # each block of the decode's table, bounded by an L1I
+            # fetch line, in one call.
             return core.advance(budget)
         done = 0
         while done < budget:

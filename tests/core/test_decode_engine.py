@@ -2,15 +2,16 @@
 
 Semantic equivalence with the interpreter is covered by
 ``test_differential_engine.py``; this module pins down the engine's own
-contract — decode caching, the batched ``advance``/``exec_one`` paths,
-and exception behaviour mid-block.
+contract — decode caching, the block table, the batched
+``advance``/``exec_one`` paths, and exception behaviour next to a
+fused block.
 """
 
 import pytest
 
-from repro.config import CoreConfig
+from repro.config import CoreConfig, MemoryConfig
 from repro.core import Core, DirectPort, MainMemory
-from repro.core.decode import BLOCK_CAP, decode_program
+from repro.core.decode import UNBOUNDED_LINE, decode_program
 from repro.errors import (
     ConfigurationError,
     ExecutionLimitExceeded,
@@ -20,6 +21,15 @@ from repro.errors import (
     PrivilegeError,
 )
 from repro.isa import assemble
+from repro.isa.instructions import KIND_CODES, OpKind
+from repro.workloads.generator import GeneratorOptions, build_program
+from repro.workloads.profiles import get_profile
+
+#: The fetch-line shift of every SoC core's L1I.
+L1I_LINE_SHIFT = MemoryConfig().l1i.line_bytes.bit_length() - 1
+
+_COMPUTE = {KIND_CODES[k] for k in (OpKind.ALU, OpKind.MUL, OpKind.DIV)}
+_CONTROL = {KIND_CODES[k] for k in (OpKind.BRANCH, OpKind.JUMP)}
 
 
 def _core(prog, **kw):
@@ -45,16 +55,83 @@ class TestDecodeCache:
         assert decode_program(prog, cfg) is not decode_program(prog, slow)
         assert len(prog.decode_cache) == 2
 
+    def test_fresh_decode_builds_no_block(self):
+        prog = assemble("\n".join(["addi x1, x1, 1"] * 10 + ["halt"]))
+        assert decode_program(prog, CoreConfig()).blocks == {}
+
     def test_blocks_cover_program(self):
         prog = assemble("\n".join(["addi x1, x1, 1"] * 10
                                   + ["beq x1, x0, 8", "nop", "halt"]))
         d = decode_program(prog, CoreConfig())
-        assert len(d.blocks) == len(prog.instructions)
         # Slot 0's block runs the straight line through the branch.
-        assert d.block_lens[0] == 11
+        kernel, length, lead = d.block_at(0, UNBOUNDED_LINE)
+        assert (length, lead) == (11, 10)
         # A block entered mid-run is its own (shorter) block.
-        assert d.block_lens[5] == 6
-        assert all(length <= BLOCK_CAP for length in d.block_lens)
+        assert d.block_at(5, UNBOUNDED_LINE)[1:] == (6, 5)
+        # 16-byte lines: the block ends at its line's last slot.
+        assert d.block_at(0, 4)[1:] == (4, 3)
+        assert d.block_at(3, 4) == ()
+        # No block starts at a control op or ends before a second member.
+        assert d.block_at(10, UNBOUNDED_LINE) == ()
+        assert d.block_at(11, UNBOUNDED_LINE) == ()
+        # Each table is filled only where it was asked.
+        assert set(d.blocks) == {UNBOUNDED_LINE, 4}
+        assert d.blocks[4] == [d.blocks[4][0], None, None, ()] + [None] * 9
+        assert d.blocks[UNBOUNDED_LINE][0][0] is kernel
+
+    def test_a_run_fills_only_the_slots_it_reaches(self):
+        prog = assemble("\n".join(["addi x1, x1, 1"] * 20 + ["halt"]))
+        core, _ = _core(prog)
+        core.run(100)
+        table = decode_program(prog, CoreConfig()).blocks[UNBOUNDED_LINE]
+        assert table[0][1:] == (20, 19)
+        assert table[1:] == [None] * 19 + [()]
+
+
+def _assert_block_table_exact(program, line_shift):
+    """Every block of ``program``'s ``line_shift`` table stays in one
+    line, holds compute ops and at most one ending branch/jump, and has
+    the ``lead``, cycles and effect of its members run one by one."""
+    config = CoreConfig()
+    d = decode_program(program, config)
+    kinds = d.kinds
+    blocks = 0
+    for idx in range(len(kinds)):
+        entry = d.block_at(idx, line_shift)
+        if not entry:
+            continue
+        blocks += 1
+        kernel, length, lead = entry
+        members = range(idx, idx + length)
+        assert length >= 2
+        assert len({(d.base + 4 * j) >> line_shift for j in members}) == 1
+        assert all(kinds[j] in _COMPUTE for j in members[:-1])
+        assert kinds[members[-1]] in _COMPUTE | _CONTROL
+        # Run the fused kernel and the members on twin cores.
+        fused, _ = _core(program)
+        single, _ = _core(program)
+        for core in (fused, single):
+            core.pc = d.base + 4 * idx
+            for reg in range(1, 32):
+                core.regs.write(reg, (idx * 977 + reg * 131) & 0xFFFF)
+        cycles = [d.kernels[j](single) for j in members]
+        assert lead == sum(cycles[:-1]), idx
+        assert kernel(fused) == sum(cycles), idx
+        assert fused.snapshot().diff(single.snapshot()) == [], idx
+    assert d.blocks[line_shift] == [
+        d.block_at(i, line_shift) for i in range(len(kinds))]
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "name", ["blackscholes", "dedup", "mcf", "hmmer", "x264"])
+@pytest.mark.parametrize("line_shift", [L1I_LINE_SHIFT, UNBOUNDED_LINE],
+                         ids=["l1i-line", "bare-core"])
+def test_block_table_is_exact_over_the_workload_mix(name, line_shift):
+    program = build_program(get_profile(name),
+                            GeneratorOptions(target_instructions=2000))
+    assert decode_program(program, CoreConfig()).blocks == {}
+    assert _assert_block_table_exact(program, line_shift) > 0
 
 
 class TestAdvance:
@@ -107,9 +184,13 @@ class TestAdvance:
 
 
 class TestMidBlockExceptions:
+    """A block holds no op that can raise, so a fault lands on the
+    single instruction right after a fused run, which the loop has
+    already settled."""
+
     def test_memory_fault_mid_block_settles_stats(self):
-        # Three ALU ops, then a load far outside memory — all fused
-        # into one block kernel.
+        # Four ALU ops fuse into one block; the load after them faults
+        # on its own.
         prog = assemble("""
             addi x1, x0, 1
             addi x2, x0, 2
@@ -131,6 +212,7 @@ class TestMidBlockExceptions:
         assert core.regs.read(5) == 0
 
     def test_csr_privilege_fault_mid_block(self):
+        # A lone ALU op fuses with nothing: the CSR op ends no block.
         prog = assemble("""
             addi x1, x0, 7
             csrrw x2, 0x340, x1
@@ -144,6 +226,7 @@ class TestMidBlockExceptions:
             assert core.pc == 4, engine
 
     def test_mret_from_user_mid_block(self):
+        # mret is a system op, so it never joins the ALU op's block.
         prog = assemble("addi x1, x0, 1\nmret\nhalt")
         core, _ = _core(prog)
         with pytest.raises(PrivilegeError):

@@ -8,15 +8,15 @@ non-reference tier is compared to the ``interp`` seed reference twice:
 
 * ``step()`` — single-step with CommitRecords (hooks),
 * ``run()``  — the record-free batched fast path (where the
-  ``decoded`` tier dispatches fused block kernels).
+  ``decoded`` tier dispatches fused blocks).
 
 The suite also proves engine invariance where it matters to the paper:
 full checker-replay fault campaigns (checker-side, main-side and burst
 faults) produce identical detection payloads under every tier, the
 ``exec_one``/``peek_kind_code`` single-step surface the checkers replay
 through is tier-independent, a core timed through a conflicting L1I
-counts the same fetches on every fetch path, and a block kernel that
-faults mid-run honours the uncommitted-instruction contract (memory
+counts the same fetches on every fetch path, and a fault right after a
+fused block honours the uncommitted-instruction contract (memory
 faults in straight lines, diamond gaps, stores and out-of-range
 accesses, plus privilege traps).
 """
@@ -185,7 +185,7 @@ def test_random_programs_bit_identical(seed):
         assert counters == ref_counters, engine
         assert mem == ref_mem, engine
         # The record-free batched path must land in the same state;
-        # for "decoded" this is the path that dispatches block kernels.
+        # for "decoded" this is the path that dispatches fused blocks.
         fast_snap, _, fast_counters, fast_mem = _execute(
             program, engine, via="run")
         assert fast_snap.diff(ref_snap) == [], engine
@@ -376,13 +376,15 @@ def test_exec_one_and_peek_match_interp(engine):
 
 
 # ---------------------------------------------------------------------------
-# mid-block faults — the uncommitted-instruction contract
+# faults after a fused block — the uncommitted-instruction contract
 # ---------------------------------------------------------------------------
 
-#: Programs that fault inside a fused block: a load fault after ALU
-#: work, a fault inside a forward-branch diamond's gap arm, a store
-#: fault after a committed store, an out-of-range access (address past
-#: the memory size), and a privilege trap from user mode.
+#: Programs that fault right after a fused block (a block holds no op
+#: that can raise, so the fault lands on a single instruction the loop
+#: takes after the block): a load fault after ALU work, a fault inside
+#: a forward-branch diamond's gap arm, a store fault after a committed
+#: store, an out-of-range access (address past the memory size), and a
+#: privilege trap from user mode.
 _GUARD_CASES = {
     "mid_trace_fault": """
         li x1, 100
@@ -447,7 +449,7 @@ def _run_to_fault(prog, engine: str):
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 @pytest.mark.parametrize("engine", _ALT_ENGINES)
 def test_mid_block_faults_bit_identical(case, engine):
-    """A fault inside a block settles to the exact interp state: the
+    """A fault after a fused block settles to the exact interp state: the
     interpreter's error, architectural state, pc, counters, predictor
     stats and memory."""
     prog = assemble(_GUARD_CASES[case])
@@ -460,7 +462,7 @@ def test_mid_block_faults_bit_identical(case, engine):
 def test_mid_block_fault_contract(engine):
     """The uncommitted-instruction contract, spelled out.
 
-    A trap mid-block must settle exactly the committed prefix: the
+    A trap after a fused run must settle exactly the committed prefix: the
     faulting load is not retired, pc sits on the faulting slot, the
     prefix's register writes are visible, and the destination register
     keeps its old committed value.

@@ -215,3 +215,93 @@ class TestDetection:
             soc = make_verified_soc(make_sum_program(n=n))
             stats = soc.run()
             assert stats.segments_failed == 0, f"n={n}"
+
+
+def _compute_heavy_program():
+    """A loop of 70 compute ops (with DIVs and MULs) and one load per
+    iteration: its stream interleaves a progress heartbeat and a
+    ``MemPacket`` per iteration, and its checker replays long fused
+    blocks between them."""
+    ops = ["addi x2, x2, 3", "xor x3, x2, x1", "slli x4, x3, 2",
+           "div x5, x4, x1", "add x6, x5, x2", "mul x7, x6, x1",
+           "sub x8, x7, x3"]
+    body = "\n".join(ops * 10)
+    return assemble(f"""
+        li x1, 40
+        li x2, 0
+        li x10, 0x1000
+    loop:
+        ld x11, 0(x10)
+        {body}
+        addi x1, x1, -1
+        bne x1, x0, loop
+        sd x2, 0x2000(x0)
+        halt
+    .data
+        .org 0x1000
+        .word 9
+    """)
+
+
+def _replay_trace(limit_step, blocks, segment_limit=None):
+    """Run the main to its halt with a roomy FIFO, then drive its
+    checker by hand, calling ``_replay_run`` with a limit
+    ``limit_step`` cycles ahead (None = no limit) wherever
+    ``run_ahead`` would.  Returns ``(executed, clock, packets left)``
+    after every ``_replay_run`` call that acted, and the results."""
+    flex = {"fifo_entries": 1 << 14}
+    if segment_limit is not None:
+        flex["segment_limit"] = segment_limit
+    soc = make_verified_soc(_compute_heavy_program(), **flex)
+    engine = soc.engine_of(1)
+    core = engine.core
+    main = soc.cores[0]
+    decoded = main.decoded()  # the checker replays the same decode
+    shift = core.l1i.line_shift
+    if not blocks:
+        decoded.blocks[shift] = [()] * len(decoded.kernels)
+    while not main.halted:
+        soc._advance_main(0, None, 256)
+    soc.retire_main(0)
+    trace = []
+    while not engine.drained:
+        if engine.state is CheckerState.REPLAY and engine._ic is None:
+            limit = None if limit_step is None \
+                else core.stats.cycles + limit_step
+            if engine._replay_run(limit):
+                trace.append((engine._executed, core.stats.cycles,
+                              len(engine.channel)))
+                continue
+        idle = engine.stats.idle_cycles
+        engine.step()
+        if engine.stats.idle_cycles != idle:
+            wake = engine.channel.next_visible(core.stats.cycles)
+            assert wake is not None, "a clean stream ended undrained"
+            engine.idle_until(wake)
+    if blocks:
+        assert any(decoded.blocks[shift]), "no block was reached"
+    results = [(r.segment, r.ok, r.count) for r in engine.results]
+    return trace, results
+
+
+class TestReplayBlocks:
+    """A fused block in ``CheckerEngine._replay_run`` stops where
+    replaying its members one by one would: before the first member
+    at or past ``limit``, and before the first one that starts once a
+    progress heartbeat or an IC at the head is visible.  With
+    100-instruction segments, LIMIT closes put ICs at the head while
+    the checker is still replaying the segment's last blocks."""
+
+    @pytest.mark.parametrize("segment_limit", [None, 100],
+                             ids=["default-segments", "limit100"])
+    @pytest.mark.parametrize("limit_step", [None, 1, 5, 23, 61],
+                             ids=["no-limit", "1", "5", "23", "61"])
+    def test_blocks_stop_where_single_steps_would(self, limit_step,
+                                                  segment_limit):
+        fused, results = _replay_trace(limit_step, True,
+                                       segment_limit=segment_limit)
+        single, single_results = _replay_trace(
+            limit_step, False, segment_limit=segment_limit)
+        assert fused == single
+        assert results == single_results
+        assert results and all(ok for _, ok, _ in results)

@@ -22,7 +22,7 @@ import pytest
 from repro.analysis.latency import _fig7_specs
 from repro.config import SoCConfig
 from repro.core.core import Core
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionLimitExceeded
 from repro.flexstep.die import build_verified_die
 from repro.flexstep.fingerprint import soc_fingerprint
 from repro.flexstep.checker import CheckerEngine, CheckerState
@@ -488,6 +488,25 @@ class TestBoundedRuns:
         for offset in range(56):
             assert_schedulers_identical(build,
                                         max_cycles=halted_at + offset)
+
+    def test_instruction_limit_stops_the_main_where_the_oracle_does(self):
+        """``max_instructions`` counts main commits, so when the run
+        exceeds it the main has committed as many instructions, at the
+        same clock and pc, under both schedulers (their checkers may
+        lag it differently there).  The limits fall inside the heap's
+        first fused windows and across its later rounds, where a
+        window's block must not run past the round's budget."""
+        for limit in [*range(5, 300, 7), *range(300, 2_800, 181)]:
+            seen = {}
+            for sched in SCHEDS:
+                soc, _ = point_die(grid_point(1, 1, faults=False))
+                with pytest.raises(ExecutionLimitExceeded):
+                    soc.run(sched=sched, max_instructions=limit)
+                main = soc.cores[0]
+                seen[sched] = (main.stats.instructions, main.stats.cycles,
+                               main.pc, main.l1i.stats.hits)
+            assert seen["loop"] == seen["heap"], limit
+            assert seen["heap"][0] == limit + 1, limit
 
     def test_rerun_after_completion_identical(self):
         """A second run() seeds already-halted cores: both schedulers
